@@ -4,9 +4,14 @@
 // Columnsort's sort-based scheme because Step 1/3 are free and the only
 // full sorts touch N^2 keys; here we report total comparison-ish work
 // (host wall time) and the structural counters for the same inputs.
+// Each timing is the median of five warm runs on fresh copies of the
+// input; the parallel column uses min(4, hardware threads) workers.
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "baselines/batcher_sequence.hpp"
 #include "baselines/columnsort.hpp"
@@ -22,15 +27,39 @@ using namespace prodsort;
 using bench::Table;
 using bench::fmt;
 
+constexpr int kTimedRuns = 5;
+
+// Times `sort` on fresh copies of `keys`: one untimed warm-up, then the
+// median of kTimedRuns runs.  `out` keeps the last run's output.
+template <typename Sort>
+double median_ms(const std::vector<Key>& keys, std::vector<Key>& out,
+                 Sort&& sort) {
+  out = keys;
+  sort(out);
+  std::vector<double> samples;
+  for (int run = 0; run < kTimedRuns; ++run) {
+    out = keys;
+    samples.push_back(bench::time_ms([&] { sort(out); }));
+  }
+  std::nth_element(samples.begin(), samples.begin() + kTimedRuns / 2,
+                   samples.end());
+  return samples[kTimedRuns / 2];
+}
+
 }  // namespace
 
 int main() {
-  std::printf("E11: sequence-level comparison — multiway merge vs baselines\n\n");
+  std::printf("E11: sequence-level comparison — multiway merge vs baselines\n"
+              "(each cell: one warm-up, then the median of %d runs)\n\n",
+              kTimedRuns);
 
-  Table table({"keys", "N", "r", "mw-merge ms", "mw-fast ms", "mw-fast 4t ms",
+  ParallelExecutor exec(static_cast<int>(
+      std::clamp(std::thread::hardware_concurrency(), 1u, 4u)));
+  const std::string par_header =
+      "mw-fast " + std::to_string(exec.num_threads()) + "t ms";
+  Table table({"keys", "N", "r", "mw-merge ms", "mw-fast ms", par_header,
                "columnsort ms", "batcher ms", "shearsort ms", "samplesort ms",
                "std::sort ms", "all agree"});
-  ParallelExecutor exec(4);
   struct Shape {
     NodeId n;
     int r;
@@ -47,37 +76,31 @@ int main() {
     const std::int64_t total = pow_int(s.n, s.r);
     const auto keys = bench::random_keys(total, 11u);
 
-    std::vector<Key> expected = keys;
-    const double std_ms =
-        bench::time_ms([&] { std::sort(expected.begin(), expected.end()); });
-
-    std::vector<Key> mw = keys;
-    const double mw_ms =
-        bench::time_ms([&] { (void)multiway_merge_sort(mw, s.n); });
-
-    std::vector<Key> mwf = keys;
-    const double mwf_ms =
-        bench::time_ms([&] { multiway_merge_sort_fast(mwf, s.n); });
-
-    std::vector<Key> mwp = keys;
-    const double mwp_ms =
-        bench::time_ms([&] { multiway_merge_sort_fast(mwp, s.n, &exec); });
-
-    std::vector<Key> cs = keys;
-    const double cs_ms =
-        bench::time_ms([&] { (void)columnsort(cs, s.cs_rows, s.cs_cols); });
-
-    std::vector<Key> bt = keys;
-    const double bt_ms = bench::time_ms([&] { (void)batcher_sort(bt); });
-
-    std::vector<Key> sh = keys;
-    const double sh_ms =
-        bench::time_ms([&] { (void)shearsort(sh, s.sh_rows, s.sh_cols); });
+    std::vector<Key> expected, mw, mwf, mwp, cs, bt, sh, ss;
+    const double std_ms = median_ms(keys, expected, [](std::vector<Key>& v) {
+      std::sort(v.begin(), v.end());
+    });
+    const double mw_ms = median_ms(keys, mw, [&](std::vector<Key>& v) {
+      (void)multiway_merge_sort(v, s.n);
+    });
+    const double mwf_ms = median_ms(keys, mwf, [&](std::vector<Key>& v) {
+      multiway_merge_sort_fast(v, s.n);
+    });
+    const double mwp_ms = median_ms(keys, mwp, [&](std::vector<Key>& v) {
+      multiway_merge_sort_fast(v, s.n, &exec);
+    });
+    const double cs_ms = median_ms(keys, cs, [&](std::vector<Key>& v) {
+      (void)columnsort(v, s.cs_rows, s.cs_cols);
+    });
+    const double bt_ms = median_ms(
+        keys, bt, [](std::vector<Key>& v) { (void)batcher_sort(v); });
+    const double sh_ms = median_ms(keys, sh, [&](std::vector<Key>& v) {
+      (void)shearsort(v, s.sh_rows, s.sh_cols);
+    });
     const std::vector<Key> sh_seq = snake_to_sequence(sh, s.sh_rows, s.sh_cols);
-
-    std::vector<Key> ss = keys;
-    const double ss_ms =
-        bench::time_ms([&] { (void)samplesort(ss, 16, 42u); });
+    const double ss_ms = median_ms(keys, ss, [](std::vector<Key>& v) {
+      (void)samplesort(v, 16, 42u);
+    });
 
     const bool agree = mw == expected && mwf == expected && mwp == expected &&
                        cs == expected && bt == expected && sh_seq == expected &&

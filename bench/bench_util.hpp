@@ -134,9 +134,9 @@ inline std::string fmt(std::int64_t v) { return std::to_string(v); }
 inline std::string fmt(int v) { return std::to_string(v); }
 
 /// A small build-and-dump JSON tree for the BENCH_*.json artifacts.
-/// Objects keep insertion order so exported files diff stably; numbers
-/// are int64 (printed exactly) or double (printed with %.4f, matching
-/// the historical hand-written exports).
+/// Objects keep insertion order so exported files diff stably; integers
+/// (int64 and uint64, so 64-bit hashes stay positive) print exactly and
+/// doubles with %.17g, which round-trips.
 class JsonValue {
  public:
   JsonValue() : kind_(Kind::kNull) {}
@@ -145,8 +145,7 @@ class JsonValue {
   JsonValue(bool b) : kind_(Kind::kBool), int_(b ? 1 : 0) {}
   JsonValue(int v) : kind_(Kind::kInt), int_(v) {}
   JsonValue(std::int64_t v) : kind_(Kind::kInt), int_(v) {}
-  JsonValue(std::uint64_t v)
-      : kind_(Kind::kInt), int_(static_cast<std::int64_t>(v)) {}
+  JsonValue(std::uint64_t v) : kind_(Kind::kUint), uint_(v) {}
   JsonValue(double v) : kind_(Kind::kDouble), double_(v) {}
 
   static JsonValue object() {
@@ -183,8 +182,11 @@ class JsonValue {
       case Kind::kInt:
         std::fprintf(f, "%lld", static_cast<long long>(int_));
         break;
+      case Kind::kUint:
+        std::fprintf(f, "%llu", static_cast<unsigned long long>(uint_));
+        break;
       case Kind::kDouble:
-        std::fprintf(f, "%.4f", double_);
+        std::fprintf(f, "%.17g", double_);
         break;
       case Kind::kString:
         std::fprintf(f, "\"%s\"", escaped(string_).c_str());
@@ -214,7 +216,9 @@ class JsonValue {
   }
 
  private:
-  enum class Kind { kNull, kBool, kInt, kDouble, kString, kObject, kArray };
+  enum class Kind {
+    kNull, kBool, kInt, kUint, kDouble, kString, kObject, kArray
+  };
 
   static std::string escaped(const std::string& s) {
     std::string out;
@@ -232,6 +236,7 @@ class JsonValue {
   Kind kind_;
   std::string string_;
   std::int64_t int_ = 0;
+  std::uint64_t uint_ = 0;
   double double_ = 0;
   std::vector<std::pair<std::string, JsonValue>> members_;
   std::vector<JsonValue> elements_;

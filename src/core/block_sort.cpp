@@ -6,6 +6,8 @@
 #include <stdexcept>
 
 #include "core/product_sort.hpp"  // transposition_pairs, block_directions
+#include "core/s2/shearsort_s2.hpp"
+#include "core/s2/snake_oet_s2.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -53,28 +55,17 @@ void BlockOracleS2::sort_views(BlockMachine& machine,
 
 namespace {
 
-// Full odd-even transposition over node lines, in lockstep, with
-// merge-split steps (the block analog of lockstep_oet).
-void lockstep_merge_split(BlockMachine& machine,
-                          const std::vector<std::vector<PNode>>& lines,
-                          const std::vector<bool>& descending, int hop) {
-  if (lines.empty()) return;
-  const std::size_t length = lines.front().size();
-  std::vector<CEPair> pairs;
-  for (std::size_t phase = 0; phase < length; ++phase) {
-    pairs.clear();
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      const auto& line = lines[li];
-      const bool desc = descending[li];
-      for (std::size_t i = phase % 2; i + 1 < line.size(); i += 2) {
-        if (desc)
-          pairs.push_back({line[i + 1], line[i]});
-        else
-          pairs.push_back({line[i], line[i + 1]});
-      }
-    }
+// Replays a lockstep pass with merge-split steps.
+void run_merge_split(BlockMachine& machine, const LockstepPass& pass,
+                     int hop) {
+  pass.run([&](std::span<const CEPair> pairs) {
     machine.merge_split_step(pairs, hop);
-  }
+  });
+}
+
+// Shearsort iterations: ceil(log2 N) + 1, but at least two (N = 1).
+int block_shearsort_iterations(NodeId n) {
+  return std::max(1, ceil_log2(n)) + 1;
 }
 
 }  // namespace
@@ -84,28 +75,15 @@ void BlockSnakeOETS2::sort_views(BlockMachine& machine,
                                  const std::vector<bool>& descending) const {
   if (views.empty()) return;
   const ProductGraph& pg = machine.graph();
-  const int hop = pg.factor().dilation;
-
-  std::vector<std::vector<PNode>> lines;
-  lines.reserve(views.size());
-  for (const ViewSpec& v : views) {
-    const PNode size = view_size(pg, v);
-    std::vector<PNode> line(static_cast<std::size_t>(size));
-    for (PNode rank = 0; rank < size; ++rank)
-      line[static_cast<std::size_t>(rank)] =
-          view_node_at_snake_rank(pg, v, rank);
-    lines.push_back(std::move(line));
-  }
-  lockstep_merge_split(machine, lines, descending, hop);
+  run_merge_split(machine, snake_pass(pg, views, descending),
+                  pg.factor().dilation);
 }
 
 double BlockShearsortS2::phase_cost(const LabeledFactor& factor,
                                     int block_size) const {
-  int iterations = 1;
-  while ((NodeId{1} << iterations) < factor.size()) ++iterations;
   const double n = factor.size();
   const double per_step = factor.dilation + block_size - 1.0;
-  return ((iterations + 1) * 2.0 * n + n) * per_step;
+  return (block_shearsort_iterations(factor.size()) * 2.0 * n + n) * per_step;
 }
 
 void BlockShearsortS2::sort_views(BlockMachine& machine,
@@ -113,41 +91,14 @@ void BlockShearsortS2::sort_views(BlockMachine& machine,
                                   const std::vector<bool>& descending) const {
   if (views.empty()) return;
   const ProductGraph& pg = machine.graph();
-  const NodeId n = pg.radix();
   const int hop = pg.factor().dilation;
-
-  std::vector<std::vector<PNode>> rows;
-  std::vector<bool> row_desc;
-  std::vector<std::vector<PNode>> cols;
-  std::vector<bool> col_desc;
-  for (std::size_t vi = 0; vi < views.size(); ++vi) {
-    const ViewSpec& v = views[vi];
-    const bool flip = descending[vi];
-    for (NodeId fixed = 0; fixed < n; ++fixed) {
-      std::vector<PNode> row(static_cast<std::size_t>(n));
-      std::vector<PNode> col(static_cast<std::size_t>(n));
-      for (NodeId j = 0; j < n; ++j) {
-        row[static_cast<std::size_t>(j)] =
-            v.base + static_cast<PNode>(j) * pg.weight(v.lo) +
-            static_cast<PNode>(fixed) * pg.weight(v.hi);
-        col[static_cast<std::size_t>(j)] =
-            v.base + static_cast<PNode>(fixed) * pg.weight(v.lo) +
-            static_cast<PNode>(j) * pg.weight(v.hi);
-      }
-      rows.push_back(std::move(row));
-      row_desc.push_back(((fixed % 2) != 0) != flip);
-      cols.push_back(std::move(col));
-      col_desc.push_back(flip);
-    }
+  const ShearsortPasses passes = shearsort_passes(pg, views, descending);
+  const int iterations = block_shearsort_iterations(pg.radix());
+  for (int it = 0; it < iterations; ++it) {
+    run_merge_split(machine, passes.rows, hop);
+    run_merge_split(machine, passes.cols, hop);
   }
-
-  int iterations = 1;
-  while ((NodeId{1} << iterations) < n) ++iterations;
-  for (int it = 0; it < iterations + 1; ++it) {
-    lockstep_merge_split(machine, rows, row_desc, hop);
-    lockstep_merge_split(machine, cols, col_desc, hop);
-  }
-  lockstep_merge_split(machine, rows, row_desc, hop);
+  run_merge_split(machine, passes.rows, hop);
 }
 
 namespace {

@@ -10,6 +10,11 @@
 // keys (hop + b - 1 pipelined), and S2 phases cost S2(N) merge-split
 // rounds of b keys each; the phase *counts* stay exactly Theorem 1's
 // (r-1)^2 and (r-1)(r-2).
+//
+// The executable block sorters replay the unit sorters' lockstep passes
+// (shearsort_passes, snake_pass) with merge-split steps: each pass's two
+// pair sets are built once per S2 phase, so unit and block mode execute
+// the same pairs.
 
 #include <memory>
 #include <string>

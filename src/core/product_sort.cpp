@@ -92,21 +92,23 @@ void merge_level_impl(const Driver& driver, int lo, int hi) {
 
 std::vector<CEPair> transposition_pairs(const ProductGraph& pg, int lo, int hi,
                                         int parity) {
-  const PNode block_nodes =
-      static_cast<PNode>(pg.radix()) * pg.radix();  // N^2 per block
+  const PNode n = pg.radix();
   const PNode nblocks = pow_int(pg.radix(), hi - lo - 1);
+  // Block-local offsets: dimension lo fastest, then lo + 1.
+  const PNode col_step = pg.weight(lo);
+  const PNode row_step = pg.weight(lo + 1);
+  const std::vector<ViewSpec> parents = all_views(pg, lo, hi);
 
   std::vector<CEPair> pairs;
-  for (const ViewSpec& parent : all_views(pg, lo, hi)) {
+  pairs.reserve(parents.size() *
+                static_cast<std::size_t>((nblocks - parity) / 2 * n * n));
+  for (const ViewSpec& parent : parents) {
     for (PNode z = parity; z + 1 < nblocks; z += 2) {
       const PNode low_base = block_base(pg, parent, z);
       const PNode high_base = block_base(pg, parent, z + 1);
-      for (PNode local = 0; local < block_nodes; ++local) {
-        const PNode offset =
-            (local % pg.radix()) * pg.weight(lo) +
-            (local / pg.radix()) * pg.weight(lo + 1);
-        pairs.push_back({low_base + offset, high_base + offset});
-      }
+      for (PNode row = 0; row < n * row_step; row += row_step)
+        for (PNode col = 0; col < n * col_step; col += col_step)
+          pairs.push_back({low_base + row + col, high_base + row + col});
     }
   }
   return pairs;

@@ -8,26 +8,4 @@ void S2Sorter::sort_view(Machine& machine, const ViewSpec& view,
   sort_views(machine, views, std::vector<bool>{descending});
 }
 
-void lockstep_oet(Machine& machine, const std::vector<std::vector<PNode>>& lines,
-                  const std::vector<bool>& descending, int hop) {
-  if (lines.empty()) return;
-  const std::size_t length = lines.front().size();
-  std::vector<CEPair> pairs;
-  pairs.reserve(lines.size() * (length / 2));
-  for (std::size_t phase = 0; phase < length; ++phase) {
-    pairs.clear();
-    for (std::size_t li = 0; li < lines.size(); ++li) {
-      const auto& line = lines[li];
-      const bool desc = descending[li];
-      for (std::size_t i = phase % 2; i + 1 < line.size(); i += 2) {
-        if (desc)
-          pairs.push_back({line[i + 1], line[i]});
-        else
-          pairs.push_back({line[i], line[i + 1]});
-      }
-    }
-    machine.compare_exchange_step(pairs, hop);
-  }
-}
-
 }  // namespace prodsort

@@ -19,9 +19,13 @@
 //
 // A sorter operates on *many* disjoint 2-D views at once, in lockstep,
 // because the enclosing algorithm runs them as one parallel phase: the
-// executed step time is that of a single view.
+// executed step time is that of a single view.  The executable sorters
+// are odd-even transposition passes (LockstepPass below) whose two pair
+// sets are built once per pass and replayed step by step.
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,12 +55,47 @@ class S2Sorter {
                  bool descending = false) const;
 };
 
-/// Runs a full odd-even transposition sort over the given node lines in
-/// lockstep: `length` phases, each a single compare-exchange step over
-/// every line's odd or even adjacent positions.  `descending[i]` inverts
-/// line i's order.  `hop` is the factor-graph distance bound between
-/// line-consecutive nodes (the factor's labeling dilation).
-void lockstep_oet(Machine& machine, const std::vector<std::vector<PNode>>& lines,
-                  const std::vector<bool>& descending, int hop);
+/// One lockstep odd-even transposition sort over equal-length node
+/// lines: `length` compare-exchange steps, step p comparing positions
+/// (i, i+1) of every line for i = p (mod 2).  The schedule is the same
+/// for every input, so a pass has only two distinct pair sets; each is
+/// built once, line by line in step order, and replayed for every step
+/// that uses it.
+class LockstepPass {
+ public:
+  /// An empty pass over lines of `length` nodes (`lines` only sizes
+  /// the reservation).
+  LockstepPass(std::size_t length, std::size_t lines) : length_(length) {
+    for (auto& pairs : by_parity_) pairs.reserve(lines * (length / 2));
+  }
+
+  /// Appends a line whose position i is node `node_at(i)`; a
+  /// descending line has its pairs reversed.
+  template <class NodeAt>
+  void add_line(bool descending, NodeAt node_at) {
+    PNode prev = length_ > 0 ? node_at(std::size_t{0}) : 0;
+    for (std::size_t i = 1; i < length_; ++i) {
+      const PNode next = node_at(i);
+      by_parity_[(i - 1) % 2].push_back(descending ? CEPair{next, prev}
+                                                   : CEPair{prev, next});
+      prev = next;
+    }
+  }
+
+  /// Step p's pairs: the even set for even p, the odd set for odd p.
+  [[nodiscard]] std::span<const CEPair> phase(std::size_t p) const noexcept {
+    return by_parity_[p % 2];
+  }
+
+  /// Calls `step(phase(p))` for each of the `length` steps in order.
+  template <class Step>
+  void run(Step&& step) const {
+    for (std::size_t p = 0; p < length_; ++p) step(phase(p));
+  }
+
+ private:
+  std::size_t length_;
+  std::vector<CEPair> by_parity_[2];
+};
 
 }  // namespace prodsort

@@ -1,10 +1,6 @@
 #include "core/s2/shearsort_s2.hpp"
 
-#include <cmath>
-
 namespace prodsort {
-
-namespace {
 
 int ceil_log2(NodeId n) {
   int bits = 0;
@@ -12,7 +8,33 @@ int ceil_log2(NodeId n) {
   return bits;
 }
 
-}  // namespace
+ShearsortPasses shearsort_passes(const ProductGraph& pg,
+                                 std::span<const ViewSpec> views,
+                                 const std::vector<bool>& descending) {
+  const NodeId n = pg.radix();
+  const auto length = static_cast<std::size_t>(n);
+  ShearsortPasses passes{LockstepPass(length, views.size() * length),
+                         LockstepPass(length, views.size() * length)};
+  for (std::size_t vi = 0; vi < views.size(); ++vi) {
+    const ViewSpec& v = views[vi];
+    const bool flip = descending[vi];
+    const PNode w_lo = pg.weight(v.lo);
+    const PNode w_hi = pg.weight(v.hi);
+    for (NodeId fixed = 0; fixed < n; ++fixed) {
+      // Snake: even rows ascend, odd rows descend; a descending view
+      // inverts everything.
+      const PNode row = v.base + static_cast<PNode>(fixed) * w_hi;
+      const PNode col = v.base + static_cast<PNode>(fixed) * w_lo;
+      passes.rows.add_line(((fixed % 2) != 0) != flip, [=](std::size_t j) {
+        return row + static_cast<PNode>(j) * w_lo;
+      });
+      passes.cols.add_line(flip, [=](std::size_t j) {
+        return col + static_cast<PNode>(j) * w_hi;
+      });
+    }
+  }
+  return passes;
+}
 
 double ShearsortS2::phase_cost(const LabeledFactor& factor) const {
   const double n = factor.size();
@@ -24,47 +46,17 @@ void ShearsortS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
                              const std::vector<bool>& descending) const {
   if (views.empty()) return;
   const ProductGraph& pg = machine.graph();
-  const NodeId n = pg.radix();
   const int hop = pg.factor().dilation;
-
-  // Rows: fixed digit at the high free dimension, consecutive columns.
-  std::vector<std::vector<PNode>> rows;
-  std::vector<bool> row_desc;
-  rows.reserve(views.size() * static_cast<std::size_t>(n));
-  // Columns: fixed digit at the low free dimension.
-  std::vector<std::vector<PNode>> cols;
-  std::vector<bool> col_desc;
-  cols.reserve(views.size() * static_cast<std::size_t>(n));
-
-  for (std::size_t vi = 0; vi < views.size(); ++vi) {
-    const ViewSpec& v = views[vi];
-    const bool flip = descending[vi];
-    for (NodeId fixed = 0; fixed < n; ++fixed) {
-      std::vector<PNode> row(static_cast<std::size_t>(n));
-      std::vector<PNode> col(static_cast<std::size_t>(n));
-      for (NodeId j = 0; j < n; ++j) {
-        row[static_cast<std::size_t>(j)] =
-            v.base + static_cast<PNode>(j) * pg.weight(v.lo) +
-            static_cast<PNode>(fixed) * pg.weight(v.hi);
-        col[static_cast<std::size_t>(j)] =
-            v.base + static_cast<PNode>(fixed) * pg.weight(v.lo) +
-            static_cast<PNode>(j) * pg.weight(v.hi);
-      }
-      rows.push_back(std::move(row));
-      // Snake: even rows ascend, odd rows descend; a descending view
-      // inverts everything.
-      row_desc.push_back(((fixed % 2) != 0) != flip);
-      cols.push_back(std::move(col));
-      col_desc.push_back(flip);
-    }
-  }
-
-  const int iterations = ceil_log2(n) + 1;
+  const ShearsortPasses passes = shearsort_passes(pg, views, descending);
+  const auto step = [&](std::span<const CEPair> pairs) {
+    machine.compare_exchange_step(pairs, hop);
+  };
+  const int iterations = ceil_log2(pg.radix()) + 1;
   for (int it = 0; it < iterations; ++it) {
-    lockstep_oet(machine, rows, row_desc, hop);
-    lockstep_oet(machine, cols, col_desc, hop);
+    passes.rows.run(step);
+    passes.cols.run(step);
   }
-  lockstep_oet(machine, rows, row_desc, hop);
+  passes.rows.run(step);
 }
 
 }  // namespace prodsort

@@ -4,6 +4,18 @@
 
 namespace prodsort {
 
+LockstepPass snake_pass(const ProductGraph& pg,
+                        std::span<const ViewSpec> views,
+                        const std::vector<bool>& descending) {
+  const PNode size = views.empty() ? 0 : view_size(pg, views.front());
+  LockstepPass pass(static_cast<std::size_t>(size), views.size());
+  for (std::size_t vi = 0; vi < views.size(); ++vi)
+    pass.add_line(descending[vi], [&](std::size_t rank) {
+      return view_node_at_snake_rank(pg, views[vi], static_cast<PNode>(rank));
+    });
+  return pass;
+}
+
 void SnakeOETS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
                             const std::vector<bool>& descending) const {
   if (views.empty()) return;
@@ -11,18 +23,9 @@ void SnakeOETS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
   // Consecutive snake ranks differ in one digit by +-1 (the Gray-code
   // property), so partners are at most `dilation` hops apart.
   const int hop = pg.factor().dilation;
-
-  std::vector<std::vector<PNode>> lines;
-  lines.reserve(views.size());
-  for (const ViewSpec& v : views) {
-    const PNode size = view_size(pg, v);
-    std::vector<PNode> line(static_cast<std::size_t>(size));
-    for (PNode rank = 0; rank < size; ++rank)
-      line[static_cast<std::size_t>(rank)] =
-          view_node_at_snake_rank(pg, v, rank);
-    lines.push_back(std::move(line));
-  }
-  lockstep_oet(machine, lines, descending, hop);
+  snake_pass(pg, views, descending).run([&](std::span<const CEPair> pairs) {
+    machine.compare_exchange_step(pairs, hop);
+  });
 }
 
 }  // namespace prodsort

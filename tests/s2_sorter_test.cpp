@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/s2/oracle_s2.hpp"
 #include "core/s2/shearsort_s2.hpp"
@@ -126,6 +128,22 @@ TEST(S2SorterTest, SnakeOetCostGrowsQuadratically) {
   Machine m(pg, random_keys(pg.num_nodes(), 11));
   oet.sort_view(m, full_view(pg));
   EXPECT_EQ(m.cost().exec_steps, 25);
+}
+
+TEST(S2SorterTest, LockstepPassAlternatesTwoPairSetsInLineOrder) {
+  // Two lines of four nodes: 10..13 ascending, 20..23 descending.
+  LockstepPass pass(4, 2);
+  pass.add_line(false, [](std::size_t i) { return PNode{10} + i; });
+  pass.add_line(true, [](std::size_t i) { return PNode{20} + i; });
+  using Pairs = std::vector<std::pair<PNode, PNode>>;
+  const Pairs even = {{10, 11}, {12, 13}, {21, 20}, {23, 22}};
+  const Pairs odd = {{11, 12}, {22, 21}};
+  std::vector<Pairs> steps;
+  pass.run([&](std::span<const CEPair> pairs) {
+    Pairs& step = steps.emplace_back();
+    for (const CEPair& p : pairs) step.emplace_back(p.low, p.high);
+  });
+  EXPECT_EQ(steps, (std::vector<Pairs>{even, odd, even, odd}));
 }
 
 TEST(S2SorterTest, ZeroOnePrincipleOnTheExecutableSorters) {
