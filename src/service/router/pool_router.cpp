@@ -18,9 +18,8 @@ namespace prodsort {
 
 namespace {
 
-// Decision-stream tags; kStreamTenant is the router's own addition, the
-// rest mirror SortService so a one-pool/one-tenant federation offers
-// the same traffic shape as the single service.
+// Decision-stream tags (the stream operand of mix64) for the router's
+// seed-hashed draws; disjoint from FaultModel's streams by value.
 constexpr std::uint64_t kStreamArrival = 0xA11A;
 constexpr std::uint64_t kStreamJitter = 0xD34D;
 constexpr std::uint64_t kStreamPriority = 0x9407;
@@ -136,8 +135,8 @@ PoolRouter::PoolRouter(const ProductGraph& pg, RouterConfig config,
     }
   }
 
-  // Probe the fault-free service time once (same stream as SortService)
-  // so `load` means the same thing on every topology.
+  // Probe the fault-free service time once; arrivals and deadlines are
+  // scaled by it so `load` means the same thing on every topology.
   JobSpec probe;
   probe.id = -1;
   probe.key_seed = mix64(config_.seed, kStreamProbe);
@@ -317,7 +316,10 @@ RouterReport PoolRouter::run() {
       opts.cert_plan = controllers_[static_cast<std::size_t>(b)].plan(
           static_cast<std::uint64_t>(job.id), risk);
       if (ledger_.suspect(b, config_.adaptive.suspect_threshold)) {
-        // Quarantine-before-TMR, exactly as in the single service.
+        // Hardening ladder: quarantine the named comparator (route
+        // merges around it, ~1x cost) when the attribution is
+        // concentrated; selective TMR (3x) only when it is diffuse or
+        // a quarantined attempt already let an SDC through.
         std::vector<std::int64_t> nodes;
         if (!quarantine_burned[static_cast<std::size_t>(b)])
           nodes = ledger_.quarantine_nodes(b,
@@ -381,8 +383,10 @@ RouterReport PoolRouter::run() {
       if (all_breakers_open() && config_.fallback.enabled &&
           !fallback_busy.has_value()) {
         // Last resort: the whole federation is breaker-open, sort on
-        // the host with the *measured* merge path (core/host_merge.hpp)
-        // — same charge discipline as the single service.
+        // the host.  The duration is *measured* — every comparison and
+        // key move of the run-sort + k-way merge is counted and priced
+        // through kHostMergeLanes (core/host_merge.hpp), so fallback
+        // and backend latencies share one clock.
         ++st.waves;
         if (st.waves > 1) ++report.retries;
         ++rec.attempts;
@@ -395,6 +399,9 @@ RouterReport PoolRouter::run() {
         HostMergeStats stats;
         const std::vector<Key> keys =
             measured_host_sort(input, config_.fallback.run_keys, stats);
+        // The host output goes through the same end-to-end certificate
+        // path as backend attempts, so a corrupt fallback sort is
+        // *detected* (counted in sdc_detected), not just failed.
         const Certifier certifier(
             MultisetFingerprint{checksum,
                                 static_cast<std::uint64_t>(keys.size())},

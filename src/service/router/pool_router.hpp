@@ -19,28 +19,33 @@
 //    a degraded pool (deadline-miss EWMA above threshold) or displaced
 //    off its primary by an outage is dispatched to a second pool too —
 //    first verified completion wins, the loser is discarded;
-//  * per-backend breakers and the suspect ledger work exactly as in the
-//    single SortService, with the quarantine-before-TMR hardening
-//    ladder on ledger-named comparators;
+//  * per-backend circuit breakers, and the suspect ledger with the
+//    quarantine-before-TMR hardening ladder on ledger-named
+//    comparators;
 //  * the host samplesort fallback engages only when every backend of
 //    every pool is breaker-open.
 //
-// Determinism: the whole federation runs on the single virtual clock
-// with the same (time, kind, seq) total event order as SortService, and
-// every random decision is a pure splitmix64 hash — a run is a pure
-// function of (config, pool specs) and replays bit-identically for any
-// executor thread count (the ROUTER-REPRO line carries everything).
+// Determinism: the whole federation runs on one virtual clock with a
+// (time, kind, seq) total event order, and every random decision is a
+// pure splitmix64 hash — a run is a pure function of (config, pool
+// specs) and replays bit-identically for any executor thread count (the
+// ROUTER-REPRO line carries everything).
+//
+// This is the service's only event loop: SortService
+// (service/sort_service.hpp) is the one-pool, one-tenant, unhedged
+// case of it.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/adaptive_cert.hpp"
 #include "network/fault_model.hpp"
 #include "service/backend.hpp"
 #include "service/router/hash_ring.hpp"
 #include "service/router/router_report.hpp"
-#include "service/sort_service.hpp"  // ServiceConfig building blocks
+#include "service/service_types.hpp"
 #include "service/suspect_ledger.hpp"
 
 namespace prodsort {

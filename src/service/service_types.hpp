@@ -1,7 +1,9 @@
 #pragma once
 
 // Shared vocabulary of the deadline-aware sort service (src/service/,
-// docs/SERVICE.md): jobs, terminal outcomes, and shedding policies.
+// docs/SERVICE.md): jobs, terminal outcomes, shedding policies, and
+// the host-fallback and adaptive-certification knobs that SortService
+// and PoolRouter share.
 //
 // The service runs entirely in *virtual time* — the CostModel
 // exec_steps of the simulated machines — so a whole multi-tenant
@@ -81,6 +83,42 @@ struct JobRecord {
   std::int64_t completion = -1;  ///< virtual completion time (-1 unserved)
   std::int64_t latency = -1;     ///< completion - arrival
   std::uint64_t checksum = 0;    ///< input multiset checksum (end-to-end id)
+};
+
+/// Host sort used when the whole backend pool is breaker-open.  Charged
+/// by *measurement*: measured_host_sort (core/host_merge.hpp) counts
+/// every comparison and key move of its run-sort + k-way merge and
+/// prices them through the shared kHostMergeLanes discipline, so
+/// fallback latencies sit on the same clock as backend latencies (see
+/// docs/STREAMING.md, "Measured host merge").
+struct FallbackConfig {
+  bool enabled = true;
+  /// Keys per sorted run before the k-way merge (the external
+  /// sample-sort host stage shape); clamped to the job size.
+  std::int64_t run_keys = 64;
+};
+
+/// The adaptive certification dial (docs/FAULTS.md, docs/SERVICE.md):
+/// replaces pool-wide hardening knobs with a silent-error budget the
+/// service spends as cheaply as the measured risk allows.
+struct AdaptiveCertServiceConfig {
+  bool enabled = false;        ///< off = every attempt certified full
+  double sdc_budget = 0.001;   ///< tolerated per-attempt escape probability
+  double suspect_threshold = 0.25;  ///< ledger risk that triggers hardening
+  int decay_streak = 8;        ///< clean certs per one-level decay
+  /// Topology-quarantine gate on a suspect backend: when the ledger's
+  /// most-implicated node holds at least `quarantine_share` of the
+  /// attributed hits (and at least `quarantine_hits` of them), dispatch
+  /// routes merges around that node (AttemptOptions::quarantine)
+  /// instead of TMR-ing the whole backend.  Selective TMR is the rung
+  /// above: diffuse attribution, or a quarantined attempt that still
+  /// caught an SDC (the quarantine is "burned" for the rest of the
+  /// run).
+  double quarantine_share = 0.5;
+  std::int64_t quarantine_hits = 2;
+  /// Serialized SuspectLedger to preload (empty = start fresh); lets
+  /// attribution persist across runs (prodsort_serve --ledger).
+  std::string ledger_json;
 };
 
 [[nodiscard]] std::string to_string(ShedPolicy policy);

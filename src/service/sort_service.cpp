@@ -1,442 +1,82 @@
 #include "service/sort_service.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
-#include <optional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
-#include "core/host_merge.hpp"
-#include "core/hashing.hpp"
-#include "core/product_sort.hpp"
-#include "core/verify.hpp"
+#include "service/router/pool_router.hpp"
 
 namespace prodsort {
-
-namespace {
-
-// Decision-stream tags (the stream operand of mix64) for the service's
-// seed-hashed draws; disjoint from FaultModel's streams by value.
-constexpr std::uint64_t kStreamArrival = 0xA11A;
-constexpr std::uint64_t kStreamJitter = 0xD34D;
-constexpr std::uint64_t kStreamPriority = 0x9407;
-constexpr std::uint64_t kStreamPattern = 0x9A77;
-constexpr std::uint64_t kStreamKeys = 0x5EED;
-constexpr std::uint64_t kStreamProbe = 0x9808;
-
-double unit_draw(std::uint64_t seed, std::uint64_t stream, std::uint64_t id) {
-  return hash_to_unit(mix64(mix64(seed, stream), id));
-}
-
-}  // namespace
-
-struct SortService::Event {
-  // Kind breaks virtual-time ties; seq breaks kind ties — total order,
-  // so the heap pop sequence (and the whole run) is deterministic.
-  enum Kind { kArrival = 0, kCompletion = 1, kRequeue = 2, kProbeTick = 3 };
-  std::int64_t time = 0;
-  int kind = kArrival;
-  std::int64_t seq = 0;
-  std::int64_t job = -1;     ///< job id (arrival/completion/requeue)
-  int backend = -1;          ///< completion only; kFallbackBackend = host
-
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.seq > b.seq;
-  }
-};
 
 SortService::SortService(const ProductGraph& pg, ServiceConfig config,
                          std::vector<BackendConfig> backends,
                          const S2Sorter* s2, ParallelExecutor* executor)
-    : pg_(&pg), config_(config), s2_(s2), executor_(executor) {
+    : config_(std::move(config)) {
   if (backends.empty())
     throw std::invalid_argument("sort service needs at least one backend");
-  if (!(config_.load > 0))
-    throw std::invalid_argument("sort service load must be positive");
-  if (config_.jobs < 0)
-    throw std::invalid_argument("sort service job count must be >= 0");
-  if (config_.retry_budget < 0)
-    throw std::invalid_argument("sort service retry budget must be >= 0");
-  if (config_.backoff_base < 1 || config_.backoff_cap < config_.backoff_base)
-    throw std::invalid_argument("sort service backoff must satisfy 1 <= base <= cap");
 
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    backends_.push_back(std::make_unique<SortBackend>(
-        pg, static_cast<int>(i), backends[i], s2_, executor_,
-        config_.breaker));
-  }
+  RouterConfig router;
+  router.seed = config_.seed;
+  router.jobs = config_.jobs;
+  router.load = config_.load;
+  router.deadline_slack = config_.deadline_slack;
+  router.retry_budget = config_.retry_budget;
+  router.backoff_base = config_.backoff_base;
+  router.backoff_cap = config_.backoff_cap;
+  router.policy = config_.queue.policy;
+  router.breaker = config_.breaker;
+  router.fallback = config_.fallback;
+  router.adaptive = config_.adaptive;
+  // One tenant owns the queue.  Its quota never binds: at most one
+  // attempt per backend plus the host fallback can be in flight.
+  TenantSpec tenant;
+  tenant.queue_cap = config_.queue.capacity;
+  tenant.max_in_flight = static_cast<int>(backends.size()) + 1;
+  router.tenants = {tenant};
+  router.hedging = false;
 
-  if (config_.adaptive.enabled) {
-    if (!config_.adaptive.ledger_json.empty())
-      ledger_ = SuspectLedger::from_json(config_.adaptive.ledger_json);
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      AdaptiveCertConfig cert;
-      cert.seed = mix64(config_.seed, static_cast<std::uint64_t>(i));
-      cert.sdc_budget = config_.adaptive.sdc_budget;
-      cert.decay_streak = config_.adaptive.decay_streak;
-      controllers_.emplace_back(cert);
-    }
-  }
-
-  // Probe the fault-free service time once; arrivals and deadlines are
-  // scaled by it so `load` means the same thing on every topology.
-  JobSpec probe;
-  probe.id = -1;
-  probe.key_seed = mix64(config_.seed, kStreamProbe);
-  Machine machine(pg, service_job_keys(pg.num_nodes(), probe), executor_);
-  SortOptions options;
-  options.s2 = s2_;
-  sort_product_network(machine, options);
-  mean_steps_ = std::max<std::int64_t>(1, machine.cost().exec_steps);
+  std::vector<PoolSpec> pools(1);
+  pools[0].backends = std::move(backends);
+  router_ = std::make_unique<PoolRouter>(pg, std::move(router),
+                                         std::move(pools), s2, executor);
 }
 
+SortService::~SortService() = default;
+
 ServiceReport SortService::run() {
+  RouterReport routed = router_->run();
   ServiceReport report;
-  report.seed = config_.seed;
-  report.offered = config_.jobs;
-  report.jobs.resize(static_cast<std::size_t>(config_.jobs));
-
-  AdmissionQueue queue(config_.queue);
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::int64_t seq = 0;
-  const auto push = [&](Event e) {
-    e.seq = seq++;
-    events.push(e);
-  };
-
-  // --- open-loop arrival schedule (pure function of the seed) ----------
-  const double pool_rate =
-      config_.load * static_cast<double>(backends_.size()) /
-      static_cast<double>(mean_steps_);
-  std::int64_t clock = 0;
-  for (std::int64_t id = 0; id < config_.jobs; ++id) {
-    const auto uid = static_cast<std::uint64_t>(id);
-    const double u = unit_draw(config_.seed, kStreamArrival, uid);
-    const double gap = -std::log(1.0 - u) / pool_rate;
-    clock += std::max<std::int64_t>(1, std::llround(gap));
-
-    JobSpec spec;
-    spec.id = id;
-    spec.arrival = clock;
-    const double jitter =
-        0.5 + unit_draw(config_.seed, kStreamJitter, uid);
-    spec.deadline =
-        clock + std::max<std::int64_t>(
-                    1, std::llround(config_.deadline_slack *
-                                    static_cast<double>(mean_steps_) * jitter));
-    const double p = unit_draw(config_.seed, kStreamPriority, uid);
-    spec.priority = p < 0.2 ? 0 : (p < 0.8 ? 1 : 2);
-    spec.pattern = static_cast<int>(mix64(mix64(config_.seed, kStreamPattern),
-                                          uid) % 5);
-    spec.key_seed = mix64(mix64(config_.seed, kStreamKeys), uid);
-
-    report.jobs[static_cast<std::size_t>(id)].spec = spec;
-    report.jobs[static_cast<std::size_t>(id)].checksum =
-        multiset_checksum(service_job_keys(pg_->num_nodes(), spec));
-    push({spec.arrival, Event::kArrival, 0, id, -1});
-  }
-
-  // --- event loop -------------------------------------------------------
-  struct InFlight {
-    JobSpec job;
-    int attempt = 0;
-    AttemptResult result;
-  };
-  std::vector<std::optional<InFlight>> busy(backends_.size());
-  std::optional<InFlight> fallback_busy;
-  std::size_t cursor = 0;  // rotating dispatch cursor for pool balance
-  std::vector<std::int64_t> tmr_attempts(backends_.size(), 0);
-  std::vector<std::int64_t> quarantine_attempts(backends_.size(), 0);
-  // A quarantined attempt that still caught an SDC proves the suspect
-  // set was wrong (or incomplete): the quarantine is burned and the
-  // backend escalates to selective TMR for the rest of the run.
-  std::vector<char> quarantine_burned(backends_.size(), 0);
-
-  const auto record_of = [&](std::int64_t id) -> JobRecord& {
-    return report.jobs[static_cast<std::size_t>(id)];
-  };
-  const auto shed = [&](const JobSpec& job, JobOutcome outcome) {
-    JobRecord& rec = record_of(job.id);
-    rec.outcome = outcome;
-    if (outcome == JobOutcome::kShedQueueFull) ++report.shed_queue_full;
-    else ++report.shed_deadline;
-  };
-  const auto finish = [&](const JobSpec& job, std::int64_t now, int backend,
-                          const AttemptResult& result, bool fallback) {
-    JobRecord& rec = record_of(job.id);
-    rec.backend = backend;
-    rec.fallback = fallback;
-    rec.degraded = rec.degraded || result.degraded;
-    rec.verified = true;
-    rec.completion = now;
-    rec.latency = now - job.arrival;
-    rec.outcome =
-        now <= job.deadline ? JobOutcome::kOnTime : JobOutcome::kLate;
-    if (rec.outcome == JobOutcome::kOnTime) ++report.completed_on_time;
-    else ++report.completed_late;
-    ++report.verified_jobs;
-    if (fallback) ++report.fallback_jobs;
-    if (result.degraded) ++report.degraded_jobs;
-  };
-
-  const auto dispatch_all = [&](std::int64_t now) {
-    while (!queue.empty()) {
-      // Half-open breakers first (their probe unblocks the backend for
-      // everyone), then any closed one, scanning from the rotating
-      // cursor so the pool shares load evenly.
-      int target = -1;
-      for (int pass = 0; pass < 2 && target < 0; ++pass) {
-        for (std::size_t k = 0; k < backends_.size(); ++k) {
-          const std::size_t i = (cursor + k) % backends_.size();
-          if (busy[i].has_value()) continue;
-          CircuitBreaker& breaker = backends_[i]->breaker();
-          const bool half_open_pass =
-              breaker.state() != BreakerState::kClosed;
-          if ((pass == 0) != half_open_pass) continue;
-          if (!breaker.allows(now)) continue;
-          target = static_cast<int>(i);
-          break;
-        }
-      }
-
-      const bool all_open = std::all_of(
-          backends_.begin(), backends_.end(), [](const auto& b) {
-            return b->breaker().state() == BreakerState::kOpen;
-          });
-      const bool use_fallback = target < 0 && all_open &&
-                                config_.fallback.enabled &&
-                                !fallback_busy.has_value();
-      if (target < 0 && !use_fallback) return;
-
-      std::vector<JobSpec> expired;
-      const std::optional<JobSpec> job = queue.pop(now, &expired);
-      for (const JobSpec& e : expired) shed(e, JobOutcome::kShedDeadline);
-      if (!job.has_value()) return;
-
-      JobRecord& rec = record_of(job->id);
-      ++rec.attempts;
-      if (rec.attempts > 1) ++report.retries;
-
-      if (use_fallback) {
-        // Last resort: the whole pool is breaker-open, sort on the
-        // host.  The duration is *measured* — every comparison and key
-        // move of the run-sort + k-way merge is counted and priced
-        // through kHostMergeLanes (core/host_merge.hpp), so fallback
-        // and backend latencies share one clock.
-        const PNode n = job->block > 0
-                            ? pg_->num_nodes() * static_cast<PNode>(job->block)
-                            : pg_->num_nodes();
-        const std::vector<Key> input = service_job_keys(n, *job);
-        const std::uint64_t checksum = multiset_checksum(input);
-        HostMergeStats stats;
-        const std::vector<Key> keys =
-            measured_host_sort(input, config_.fallback.run_keys, stats);
-        // The host output goes through the same end-to-end certificate
-        // path as backend attempts (multiset fingerprint + adjacency
-        // scan), so a corrupt fallback sort is *detected* — counted in
-        // sdc_detected by the completion handler — not just failed.
-        const Certifier certifier(
-            MultisetFingerprint{checksum,
-                                static_cast<std::uint64_t>(keys.size())},
-            executor_);
-        const EndToEndCertificate cert = certifier.certify(keys);
-        AttemptResult result;
-        result.success = cert.pass();
-        result.sdc_detected = !cert.pass();
-        result.comparisons = stats.comparisons;
-        result.steps = std::max<std::int64_t>(1, stats.steps());
-        fallback_busy = InFlight{*job, rec.attempts, result};
-        push({now + result.steps, Event::kCompletion, 0, job->id,
-              kFallbackBackend});
-        continue;
-      }
-
-      SortBackend& backend = *backends_[static_cast<std::size_t>(target)];
-      backend.breaker().on_dispatch();
-      // Adaptive mode: price the certificate by this backend's measured
-      // risk, and harden only schedule-named suspects with selective
-      // TMR — the pool-wide --tmr hammer stays available but is no
-      // longer the default answer to one flaky comparator.
-      AttemptOptions opts;
-      if (config_.adaptive.enabled) {
-        const double risk = ledger_.risk(target);
-        opts.has_plan = true;
-        opts.cert_plan = controllers_[static_cast<std::size_t>(target)].plan(
-            static_cast<std::uint64_t>(job->id), risk);
-        if (ledger_.suspect(target, config_.adaptive.suspect_threshold)) {
-          // Hardening ladder: quarantine the named comparator (route
-          // merges around it, ~1x cost) when the attribution is
-          // concentrated; selective TMR (3x) only when it is diffuse or
-          // a quarantined attempt already let an SDC through.
-          std::vector<std::int64_t> nodes;
-          if (!quarantine_burned[static_cast<std::size_t>(target)])
-            nodes = ledger_.quarantine_nodes(
-                target, config_.adaptive.quarantine_share,
-                config_.adaptive.quarantine_hits);
-          if (!nodes.empty()) {
-            opts.quarantine.reserve(nodes.size());
-            for (const std::int64_t node : nodes)
-              opts.quarantine.push_back(static_cast<PNode>(node));
-            ++quarantine_attempts[static_cast<std::size_t>(target)];
-          } else {
-            opts.tmr = true;
-            ++tmr_attempts[static_cast<std::size_t>(target)];
-          }
-        }
-      }
-      const AttemptResult result =
-          backend.run_attempt(*job, rec.attempts, now, opts);
-      if (config_.adaptive.enabled) {
-        if (result.quarantined && result.sdc_detected)
-          quarantine_burned[static_cast<std::size_t>(target)] = 1;
-        ledger_.record_attempt(target, result.sdc_detected,
-                               result.suspect_nodes);
-        controllers_[static_cast<std::size_t>(target)].record(
-            result.sdc_detected);
-        if (result.cert_escalated) ++report.cert_escalations;
-      }
-      busy[static_cast<std::size_t>(target)] =
-          InFlight{*job, rec.attempts, result};
-      push({now + result.steps, Event::kCompletion, 0, job->id, target});
-      cursor = (static_cast<std::size_t>(target) + 1) % backends_.size();
-    }
-  };
-
-  const auto offer = [&](const JobSpec& job, std::int64_t now) {
-    const std::optional<JobSpec> victim = queue.offer(job);
-    if (victim.has_value()) shed(*victim, JobOutcome::kShedQueueFull);
-    dispatch_all(now);
-  };
-
-  while (!events.empty()) {
-    const Event e = events.top();
-    events.pop();
-    report.horizon = std::max(report.horizon, e.time);
-
-    switch (e.kind) {
-      case Event::kArrival:
-        offer(record_of(e.job).spec, e.time);
-        break;
-
-      case Event::kRequeue:
-        offer(record_of(e.job).spec, e.time);
-        break;
-
-      case Event::kProbeTick:
-        // An open breaker's cooldown elapsed; dispatch_all will flip it
-        // half-open via allows() and send the probe if work is queued.
-        dispatch_all(e.time);
-        break;
-
-      case Event::kCompletion: {
-        std::optional<InFlight>& slot = e.backend == kFallbackBackend
-                                            ? fallback_busy
-                                            : busy[static_cast<std::size_t>(
-                                                  e.backend)];
-        const InFlight done = *slot;
-        slot.reset();
-
-        // Silent-corruption accounting: a failed end-to-end certificate
-        // is a backend failure like any other — it feeds the breaker
-        // and the retry budget below — but it is also counted on its
-        // own so soaks can gate on "every SDC was caught, none served".
-        if (done.result.sdc_detected) {
-          ++report.sdc_detected;
-          if (!done.result.success) ++report.sdc_failures;
-        }
-
-        if (e.backend != kFallbackBackend) {
-          CircuitBreaker& breaker =
-              backends_[static_cast<std::size_t>(e.backend)]->breaker();
-          const std::int64_t opened_before = breaker.times_opened();
-          if (done.result.success) breaker.record_success();
-          else breaker.record_failure(e.time);
-          if (breaker.times_opened() > opened_before) {
-            // Newly tripped: schedule the wake-up that will admit the
-            // half-open probe, so an all-open pool can never stall.
-            push({breaker.open_until(), Event::kProbeTick, 0, -1, -1});
-          }
-        }
-
-        if (done.result.success) {
-          finish(done.job, e.time, e.backend, done.result,
-                 e.backend == kFallbackBackend);
-        } else if (done.attempt <= config_.retry_budget) {
-          const std::int64_t delay = std::min(
-              config_.backoff_cap, config_.backoff_base
-                                       << std::min<std::int64_t>(
-                                              done.attempt - 1, 30));
-          push({e.time + delay, Event::kRequeue, 0, done.job.id, -1});
-        } else {
-          record_of(done.job.id).outcome = JobOutcome::kFailed;
-          record_of(done.job.id).backend = e.backend;
-          ++report.failed;
-        }
-        dispatch_all(e.time);
-        break;
-      }
-    }
-  }
-
-  // --- roll up ----------------------------------------------------------
-  std::vector<std::int64_t> latencies;
-  for (const JobRecord& job : report.jobs)
-    if (job.latency >= 0) latencies.push_back(job.latency);
-  report.latency = latency_stats(std::move(latencies));
-  report.queue_high_water = static_cast<std::int64_t>(queue.high_water());
-  report.goodput =
-      report.horizon > 0
-          ? 1000.0 * static_cast<double>(report.completed_on_time) /
-                static_cast<double>(report.horizon)
-          : 0.0;
-  for (const auto& b : backends_) {
-    BackendHealth health;
-    health.id = b->id();
-    health.faulted = b->has_faults();
-    health.tmr = b->config().tmr;
-    health.attempts = b->attempts();
-    health.failures = b->failures();
-    health.sdc_detected = b->sdc_detected();
-    health.busy_steps = b->totals().exec_steps;
-    health.cert_steps = b->totals().cert_steps;
-    health.crashes = b->totals().crashes;
-    health.times_opened = b->breaker().times_opened();
-    health.breaker = b->breaker().state();
-    if (config_.adaptive.enabled) {
-      health.suspect =
-          ledger_.suspect(health.id, config_.adaptive.suspect_threshold);
-      health.tmr_attempts = tmr_attempts[static_cast<std::size_t>(health.id)];
-      health.quarantine_attempts =
-          quarantine_attempts[static_cast<std::size_t>(health.id)];
-      health.cert_level = static_cast<int>(
-          controllers_[static_cast<std::size_t>(health.id)].current_level(
-              ledger_.risk(health.id)));
-      if (const SuspectLedger::BackendEntry* entry = ledger_.entry(health.id)) {
-        health.sdc_attributed = entry->sdc_detected;
-        // Top implicated nodes: hits-descending, node-ascending, cap 4.
-        std::vector<std::pair<std::int64_t, std::int64_t>> nodes(
-            entry->node_hits.begin(), entry->node_hits.end());
-        std::sort(nodes.begin(), nodes.end(),
-                  [](const auto& a, const auto& b) {
-                    if (a.second != b.second) return a.second > b.second;
-                    return a.first < b.first;
-                  });
-        if (nodes.size() > 4) nodes.resize(4);
-        health.sdc_nodes = std::move(nodes);
-      }
-    }
-    report.breaker_transitions += b->breaker().transitions();
-    report.backends.push_back(health);
-  }
-  if (config_.adaptive.enabled) {
-    report.sdc_budget = config_.adaptive.sdc_budget;
-    report.ledger_hash = ledger_.state_hash();
-  }
+  report.seed = routed.seed;
+  report.offered = routed.offered;
+  report.completed_on_time = routed.completed_on_time;
+  report.completed_late = routed.completed_late;
+  report.shed_queue_full = routed.shed_queue_full;
+  report.shed_deadline = routed.shed_deadline;
+  report.failed = routed.failed;
+  report.retries = routed.retries;
+  report.fallback_jobs = routed.fallback_jobs;
+  report.degraded_jobs = routed.degraded_jobs;
+  report.verified_jobs = routed.verified_jobs;
+  report.sdc_detected = routed.sdc_detected;
+  report.sdc_failures = routed.sdc_failures;
+  report.cert_escalations = routed.cert_escalations;
+  report.sdc_budget = routed.sdc_budget;
+  report.ledger_hash = routed.ledger_hash;
+  report.breaker_transitions = routed.breaker_transitions;
+  report.queue_high_water = routed.tenants[0].queue_high_water;
+  report.horizon = routed.horizon;
+  report.latency = routed.latency;
+  report.goodput = routed.goodput;
+  report.backends = std::move(routed.pools[0].backends);
+  report.jobs = std::move(routed.jobs);
   return report;
+}
+
+std::int64_t SortService::mean_service_steps() const noexcept {
+  return router_->mean_service_steps();
+}
+
+const SuspectLedger& SortService::ledger() const noexcept {
+  return router_->ledger();
 }
 
 }  // namespace prodsort

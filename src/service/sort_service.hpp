@@ -1,19 +1,18 @@
 #pragma once
 
-// SortService: the deadline-aware, multi-tenant front door over a pool
-// of simulated product-network machines (docs/SERVICE.md).
+// SortService: the deadline-aware front door over one pool of simulated
+// product-network machines (docs/SERVICE.md).
 //
-// The whole service is a deterministic discrete-event simulation on the
-// CostModel virtual clock: open-loop arrivals (seed-hashed exponential
-// inter-arrival gaps), a bounded admission queue with pluggable
-// shedding, per-job deadlines, a bounded retry budget with exponential
-// backoff, a per-backend circuit breaker, and a measured host-sort
-// fallback engaged only when every product-network backend's breaker is
-// open.  Every event is ordered by (time, kind, sequence), every random
-// decision is a pure splitmix64 hash of the seed, and backends execute
-// one attempt at a time to completion — so a run is a pure function of
-// (config, backend configs) and replays bit-identically for any
-// executor thread count.
+// It is the one-pool, one-tenant case of PoolRouter
+// (service/router/pool_router.hpp): every backend sits in a single pool
+// with no fault domain, one tenant takes the whole arrival stream, and
+// hedging is off.  The router's discrete-event loop does all the work —
+// open-loop arrivals, the bounded admission queue with pluggable
+// shedding, per-job deadlines, the retry budget with exponential
+// backoff, per-backend circuit breakers, adaptive certification, and the
+// measured host-sort fallback when every breaker is open — so a run is a
+// pure function of (config, backend configs) and replays bit-identically
+// for any executor thread count.
 //
 // Conservation: each offered job reaches exactly one terminal
 // JobOutcome, and each completed job's output is certified sorted with
@@ -21,53 +20,18 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "core/adaptive_cert.hpp"
 #include "core/s2/s2_sorter.hpp"
 #include "service/admission_queue.hpp"
 #include "service/backend.hpp"
 #include "service/service_report.hpp"
+#include "service/service_types.hpp"
 #include "service/suspect_ledger.hpp"
 
 namespace prodsort {
 
-/// Host sort used when the whole backend pool is breaker-open.  Charged
-/// by *measurement*: measured_host_sort (core/host_merge.hpp) counts
-/// every comparison and key move of its run-sort + k-way merge and
-/// prices them through the shared kHostMergeLanes discipline, so
-/// fallback latencies sit on the same clock as backend latencies (see
-/// docs/STREAMING.md, "Measured host merge").
-struct FallbackConfig {
-  bool enabled = true;
-  /// Keys per sorted run before the k-way merge (the external
-  /// sample-sort host stage shape); clamped to the job size.
-  std::int64_t run_keys = 64;
-};
-
-/// The adaptive certification dial (docs/FAULTS.md, docs/SERVICE.md):
-/// replaces pool-wide hardening knobs with a silent-error budget the
-/// service spends as cheaply as the measured risk allows.
-struct AdaptiveCertServiceConfig {
-  bool enabled = false;        ///< off = every attempt certified full
-  double sdc_budget = 0.001;   ///< tolerated per-attempt escape probability
-  double suspect_threshold = 0.25;  ///< ledger risk that triggers hardening
-  int decay_streak = 8;        ///< clean certs per one-level decay
-  /// Topology-quarantine gate on a suspect backend: when the ledger's
-  /// most-implicated node holds at least `quarantine_share` of the
-  /// attributed hits (and at least `quarantine_hits` of them), dispatch
-  /// routes merges around that node (AttemptOptions::quarantine)
-  /// instead of TMR-ing the whole backend.  Selective TMR is the rung
-  /// above: diffuse attribution, or a quarantined attempt that still
-  /// caught an SDC (the quarantine is "burned" for the rest of the
-  /// run).
-  double quarantine_share = 0.5;
-  std::int64_t quarantine_hits = 2;
-  /// Serialized SuspectLedger to preload (empty = start fresh); lets
-  /// attribution persist across runs (prodsort_serve --ledger).
-  std::string ledger_json;
-};
+class PoolRouter;
 
 struct ServiceConfig {
   std::uint64_t seed = 1;
@@ -89,19 +53,19 @@ class SortService {
   /// `pg` and `s2` are borrowed; `s2` must be an executable sorter (the
   /// analytic OracleS2 moves no keys, so faults and exec_steps would
   /// never apply).  Throws std::invalid_argument on an empty pool, a
-  /// malformed fault schedule, or a non-positive load.
+  /// malformed fault schedule, or an invalid load, job count, retry
+  /// budget, backoff or queue capacity.
   SortService(const ProductGraph& pg, ServiceConfig config,
               std::vector<BackendConfig> backends, const S2Sorter* s2,
               ParallelExecutor* executor = nullptr);
+  ~SortService();
 
   /// Runs the whole schedule to quiescence and returns the report.
   [[nodiscard]] ServiceReport run();
 
   /// Fault-free service time of one job (exec_steps), probed once at
   /// construction; the arrival process and deadlines are scaled by it.
-  [[nodiscard]] std::int64_t mean_service_steps() const noexcept {
-    return mean_steps_;
-  }
+  [[nodiscard]] std::int64_t mean_service_steps() const noexcept;
 
   [[nodiscard]] const ServiceConfig& config() const noexcept {
     return config_;
@@ -109,21 +73,11 @@ class SortService {
 
   /// The suspect-comparator ledger after run() (or the preloaded state
   /// before); prodsort_serve persists it with --ledger.
-  [[nodiscard]] const SuspectLedger& ledger() const noexcept {
-    return ledger_;
-  }
+  [[nodiscard]] const SuspectLedger& ledger() const noexcept;
 
  private:
-  struct Event;
-
-  const ProductGraph* pg_;
   ServiceConfig config_;
-  const S2Sorter* s2_;
-  ParallelExecutor* executor_;
-  std::vector<std::unique_ptr<SortBackend>> backends_;
-  SuspectLedger ledger_;
-  std::vector<AdaptiveCertController> controllers_;  ///< one per backend
-  std::int64_t mean_steps_ = 1;
+  std::unique_ptr<PoolRouter> router_;
 };
 
 }  // namespace prodsort

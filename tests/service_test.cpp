@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
 #include "core/verify.hpp"
 #include "service/admission_queue.hpp"
@@ -628,6 +629,148 @@ TEST(SortServiceTest, DiffuseLedgerEscalatesToSelectiveTmr) {
   EXPECT_EQ(report.backends[0].tmr_attempts, 0);
 }
 
+// --- golden report hashes -------------------------------------------------
+//
+// Pinned ServiceReport::hash() literals over a matrix of policies, fault
+// mixes, adaptive certification and load.  The hash folds every counter,
+// per-job record, backend health and the ledger digest, so any drift in
+// arrivals, dispatch order, breakers, fallback or adaptive hardening
+// changes a literal here.  A deliberate behaviour change rebaselines
+// them once, with the change written down.
+
+// Base: path(3)^2, SnakeOETS2, seed 7, 60 jobs, 3 backends, queue cap 6,
+// retry budget 3, breaker {2, 256}.
+ServiceConfig golden_config(ShedPolicy policy, bool adaptive, double load) {
+  ServiceConfig config;
+  config.seed = 7;
+  config.jobs = 60;
+  config.load = load;
+  config.retry_budget = 3;
+  config.queue = {policy, 6};
+  config.breaker = {.failure_threshold = 2, .cooldown = 256};
+  if (adaptive) {
+    config.adaptive.enabled = true;
+    config.adaptive.sdc_budget = 0.01;
+  }
+  return config;
+}
+
+std::vector<BackendConfig> golden_backends(int mix) {
+  std::vector<BackendConfig> backends(3);
+  if (mix == 1) {
+    backends[1].fault_schedule = "seed=5,ce=0.002,crashes=4@7";
+    backends[2].fault_schedule = "seed=5,comparators=3@2~40I";
+  } else if (mix == 2) {
+    backends[0].fault_schedule = "seed=9,crashes=4@3P";
+    backends[0].recovery.max_remaps = 0;
+    backends[0].fault_until = 4000;
+    backends[2].fault_schedule = "seed=5,comparators=4@0I";
+  }
+  return backends;
+}
+
+// In loop order: policy {drop-tail, EDF, priority} x fault mix {0, 1, 2}
+// x adaptive {off, on} x load {0.7, 1.8}.
+constexpr std::uint64_t kGoldenMatrix[36] = {
+    0xf2e74a2cc8dce0d7ULL, 0xacfbdda948c231b3ULL, 0xb788b7344973f093ULL,
+    0x835133b6b4418767ULL, 0x51aacd3822c256fdULL, 0xc063952314fdd957ULL,
+    0x1cd95e38461a3702ULL, 0x00ea2cb6e776456bULL, 0xe0e7ad142e63be3fULL,
+    0xafa668c34756b3c8ULL, 0xbe9270657d5cad7fULL, 0xd5dc6d6725eb5173ULL,
+    0xc24ad5eabcc30980ULL, 0x6d30d95393b02154ULL, 0x87f4efc03a695b33ULL,
+    0x1e9ad1d845c7cc4bULL, 0xc4d4b7b0b938e535ULL, 0x5a9d3a2e4d6ca49bULL,
+    0x3bf683a94642f03cULL, 0x472d4887125d0b99ULL, 0x8f48fb31b3d5cb6aULL,
+    0x10bdcbf556e58e90ULL, 0xfad776ae4ef2ac15ULL, 0x2d63c59efc2472b1ULL,
+    0x1971df765f26c4f2ULL, 0x556d452afc6b989bULL, 0x400b7b50b4003588ULL,
+    0x90621d55b2ad0329ULL, 0x151cd4a64a610969ULL, 0xd90388a9065ffaeeULL,
+    0xadbbf262b6a61b77ULL, 0x26a3546613c5bbeeULL, 0x3e87a8a682888229ULL,
+    0x5a623ddc48f8832dULL, 0x1dba1fddf51dfc02ULL, 0x57f098b7b130956aULL};
+
+TEST(SortServiceGoldenTest, ReportHashesMatchPinnedMatrix) {
+  const ProductGraph pg(labeled_path(3), 2);
+  const SnakeOETS2 oet;
+  const ShedPolicy policies[] = {ShedPolicy::kDropTail, ShedPolicy::kEdf,
+                                 ShedPolicy::kPriority};
+  const std::uint64_t* golden = kGoldenMatrix;
+  for (const ShedPolicy policy : policies)
+    for (int mix = 0; mix < 3; ++mix)
+      for (const bool adaptive : {false, true})
+        for (const double load : {0.7, 1.8}) {
+          SCOPED_TRACE(to_string(policy) + " mix=" + std::to_string(mix) +
+                       " adaptive=" + std::to_string(adaptive) +
+                       " load=" + std::to_string(load));
+          SortService service(pg, golden_config(policy, adaptive, load),
+                              golden_backends(mix), &oet);
+          const ServiceReport report = service.run();
+          EXPECT_TRUE(report.conserved());
+          EXPECT_EQ(report.ledger_hash,
+                    adaptive ? service.ledger().state_hash() : 0u);
+          EXPECT_EQ(report.hash(), *golden++);
+        }
+}
+
+// The all-breakers-open host-fallback config of
+// AllBackendsOpenDegradesToSamplesortFallback.
+TEST(SortServiceGoldenTest, FallbackReportHashIsPinned) {
+  const ProductGraph pg(labeled_path(3), 2);
+  const SnakeOETS2 oet;
+  ServiceConfig config = small_config(12, 1.0);
+  config.retry_budget = 6;
+  config.breaker = {.failure_threshold = 1, .cooldown = 4096};
+  std::vector<BackendConfig> backends(2);
+  for (BackendConfig& b : backends) {
+    b.fault_schedule = "seed=9,crashes=4@3P";
+    b.recovery.max_remaps = 0;
+  }
+  SortService service(pg, config, backends, &oet);
+  EXPECT_EQ(service.run().hash(), 0x448598d24e53199cULL);
+}
+
+// Six backends under a drop-tail cap of 5 at 2.5x load: the queue cap and
+// the in-flight bound both differ from a default tenant (cap 16, quota
+// 4), so a leaked default shows up here.
+TEST(SortServiceGoldenTest, WidePoolOverloadHashIsPinned) {
+  const ProductGraph pg(labeled_path(3), 2);
+  const SnakeOETS2 oet;
+  ServiceConfig config = small_config(120, 2.5);
+  config.queue = {ShedPolicy::kDropTail, 5};
+  SortService service(pg, config, std::vector<BackendConfig>(6), &oet);
+  const ServiceReport report = service.run();
+  EXPECT_LE(report.queue_high_water, 5);
+  EXPECT_EQ(report.hash(), 0x9b130d9c360396e6ULL);
+}
+
+// The preloaded concentrated-ledger config of
+// ConcentratedLedgerDrivesQuarantineNotTmr.
+TEST(SortServiceGoldenTest, ConcentratedLedgerHashIsPinned) {
+  const ProductGraph pg(labeled_path(3), 2);
+  const SnakeOETS2 oet;
+  ServiceConfig config = small_config(16, 0.8);
+  config.adaptive.enabled = true;
+  config.adaptive.sdc_budget = 0.05;
+  SuspectLedger history;
+  for (int i = 0; i < 28; ++i) history.record_attempt(0, false, {});
+  for (int i = 0; i < 28; ++i) history.record_attempt(1, i < 24, {3});
+  config.adaptive.ledger_json = history.to_json();
+  SortService service(pg, config, std::vector<BackendConfig>(2), &oet);
+  const ServiceReport report = service.run();
+  EXPECT_EQ(report.hash(), 0xc5f30dc77e5b22daULL);
+  EXPECT_EQ(service.ledger().state_hash(), 0xa22d8bdc714a4f6cULL);
+}
+
+// A larger topology and a different sorter: cycle(4)^3 under
+// ShearsortS2, four backends, adaptive certification.
+TEST(SortServiceGoldenTest, ShearsortCycleHashIsPinned) {
+  const ProductGraph pg(labeled_cycle(4), 3);
+  const ShearsortS2 shear;
+  ServiceConfig config = golden_config(ShedPolicy::kEdf, true, 1.0);
+  std::vector<BackendConfig> backends(4);
+  backends[3].fault_schedule = "seed=11,ce=0.003,comparators=2@1~30I";
+  SortService service(pg, config, backends, &shear);
+  const ServiceReport report = service.run();
+  EXPECT_TRUE(report.conserved());
+  EXPECT_EQ(report.hash(), 0x6a91627f1954ba6bULL);
+}
+
 TEST(SortServiceTest, RejectsInvalidConfig) {
   const ProductGraph pg(labeled_path(2), 2);
   const SnakeOETS2 oet;
@@ -640,6 +783,18 @@ TEST(SortServiceTest, RejectsInvalidConfig) {
   bad[0].fault_schedule = "seed=abc";
   EXPECT_THROW(SortService(pg, small_config(1, 1.0), bad, &oet),
                std::invalid_argument);
+
+  const auto rejects = [&](void (*mutate)(ServiceConfig&)) {
+    ServiceConfig config = small_config(1, 1.0);
+    mutate(config);
+    EXPECT_THROW(
+        SortService(pg, config, std::vector<BackendConfig>(1), &oet),
+        std::invalid_argument);
+  };
+  rejects([](ServiceConfig& c) { c.jobs = -1; });
+  rejects([](ServiceConfig& c) { c.retry_budget = -1; });
+  rejects([](ServiceConfig& c) { c.backoff_base = 0; });
+  rejects([](ServiceConfig& c) { c.backoff_cap = c.backoff_base - 1; });
 }
 
 }  // namespace
