@@ -6,6 +6,7 @@
 // (host wall time) and the structural counters for the same inputs.
 // Each timing is the median of five warm runs on fresh copies of the
 // input; the parallel column uses min(4, hardware threads) workers.
+// `gap` is the fast engine's 1-thread time over std::sort's.
 
 #include <algorithm>
 #include <cstdio>
@@ -59,7 +60,7 @@ int main() {
       "mw-fast " + std::to_string(exec.num_threads()) + "t ms";
   Table table({"keys", "N", "r", "mw-merge ms", "mw-fast ms", par_header,
                "columnsort ms", "batcher ms", "shearsort ms", "samplesort ms",
-               "std::sort ms", "all agree"});
+               "std::sort ms", "gap", "all agree"});
   struct Shape {
     NodeId n;
     int r;
@@ -69,6 +70,7 @@ int main() {
   const Shape shapes[] = {
       {2, 10, 256, 4, 32, 32},      // 1024 keys
       {4, 6, 512, 8, 64, 64},       // 4096 keys
+      {8, 5, 4096, 8, 128, 256},    // 32768 keys, the seq_zoo shape
       {2, 16, 8192, 8, 256, 256},   // 65536 keys
       {8, 6, 32768, 8, 512, 512},   // 262144 keys
   };
@@ -108,7 +110,8 @@ int main() {
     table.add_row({fmt(total), fmt(s.n), fmt(s.r), bench::fmt(mw_ms),
                    bench::fmt(mwf_ms), bench::fmt(mwp_ms), bench::fmt(cs_ms),
                    bench::fmt(bt_ms), bench::fmt(sh_ms), bench::fmt(ss_ms),
-                   bench::fmt(std_ms), agree ? "yes" : "NO"});
+                   bench::fmt(std_ms), bench::fmt(mwf_ms / std_ms),
+                   agree ? "yes" : "NO"});
   }
   table.print();
   table.maybe_export_csv("baselines");

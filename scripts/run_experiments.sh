@@ -7,9 +7,10 @@
 #   ./scripts/run_experiments.sh --sanitize
 #
 # --sanitize instead configures and builds the asan-ubsan and tsan
-# presets (see CMakePresets.json) and runs the `faults`-, `audit`-, and `durability`-labeled test
-# subset under each — the fault-injection/recovery paths exercised with
-# memory and data-race checking.
+# presets (see CMakePresets.json) and runs the `faults`-, `audit`-,
+# `durability`- and `engine`-labeled test subset under each — the
+# fault-injection/recovery paths and the fast sequence engine exercised
+# with memory and data-race checking.
 
 set -eu
 

@@ -1,8 +1,8 @@
 #include "core/fast_sequence_sort.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "core/sequence_sort.hpp"  // power_arity
@@ -13,12 +13,66 @@ namespace prodsort {
 namespace {
 
 // Runs body(begin, end) over [0, count), on the executor when available.
-void maybe_parallel(ParallelExecutor* exec, std::int64_t count,
-                    const std::function<void(std::int64_t, std::int64_t)>& body) {
+template <typename Body>
+void maybe_parallel(ParallelExecutor* exec, std::int64_t count, Body&& body) {
   if (exec != nullptr)
     exec->parallel_for(count, body);
   else
     body(0, count);
+}
+
+// Merges sorted [a, a_end) and [b, b_end) into `out`.  Each step selects
+// the smaller head and bumps one pointer by a comparison result, so the
+// loop body has no data-dependent branch.
+void merge_into(const Key* a, const Key* a_end, const Key* b,
+                const Key* b_end, Key* out) {
+  while (a != a_end && b != b_end) {
+    const Key x = *a;
+    const Key y = *b;
+    const bool take_b = y < x;
+    *out++ = take_b ? y : x;
+    a += !take_b;
+    b += take_b;
+  }
+  out = std::copy(a, a_end, out);
+  std::copy(b, b_end, out);
+}
+
+// Sorts `data`, which holds sorted runs of length `run`, by merging
+// adjacent runs pairwise through `scratch` (same extent).
+void merge_runs(std::span<Key> data, std::int64_t run, std::span<Key> scratch) {
+  const std::int64_t size = static_cast<std::int64_t>(data.size());
+  Key* src = data.data();
+  Key* dst = scratch.data();
+  for (std::int64_t width = run; width < size; width *= 2) {
+    for (std::int64_t lo = 0; lo < size; lo += 2 * width) {
+      const std::int64_t mid = std::min(lo + width, size);
+      const std::int64_t hi = std::min(lo + 2 * width, size);
+      merge_into(src + lo, src + mid, src + mid, src + hi, dst + lo);
+    }
+    std::swap(src, dst);
+  }
+  if (src != data.data()) std::copy(src, src + size, data.data());
+}
+
+// Insertion sort: close to one pass on the nearly sorted Step 4 blocks.
+void insertion_sort(Key* first, Key* last) {
+  for (Key* i = first + 1; i < last; ++i) {
+    const Key key = *i;
+    Key* j = i;
+    for (; j != first && key < j[-1]; --j) *j = j[-1];
+    *j = key;
+  }
+}
+
+// Merge-split of the adjacent ascending blocks at `low` and `low + block`:
+// afterwards the low block holds the smaller half.  `scratch` has room
+// for both blocks.
+void merge_split(Key* low, std::int64_t block, Key* scratch) {
+  Key* high = low + block;
+  if (low[block - 1] <= high[0]) return;
+  merge_into(low, high, high, high + block, scratch);
+  std::copy(scratch, scratch + 2 * block, low);
 }
 
 // Merges the N sorted length-m segments of `data` in place; `scratch`
@@ -28,8 +82,8 @@ void maybe_parallel(ParallelExecutor* exec, std::int64_t count,
 void merge_fast(std::span<Key> data, std::int64_t n, std::span<Key> scratch,
                 ParallelExecutor* exec) {
   const std::int64_t m = static_cast<std::int64_t>(data.size()) / n;
-  if (m == n) {  // base: the N^2-key sort
-    std::sort(data.begin(), data.end());
+  if (m == n) {  // base: N sorted runs of N keys (each B_{u,v} is sorted)
+    merge_runs(data, n, scratch);
     return;
   }
   const std::int64_t rows = m / n;
@@ -69,42 +123,28 @@ void merge_fast(std::span<Key> data, std::int64_t n, std::span<Key> scratch,
     }
   });
 
-  // Step 4: cleanup on N^2-key blocks.
+  // Step 4 (Lemma 2): by Lemma 1 every key now lies within N^2 of its
+  // place, so a 0-1 input's dirty window meets at most two adjacent
+  // N^2-key blocks.
+  // Sort each block, then merge-split adjacent blocks in one even and
+  // one odd transposition step; one of the two merges that pair.  Each
+  // pair merges through its own slice of scratch, which Step 3 freed.
   const std::int64_t block = n * n;
   const std::int64_t nblocks = (n * m) / block;
-  auto sort_blocks = [&](void) {
-    maybe_parallel(exec, nblocks, [&](std::int64_t z_begin, std::int64_t z_end) {
-      for (std::int64_t z = z_begin; z < z_end; ++z) {
-        Key* blk = data.data() + z * block;
-        if (z % 2 == 0)
-          std::sort(blk, blk + block);
-        else
-          std::sort(blk, blk + block, std::greater<Key>{});
-      }
-    });
-  };
-  sort_blocks();
-  for (const std::int64_t parity : {std::int64_t{0}, std::int64_t{1}}) {
-    maybe_parallel(
-        exec, (nblocks - parity) / 2,
-        [&](std::int64_t j_begin, std::int64_t j_end) {
-          for (std::int64_t j = j_begin; j < j_end; ++j) {
-            const std::int64_t z = parity + 2 * j;
-            if (z + 1 >= nblocks) continue;
-            Key* low = data.data() + z * block;
-            Key* high = low + block;
-            for (std::int64_t t = 0; t < block; ++t)
-              if (low[t] > high[t]) std::swap(low[t], high[t]);
-          }
-        });
-  }
-  sort_blocks();
-  maybe_parallel(exec, nblocks / 2, [&](std::int64_t j_begin, std::int64_t j_end) {
-    for (std::int64_t j = j_begin; j < j_end; ++j) {
-      Key* blk = data.data() + (2 * j + 1) * block;
-      std::reverse(blk, blk + block);
-    }
+  maybe_parallel(exec, nblocks, [&](std::int64_t z_begin, std::int64_t z_end) {
+    for (std::int64_t z = z_begin; z < z_end; ++z)
+      insertion_sort(data.data() + z * block, data.data() + (z + 1) * block);
   });
+  for (const std::int64_t parity : {std::int64_t{0}, std::int64_t{1}}) {
+    maybe_parallel(exec, (nblocks - parity) / 2,
+                   [&](std::int64_t j_begin, std::int64_t j_end) {
+                     for (std::int64_t j = j_begin; j < j_end; ++j) {
+                       const std::int64_t z = parity + 2 * j;
+                       merge_split(data.data() + z * block, block,
+                                   scratch.data() + z * block);
+                     }
+                   });
+  }
 }
 
 }  // namespace
