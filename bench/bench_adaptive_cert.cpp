@@ -33,7 +33,6 @@
 #include "core/hashing.hpp"
 #include "core/product_sort.hpp"
 #include "core/s2/snake_oet_s2.hpp"
-#include "core/verify.hpp"
 #include "network/fault_model.hpp"
 #include "product/snake_order.hpp"
 

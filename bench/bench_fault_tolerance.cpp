@@ -19,9 +19,9 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "core/certifier.hpp"
 #include "core/product_sort.hpp"
 #include "core/s2/snake_oet_s2.hpp"
-#include "core/verify.hpp"
 #include "network/packet_sim.hpp"
 #include "network/recovery.hpp"
 
@@ -144,26 +144,27 @@ int main() {
 
         const auto keys =
             bench::random_keys(pg.num_nodes(), 40 + static_cast<unsigned>(trial));
-        const std::uint64_t checksum = multiset_checksum(keys);
+        const Certifier certifier(keys);
         Machine m(pg, keys, nullptr);
         m.set_fault_model(&fm);
         SortOptions options;
         options.s2 = &oet;
         (void)sort_product_network(m, options);
 
-        const RecoveryReport report = verify_and_recover(
-            m, full_view(pg), {.expected_checksum = checksum});
+        const RepairReport report = certify_and_repair(
+            m, full_view(pg), certifier,
+            {.max_passes = static_cast<int>(pg.num_nodes()) + 4});
         const auto got = m.read_snake(full_view(pg));
         std::vector<Key> expected = keys;
         std::sort(expected.begin(), expected.end());
 
         ++cell.trials;
         cell.sorted += got == expected;
-        cell.recovered += report.outcome == RecoveryOutcome::kRecovered;
+        cell.recovered += report.outcome == RepairOutcome::kRepaired;
         cell.slowdown += static_cast<double>(m.cost().exec_steps) /
                          static_cast<double>(base_steps);
         cell.retries += m.cost().retries;
-        cell.recovery_steps += report.recovery_steps;
+        cell.recovery_steps += report.repair_steps;
 
         // Packet layer on the factor graph: retry + reroute behavior.
         std::vector<NodeId> dest(static_cast<std::size_t>(factor.size()));

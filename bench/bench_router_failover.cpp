@@ -25,7 +25,6 @@
 #include "core/hashing.hpp"
 #include "core/product_sort.hpp"
 #include "core/s2/snake_oet_s2.hpp"
-#include "core/verify.hpp"
 #include "network/recovery.hpp"
 #include "product/degraded_view.hpp"
 #include "service/router/pool_router.hpp"

@@ -10,10 +10,10 @@
 // paper's building blocks supply the cheap antidote this layer
 // implements:
 //
-//  * an order-invariant multiset fingerprint (core/hashing.hpp, the
-//    same commutative combine as multiset_checksum) taken over the
-//    input before sorting and over the snake read-out after — any
-//    lost, duplicated, or corrupted key changes it almost surely;
+//  * an order-invariant multiset fingerprint (a commutative combine of
+//    splitmix-mixed keys, core/hashing.hpp) taken over the input before
+//    sorting and over the snake read-out after — any lost, duplicated,
+//    or corrupted key changes it almost surely;
 //  * a parallel snake-adjacency scan — by the 0-1 principle a sequence
 //    is sorted iff no adjacent pair inverts, so sortedness is O(n)
 //    verifiable, embarrassingly parallel, and needs no reference copy.
@@ -27,7 +27,8 @@
 // the certified dirty window (the Lemma 1 witness), re-certifying
 // after each pass, executed through the machine's own primitives so
 // repair is honestly charged and itself subject to the attached
-// faults.  See docs/FAULTS.md, "Silent faults".
+// faults; block_certify_and_repair() is the same loop lifted to
+// merge-splits.  See docs/FAULTS.md, "Silent faults".
 
 #include <cstdint>
 #include <span>
@@ -40,9 +41,10 @@
 
 namespace prodsort {
 
-/// Order-invariant summary of a key multiset.  The checksum equals
-/// multiset_checksum() of the same keys (a pinned equivalence — see
-/// certifier_test) but is computed with a parallel commutative combine.
+/// Order-invariant summary of a key multiset: equal multisets give equal
+/// fingerprints in any order; differing multisets collide with
+/// probability ~2^-64.  The checksum values are pinned by certifier_test
+/// (they feed job records, report hashes and the journal).
 struct MultisetFingerprint {
   std::uint64_t checksum = 0;
   std::uint64_t count = 0;
@@ -50,18 +52,20 @@ struct MultisetFingerprint {
                          const MultisetFingerprint&) = default;
 };
 
-/// Fingerprints `keys`; uses `executor` for the combine when non-null.
+/// Fingerprints `keys` by folding per-chunk FingerprintAccumulators;
+/// uses `executor` for the chunks when non-null (same result for any
+/// thread count).
 [[nodiscard]] MultisetFingerprint fingerprint_sequence(
     std::span<const Key> keys, ParallelExecutor* executor = nullptr);
 
 /// Incremental multiset fingerprinting for chained certificates
-/// (docs/STREAMING.md, "Certificate chaining").  Holds the *raw*
-/// pre-finalization accumulators of the multiset_checksum combine
-/// (wrapping sum + xor of per-key splitmix hashes, plus the count), so
-/// disjoint key sets fingerprinted separately can be merged with
-/// absorb() and finalized once: finalize() over absorbed pieces equals
-/// fingerprint_sequence() over their concatenation, in any order (a
-/// pinned equivalence — see certifier_test).  This is what lets the
+/// (docs/STREAMING.md, "Certificate chaining") and the only place a key
+/// is hashed.  Holds the *raw* pre-finalization accumulators of the
+/// combine (wrapping sum + xor of per-key splitmix hashes, plus the
+/// count), so disjoint key sets fingerprinted separately can be merged
+/// with absorb() and finalized once: finalize() over absorbed pieces
+/// equals fingerprint_sequence() over their concatenation, in any order
+/// (a pinned equivalence — see certifier_test).  This is what lets the
 /// streaming pipeline prove "sealed output == ingested input" without
 /// ever holding both sides in memory: each batch and each sealed range
 /// contributes its accumulator, and only the two stream-level
@@ -180,8 +184,13 @@ struct EndToEndCertificate {
   bool sorted = false;
   std::int64_t adjacency_violations = 0;  ///< inverted adjacent pairs
   PNode first_violation = -1;  ///< rank of first inversion (-1 if none)
-  PNode dirty_lo = 0;   ///< smallest window whose contents differ from
-  PNode dirty_hi = -1;  ///< their own sorted copy (empty when sorted)
+  /// The Lemma 1 dirty window: the smallest rank interval whose
+  /// contents differ from their own sorted copy (empty when sorted).
+  /// Found by one O(n) scan, no copy: dirty_lo is the first rank whose
+  /// key exceeds the minimum after it, dirty_hi the last rank whose key
+  /// is below the maximum before it.
+  PNode dirty_lo = 0;
+  PNode dirty_hi = -1;
   MultisetFingerprint expected;
   MultisetFingerprint observed;
   CertLevel level = CertLevel::kFull;  ///< level this certificate ran at
@@ -211,9 +220,8 @@ class Certifier {
     return expected_;
   }
 
-  /// Certifies an explicit sequence.  O(n) when the sequence passes;
-  /// the dirty window (a sorted-copy diff) is computed only on a
-  /// wrong-order failure.
+  /// Certifies an explicit sequence at full strength: O(n), the dirty
+  /// window included.  Equal to certify_sampled() at a full CertPlan.
   [[nodiscard]] EndToEndCertificate certify(std::span<const Key> seq) const;
 
   /// Certifies the snake read-out of `view`.
@@ -225,8 +233,8 @@ class Certifier {
   /// A full-level plan is bit-identical to certify().  A sampled pass
   /// is *evidence*, not proof — an inversion outside the sample escapes
   /// (probability at most 1 - coverage for a single misplaced pair);
-  /// the dirty window on a failure is still the exact sorted-copy diff,
-  /// so escalation and repair work from the true window.
+  /// the dirty window on a failure is still exact over the whole
+  /// sequence, so escalation and repair work from the true window.
   [[nodiscard]] EndToEndCertificate certify_sampled(
       std::span<const Key> seq, const CertPlan& plan) const;
 
@@ -240,13 +248,27 @@ class Certifier {
 /// CostModel::cert_steps, one CostModel::certificates tick).  The
 /// charge is kept off exec_steps so sort/service timing is unchanged by
 /// certification level — cert_steps is the overhead axis the adaptive
-/// dial and bench_adaptive_cert compare levels on.  The legacy
+/// dial and bench_adaptive_cert compare levels on.  The plain
 /// Certifier::certify stays free for host-side checks; every in-fabric
-/// certification the recovery ladder runs goes through here.
+/// certification the recovery ladder runs goes through here.  The block
+/// overload certifies the key-granular read-out (b keys per node).
 [[nodiscard]] EndToEndCertificate certify_charged(Machine& machine,
                                                   const ViewSpec& view,
                                                   const Certifier& certifier,
                                                   const CertPlan& plan);
+[[nodiscard]] EndToEndCertificate certify_charged(BlockMachine& machine,
+                                                  const ViewSpec& view,
+                                                  const Certifier& certifier,
+                                                  const CertPlan& plan);
+
+/// One odd-even transposition pass (single parity: 0 pairs even ranks
+/// with their right neighbor, 1 pairs odd ranks) over the snake ranks
+/// [lo, hi] of `view`, executed through the machine's compare-exchange
+/// primitive — charged to the cost model and subject to any attached
+/// faults.  Returns the exchanges performed, so cleanup loops can
+/// detect quiescence.  The unit pass of certify_and_repair.
+std::int64_t oet_window_pass(Machine& machine, const ViewSpec& view, PNode lo,
+                             PNode hi, int parity);
 
 enum class RepairOutcome {
   kCertified,       ///< passed on entry, no repair needed
@@ -269,10 +291,10 @@ struct RepairOptions {
 
 struct RepairReport {
   RepairOutcome outcome = RepairOutcome::kCertified;
-  int passes = 0;                 ///< OET passes executed
+  int passes = 0;                 ///< repair passes executed
   std::int64_t repair_steps = 0;  ///< exec_steps charged to repair
-  EndToEndCertificate before;     ///< certificate on entry
-  EndToEndCertificate after;      ///< certificate on exit
+  EndToEndCertificate before;     ///< key-granular certificate on entry
+  EndToEndCertificate after;      ///< key-granular certificate on exit
 };
 
 /// Certifies `view` and, while the verdict is kWrongOrder, runs
@@ -287,28 +309,19 @@ RepairReport certify_and_repair(Machine& machine, const ViewSpec& view,
                                 const Certifier& certifier,
                                 const RepairOptions& options = {});
 
-struct BlockRepairReport {
-  RepairOutcome outcome = RepairOutcome::kCertified;
-  int passes = 0;                 ///< merge-split repair passes executed
-  std::int64_t repair_steps = 0;  ///< exec_steps charged to repair
-  EndToEndCertificate before;     ///< key-granular certificate on entry
-  EndToEndCertificate after;      ///< key-granular certificate on exit
-  PNode dirty_blocks_lo = 0;   ///< block-granular dirty window ([lo, hi],
-  PNode dirty_blocks_hi = -1;  ///< empty when the entry certificate passed)
-};
-
-/// Block variant of certify_and_repair: certifies the key-granular
-/// snake read-out (b keys per node), converts the dirty key window to
-/// the covering block window +-1 block (the agglomerated Lemma 1
-/// argument — a misplaced key can sit at most one merge-split partner
-/// away from its sorted block once the fault window closes), and runs
-/// alternating-parity merge-split passes over that block window until
-/// the certificate passes or the budget runs out.  Charged through the
+/// Block variant of certify_and_repair — the same loop with each pass
+/// lifted to merge-splits (Schiller's agglomeration law): certifies the
+/// key-granular snake read-out (b keys per node), converts the dirty
+/// key window to the covering block window +-1 block (the agglomerated
+/// Lemma 1 argument — a misplaced key can sit at most one merge-split
+/// partner away from its sorted block once the fault window closes),
+/// re-sorts any internally unsorted block in that window, and runs one
+/// alternating-parity merge-split pass over it.  Charged through the
 /// BlockMachine's own primitives, so repair is subject to any still
 /// attached block-mode comparator faults.
-BlockRepairReport block_certify_and_repair(BlockMachine& machine,
-                                           const ViewSpec& view,
-                                           const Certifier& certifier,
-                                           const RepairOptions& options = {});
+RepairReport block_certify_and_repair(BlockMachine& machine,
+                                      const ViewSpec& view,
+                                      const Certifier& certifier,
+                                      const RepairOptions& options = {});
 
 }  // namespace prodsort

@@ -35,7 +35,7 @@ struct CostModel {
   std::int64_t retries = 0;         ///< lost messages that must be redone
   std::int64_t reroutes = 0;        ///< paths redirected around failed links
   std::int64_t degraded_phases = 0; ///< phases that hit a fault or straggler
-  std::int64_t recovery_steps = 0;  ///< exec_steps spent in verify-and-recover
+  std::int64_t recovery_steps = 0;  ///< exec_steps spent in certify-and-repair
 
   // Fail-stop crash / checkpoint accounting (network/checkpoint.hpp and
   // network/recovery.hpp): the machine-readable recovery report.

@@ -16,7 +16,7 @@
 //  * compare-exchange message loss — each compare-exchange pair is
 //    silently skipped with probability `ce_drop_rate` (the multiset of
 //    keys is preserved, only the order is perturbed, so the
-//    self-verification layer of core/verify.hpp can recover);
+//    certify-and-repair layer of core/certifier.hpp can recover);
 //  * key corruption — a stored key is bit-flipped with probability
 //    `key_corrupt_rate` (multiset-breaking: detectable via the checksum
 //    certificate, not recoverable by re-sorting);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/certifier.hpp"
-#include "core/verify.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -57,6 +56,14 @@ void sort_degraded_snake(Machine& machine, const DegradedView& view) {
   }
 }
 
+std::vector<Key> read_degraded_snake(const Machine& machine,
+                                     const DegradedView& view) {
+  std::vector<Key> out;
+  out.reserve(static_cast<std::size_t>(view.live_size()));
+  for (const PNode node : view.live_nodes()) out.push_back(machine.key(node));
+  return out;
+}
+
 RecoveryController::RecoveryController(Machine& machine, RecoveryPolicy policy)
     : machine_(&machine), policy_(policy) {
   if (policy_.max_rollbacks < 0 || policy_.max_remaps < 0)
@@ -70,7 +77,7 @@ CrashRecoveryReport RecoveryController::run(const SortOptions& options) {
 
   const std::uint64_t checksum = policy_.expected_checksum != 0
                                      ? policy_.expected_checksum
-                                     : multiset_checksum(m.keys());
+                                     : fingerprint_sequence(m.keys()).checksum;
   // Baselines for the report's per-run deltas: the machine's counters
   // are cumulative across runs, the report's must not be.
   const CostModel before = m.cost();
@@ -231,7 +238,8 @@ CrashRecoveryReport RecoveryController::run(const SortOptions& options) {
 
   report.data_loss =
       !report.lost_entries.empty() ||
-      (host_checksum_needed && multiset_checksum(report.output) != checksum);
+      (host_checksum_needed &&
+       fingerprint_sequence(report.output).checksum != checksum);
   report.certified = report.sorted && !report.data_loss;
   // A run no crash rung touched but the certificate caught: the silent
   // path.  Repaired = rung 4 alone recovered it; unrepairable = failed

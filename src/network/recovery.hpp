@@ -119,6 +119,12 @@ struct CrashRecoveryReport {
 /// CrashInterrupt).  Early-exits after two quiescent passes.
 void sort_degraded_snake(Machine& machine, const DegradedView& view);
 
+/// Keys of the surviving nodes along the degraded snake (the read-out
+/// of a remap-and-restart sort; orphan keys are NOT included — the
+/// RecoveryController merges those host-side).
+[[nodiscard]] std::vector<Key> read_degraded_snake(const Machine& machine,
+                                                   const DegradedView& view);
+
 class RecoveryController {
  public:
   /// The machine must have a FaultModel attached if crashes are to be

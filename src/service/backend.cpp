@@ -6,7 +6,6 @@
 
 #include "core/block_sort.hpp"
 #include "core/certifier.hpp"
-#include "core/verify.hpp"
 #include "network/block_machine.hpp"
 #include "product/subgraph_view.hpp"
 
@@ -35,7 +34,7 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, int attempt,
   AttemptResult result;
   const PNode n = pg_->num_nodes();
   std::vector<Key> keys = service_job_keys(n, job);
-  const std::uint64_t checksum = multiset_checksum(keys);
+  const std::uint64_t checksum = fingerprint_sequence(keys).checksum;
 
   Machine machine(*pg_, std::move(keys), executor_);
   machine.set_tmr(config_.tmr || opts.tmr);
@@ -129,7 +128,8 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, int attempt,
     result.success =
         report.certified &&
         report.output.size() == static_cast<std::size_t>(n) &&
-        (!audit_checksum || multiset_checksum(report.output) == checksum);
+        (!audit_checksum ||
+         fingerprint_sequence(report.output).checksum == checksum);
   } catch (const std::exception&) {
     result.success = false;  // unmodeled dead-end: charge and fail
     result.path = RecoveryPath::kFailed;
@@ -162,7 +162,7 @@ AttemptResult SortBackend::run_block_attempt(const JobSpec& job, int attempt,
   const PNode n = pg_->num_nodes();
   const PNode total = n * static_cast<PNode>(job.block);
   std::vector<Key> keys = service_job_keys(total, job);
-  const std::uint64_t checksum = multiset_checksum(keys);
+  const Certifier certifier(keys, executor_);
 
   BlockMachine machine(*pg_, std::move(keys), job.block, executor_);
   result.faulted = faults_ != nullptr &&
@@ -180,16 +180,11 @@ AttemptResult SortBackend::run_block_attempt(const JobSpec& job, int attempt,
     sort_block_network(machine, options);
 
     const ViewSpec view = full_view(*pg_);
-    const Certifier certifier(
-        MultisetFingerprint{checksum, static_cast<std::uint64_t>(total)},
-        executor_);
-    EndToEndCertificate cert = certifier.certify(machine.read_snake(view));
-    machine.cost().cert_steps +=
-        certificate_steps(total, total - 1, /*fingerprint=*/true);
-    ++machine.cost().certificates;
+    EndToEndCertificate cert =
+        certify_charged(machine, view, certifier, CertPlan{});
     if (cert.verdict == CertVerdict::kWrongOrder) {
       result.sdc_detected = true;
-      const BlockRepairReport repair =
+      const RepairReport repair =
           block_certify_and_repair(machine, view, certifier);
       result.repair_passes = repair.passes;
       cert = repair.after;

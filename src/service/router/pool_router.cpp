@@ -11,7 +11,6 @@
 #include "core/host_merge.hpp"
 #include "core/hashing.hpp"
 #include "core/product_sort.hpp"
-#include "core/verify.hpp"
 #include "service/admission_queue.hpp"
 
 namespace prodsort {
@@ -217,7 +216,8 @@ RouterReport PoolRouter::run() {
 
     report.jobs[static_cast<std::size_t>(id)].spec = spec;
     report.jobs[static_cast<std::size_t>(id)].checksum =
-        multiset_checksum(service_job_keys(pg_->num_nodes(), spec));
+        fingerprint_sequence(service_job_keys(pg_->num_nodes(), spec))
+            .checksum;
     push({spec.arrival, Event::kArrival, 0, id, -1});
   }
 
@@ -395,17 +395,13 @@ RouterReport PoolRouter::run() {
                             ? pg_->num_nodes() * static_cast<PNode>(job.block)
                             : pg_->num_nodes();
         const std::vector<Key> input = service_job_keys(n, job);
-        const std::uint64_t checksum = multiset_checksum(input);
+        const Certifier certifier(input, executor_);
         HostMergeStats stats;
         const std::vector<Key> keys =
             measured_host_sort(input, config_.fallback.run_keys, stats);
         // The host output goes through the same end-to-end certificate
         // path as backend attempts, so a corrupt fallback sort is
         // *detected* (counted in sdc_detected), not just failed.
-        const Certifier certifier(
-            MultisetFingerprint{checksum,
-                                static_cast<std::uint64_t>(keys.size())},
-            executor_);
         const EndToEndCertificate cert = certifier.certify(keys);
         AttemptResult result;
         result.success = cert.pass();

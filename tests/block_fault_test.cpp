@@ -17,7 +17,6 @@
 
 #include "core/block_sort.hpp"
 #include "core/certifier.hpp"
-#include "core/verify.hpp"
 #include "graph/labeled_factor.hpp"
 #include "network/block_machine.hpp"
 #include "network/fault_model.hpp"
@@ -111,7 +110,7 @@ TEST(BlockFaults, CertificateAgreesWithGroundTruthForEveryKind) {
     if (corrupted) {
       // Stuck and inverted only misplace whole blocks: multiset intact.
       EXPECT_EQ(cert.verdict, CertVerdict::kWrongOrder) << schedule;
-      EXPECT_EQ(multiset_checksum(got), multiset_checksum(expected));
+      EXPECT_EQ(fingerprint_sequence(got), fingerprint_sequence(expected));
     }
   }
   // The sweep is vacuous if no schedule actually corrupted the sort.
@@ -184,7 +183,7 @@ TEST(BlockRepair, PassesOnEntryWithoutSpendingPasses) {
   const ProductGraph pg(labeled_path(4), 2);
   BlockMachine machine(pg, sorted_layout(pg), kBlock);
   const Certifier certifier(machine.read_snake(full_view(pg)));
-  const BlockRepairReport report =
+  const RepairReport report =
       block_certify_and_repair(machine, full_view(pg), certifier);
   EXPECT_EQ(report.outcome, RepairOutcome::kCertified);
   EXPECT_EQ(report.passes, 0);
@@ -207,7 +206,7 @@ TEST(BlockRepair, RepairsSwappedBlockWindowWithinBudget) {
   std::sort(expected.begin(), expected.end());
   const Certifier certifier(expected);
 
-  const BlockRepairReport report =
+  const RepairReport report =
       block_certify_and_repair(machine, full_view(pg), certifier);
   EXPECT_EQ(report.outcome, RepairOutcome::kRepaired);
   EXPECT_EQ(report.before.verdict, CertVerdict::kWrongOrder);
@@ -216,8 +215,9 @@ TEST(BlockRepair, RepairsSwappedBlockWindowWithinBudget) {
   // The agglomerated block window spans ranks [4, 9]; alternating
   // merge-split passes sort a w-block window within 2w passes.
   EXPECT_LE(report.passes, 12);
-  EXPECT_LE(report.dirty_blocks_lo, 5);
-  EXPECT_GE(report.dirty_blocks_hi, 8);
+  // The covering block window, +-1 block, holds both swapped blocks.
+  EXPECT_LE(report.before.dirty_lo / kBlock - 1, 5);
+  EXPECT_GE(report.before.dirty_hi / kBlock + 1, 8);
   EXPECT_GT(report.repair_steps, 0);
   EXPECT_EQ(machine.read_snake(full_view(pg)), expected);
   EXPECT_EQ(machine.cost().recovery_steps, report.repair_steps);
@@ -239,7 +239,7 @@ TEST(BlockRepair, ResortsUnsortedBlockButRefusesCorruptedKeys) {
     std::vector<Key> expected = keys;
     std::sort(expected.begin(), expected.end());
     const Certifier certifier(expected);
-    const BlockRepairReport report =
+    const RepairReport report =
         block_certify_and_repair(machine, full_view(pg), certifier);
     EXPECT_EQ(report.outcome, RepairOutcome::kRepaired);
     EXPECT_EQ(machine.read_snake(full_view(pg)), expected);
@@ -248,7 +248,7 @@ TEST(BlockRepair, ResortsUnsortedBlockButRefusesCorruptedKeys) {
   keys[static_cast<std::size_t>(victim) * kBlock] = 999999;
   BlockMachine machine(pg, keys, kBlock);
   const Certifier certifier(sorted_layout(pg));  // expects original keys
-  const BlockRepairReport report =
+  const RepairReport report =
       block_certify_and_repair(machine, full_view(pg), certifier);
   EXPECT_EQ(report.outcome, RepairOutcome::kKeysCorrupted);
   EXPECT_EQ(report.passes, 0);
@@ -275,7 +275,7 @@ TEST(BlockRepair, ClosesTheLoopAfterTransientFault) {
   const Certifier certifier(keys, &exec);
   RepairOptions repair_options;
   repair_options.max_passes = 4 * static_cast<int>(pg.num_nodes());
-  const BlockRepairReport report =
+  const RepairReport report =
       block_certify_and_repair(machine, full_view(pg), certifier,
                                repair_options);
   ASSERT_TRUE(report.outcome == RepairOutcome::kCertified ||

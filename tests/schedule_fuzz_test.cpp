@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/block_sort.hpp"
-#include "core/verify.hpp"
+#include "core/certifier.hpp"
 #include "durability/journal.hpp"
 #include "graph/labeled_factor.hpp"
 #include "network/block_machine.hpp"
@@ -263,7 +263,7 @@ TEST(ScheduleFuzz, OverlappingBlockSchedulesNeverCrash) {
     const std::vector<Key> out = machine.read_snake(full_view(pg));
     ASSERT_EQ(out.size(), keys.size());
     if (!any_arbitrary) {
-      ASSERT_EQ(multiset_checksum(out), multiset_checksum(keys))
+      ASSERT_EQ(fingerprint_sequence(out), fingerprint_sequence(keys))
           << FaultModel(config).schedule_string();
     }
   }

@@ -11,7 +11,6 @@
 
 #include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
-#include "core/verify.hpp"
 #include "service/admission_queue.hpp"
 #include "service/circuit_breaker.hpp"
 #include "service/service_types.hpp"

@@ -17,7 +17,7 @@
 // --faults RATE switches to the fault-tolerance soak: every trial runs
 // an executable sorter under an attached FaultModel (compare-exchange
 // message loss at RATE, one permanently failed non-cut link, one 4x
-// straggler), recovers via verify_and_recover, and additionally soaks
+// straggler), certifies and repairs via certify_and_repair, and soaks
 // the packet simulator's retry/reroute path (transient drops at RATE)
 // on the same factor.  A failing trial prints one machine-readable
 // FAULT-REPRO line (seed/family/r/sorter/fault schedule) and exits 1.
@@ -72,7 +72,6 @@
 #include "core/s2/oracle_s2.hpp"
 #include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
-#include "core/verify.hpp"
 #include "network/packet_sim.hpp"
 #include "network/recovery.hpp"
 #include "product/snake_order.hpp"
@@ -141,7 +140,7 @@ int run_fault_soak(long trials, unsigned seed, unsigned fault_seed,
     const auto keys = make_input(pg.num_nodes(), pattern, rng);
     std::vector<Key> expected = keys;
     std::sort(expected.begin(), expected.end());
-    const std::uint64_t input_checksum = multiset_checksum(keys);
+    const Certifier certifier(keys);
 
     ParallelExecutor exec(threads);
     Machine m(pg, keys, &exec);
@@ -150,13 +149,15 @@ int run_fault_soak(long trials, unsigned seed, unsigned fault_seed,
     options.s2 = sorters[sorter];
     (void)sort_product_network(m, options);
 
-    const RecoveryReport report = verify_and_recover(
-        m, full_view(pg), {.expected_checksum = input_checksum});
+    // The RecoveryController's budget rule: nodes + 4 repair passes.
+    const RepairReport report = certify_and_repair(
+        m, full_view(pg), certifier,
+        {.max_passes = static_cast<int>(pg.num_nodes()) + 4});
     const auto got = m.read_snake(full_view(pg));
     ++executed;
-    recovered += report.outcome == RecoveryOutcome::kRecovered;
+    recovered += report.outcome == RepairOutcome::kRepaired;
     total_retries += m.cost().retries;
-    total_recovery += report.recovery_steps;
+    total_recovery += report.repair_steps;
 
     bool packet_ok = true;
     std::int64_t packet_retries = 0;
