@@ -9,8 +9,9 @@
 # --sanitize instead configures and builds the asan-ubsan and tsan
 # presets (see CMakePresets.json) and runs the `faults`-, `audit`-,
 # `durability`- and `engine`-labeled test subset under each — the
-# fault-injection/recovery paths and the fast sequence engine exercised
-# with memory and data-race checking.
+# fault-injection/recovery paths, the fast sequence engine and the
+# machines' parallel compare-exchange kernels exercised with memory and
+# data-race checking.
 
 set -eu
 

@@ -56,6 +56,8 @@ void BlockMachine::merge_split_step(std::span<const CEPair> pairs,
   if (observer_ != nullptr)
     observer_->before_phase(keys_, pairs, hop_distance, block_size_,
                             perturbed);
+  const StepComparatorFaults comparators =
+      perturbed ? faults_->comparator_faults(step) : StepComparatorFaults{};
 
   std::atomic<std::int64_t> moved{0};
   std::atomic<std::int64_t> comp_faults{0};
@@ -63,6 +65,16 @@ void BlockMachine::merge_split_step(std::span<const CEPair> pairs,
     std::int64_t local_moved = 0;
     std::int64_t local_comp = 0;
     std::vector<Key> merged(2 * static_cast<std::size_t>(block_size_));
+    // Merges two blocks and hands the smaller half to `lower`.
+    const auto split = [&](std::span<Key> lower, std::span<Key> upper) {
+      std::merge(lower.begin(), lower.end(), upper.begin(), upper.end(),
+                 merged.begin());
+      const auto half =
+          merged.begin() + static_cast<std::ptrdiff_t>(block_size_);
+      std::copy(merged.begin(), half, lower.begin());
+      std::copy(half, merged.end(), upper.begin());
+      ++local_moved;
+    };
     for (std::int64_t i = begin; i < end; ++i) {
       const CEPair& p = pairs[static_cast<std::size_t>(i)];
       auto low = mutable_block(p.low);
@@ -71,82 +83,41 @@ void BlockMachine::merge_split_step(std::span<const CEPair> pairs,
       // A silently-broken comparator at either endpoint hijacks the
       // whole merge-split (lower node wins when both are faulty), the
       // block analogue of the single-key fault semantics.
-      if (perturbed) {
-        std::optional<ComparatorFaultKind> cf =
-            faults_->comparator_fault(p.low, step);
-        PNode cf_node = p.low;
-        if (!cf) {
-          cf = faults_->comparator_fault(p.high, step);
-          cf_node = p.high;
-        }
-        if (cf) {
-          ++local_comp;
-          switch (*cf) {
-            case ComparatorFaultKind::kStuckPassThrough:
-              break;  // the merge-split silently never happens
-            case ComparatorFaultKind::kInverted: {
-              // The split comes out backwards: the low side keeps the
-              // *larger* half.  Both blocks stay internally ascending,
-              // so downstream merge-splits keep well-formed inputs —
-              // only the block-to-block order is wrong (multiset
-              // preserved, hence repairable).
-              if (low.front() >= high.back()) break;  // already inverted
-              std::merge(low.begin(), low.end(), high.begin(), high.end(),
-                         merged.begin());
-              std::copy(merged.begin() +
-                            static_cast<std::ptrdiff_t>(block_size_),
-                        merged.end(), low.begin());
-              std::copy(merged.begin(),
-                        merged.begin() +
-                            static_cast<std::ptrdiff_t>(block_size_),
-                        high.begin());
-              ++local_moved;
-              break;
-            }
-            case ComparatorFaultKind::kArbitrary: {
-              // Correct merge-split, then a burst of the faulty node's
-              // keys decays to deterministic garbage.  The node's local
-              // sort logic still works — only its comparator link is
-              // broken — so its block is re-sorted in place, keeping
-              // the internal-sortedness invariant merge-split needs.
-              if (low.back() > high.front()) {
-                std::merge(low.begin(), low.end(), high.begin(), high.end(),
-                           merged.begin());
-                std::copy(merged.begin(),
-                          merged.begin() +
-                              static_cast<std::ptrdiff_t>(block_size_),
-                          low.begin());
-                std::copy(merged.begin() +
-                              static_cast<std::ptrdiff_t>(block_size_),
-                          merged.end(), high.begin());
-                ++local_moved;
-              }
-              auto victim = cf_node == p.low ? low : high;
-              const int burst =
-                  std::min(faults_->comparator_burst(cf_node, step),
-                           block_size_);
-              for (int j = 0; j < burst; ++j)
-                victim[static_cast<std::size_t>(j)] =
-                    faults_->comparator_garbage(
-                        cf_node, step,
-                        i * static_cast<std::int64_t>(block_size_) + j);
-              std::sort(victim.begin(), victim.end());
-              break;
-            }
+      if (const ComparatorFault* cf = comparators.hit(p.low, p.high)) {
+        ++local_comp;
+        switch (cf->kind) {
+          case ComparatorFaultKind::kStuckPassThrough:
+            break;  // the merge-split silently never happens
+          case ComparatorFaultKind::kInverted:
+            // The split comes out backwards: the low side keeps the
+            // *larger* half.  Both blocks stay internally ascending, so
+            // downstream merge-splits keep well-formed inputs — only
+            // the block-to-block order is wrong (multiset preserved,
+            // hence repairable).
+            if (low.front() < high.back()) split(high, low);
+            break;
+          case ComparatorFaultKind::kArbitrary: {
+            // Correct merge-split, then a burst of the faulty node's
+            // keys decays to deterministic garbage.  The node's local
+            // sort logic still works — only its comparator link is
+            // broken — so its block is re-sorted in place, keeping the
+            // internal-sortedness invariant merge-split needs.
+            if (low.back() > high.front()) split(low, high);
+            auto victim = cf->node == p.low ? low : high;
+            const int burst = std::min(cf->burst, block_size_);
+            for (int j = 0; j < burst; ++j)
+              victim[static_cast<std::size_t>(j)] =
+                  faults_->comparator_garbage(
+                      cf->node, step,
+                      i * static_cast<std::int64_t>(block_size_) + j);
+            std::sort(victim.begin(), victim.end());
+            break;
           }
-          continue;
         }
+        continue;
       }
-
-      if (low.back() <= high.front()) continue;  // already split correctly
-      std::merge(low.begin(), low.end(), high.begin(), high.end(),
-                 merged.begin());
-      std::copy(merged.begin(),
-                merged.begin() + static_cast<std::ptrdiff_t>(block_size_),
-                low.begin());
-      std::copy(merged.begin() + static_cast<std::ptrdiff_t>(block_size_),
-                merged.end(), high.begin());
-      ++local_moved;
+      // Otherwise a pair already split correctly stays put.
+      if (low.back() > high.front()) split(low, high);
     }
     moved.fetch_add(local_moved, std::memory_order_relaxed);
     comp_faults.fetch_add(local_comp, std::memory_order_relaxed);

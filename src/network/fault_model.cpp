@@ -37,16 +37,38 @@ char comparator_kind_char(ComparatorFaultKind kind) {
   return '?';
 }
 
-std::uint64_t decision(std::uint64_t seed, Stream stream, std::uint64_t a,
-                       std::uint64_t b, std::uint64_t c = 0) {
-  std::uint64_t h = mix64(seed, static_cast<std::uint64_t>(stream));
-  h = mix64(h, a);
-  h = mix64(h, b);
-  return mix64(h, c);
+// The (seed, stream, a) prefix every decision of that stream starts from.
+std::uint64_t stream_prefix(std::uint64_t seed, Stream stream,
+                            std::uint64_t a) {
+  return mix64(mix64(seed, static_cast<std::uint64_t>(stream)), a);
 }
 
-bool coin(double rate, std::uint64_t h) {
-  return rate > 0 && hash_to_unit(h) < rate;
+std::uint64_t decision(std::uint64_t seed, Stream stream, std::uint64_t a,
+                       std::uint64_t b, std::uint64_t c = 0) {
+  return mix64(mix64(stream_prefix(seed, stream, a), b), c);
+}
+
+// The coin of a per-pair stream at `step`; a zero-rate coin never reads
+// its prefix, so it skips the hashing.
+StepCoin step_coin(std::uint64_t seed, double rate, Stream stream,
+                   std::int64_t step) {
+  return {rate, rate > 0 ? stream_prefix(seed, stream,
+                                         static_cast<std::uint64_t>(step))
+                         : 0};
+}
+
+// Processors 0..num_nodes-1 ordered by `hash(node)`, ties by id: the
+// deterministic draw order of stragglers and crash-burst victims.
+template <class Hash>
+std::vector<PNode> hashed_order(PNode num_nodes, Hash hash) {
+  std::vector<PNode> order(static_cast<std::size_t>(num_nodes));
+  std::iota(order.begin(), order.end(), PNode{0});
+  std::sort(order.begin(), order.end(), [&](PNode x, PNode y) {
+    const std::uint64_t hx = hash(x);
+    const std::uint64_t hy = hash(y);
+    return hx != hy ? hx < hy : x < y;
+  });
+  return order;
 }
 
 // Numeric parsing for parse_schedule_string.  std::stod/std::stoi throw
@@ -61,10 +83,13 @@ bool coin(double rate, std::uint64_t h) {
                               "'");
 }
 
-double parse_rate(const char* field, const std::string& value) {
+// Runs `parse` (a std::sto* call reporting how many characters it used)
+// on the whole token.
+template <class Parse>
+auto parse_token(const char* field, const std::string& value, Parse parse) {
   try {
     std::size_t used = 0;
-    const double v = std::stod(value, &used);
+    const auto v = parse(value, &used);
     if (used != value.size()) bad_token(field, value);
     return v;
   } catch (const std::invalid_argument&) {
@@ -72,35 +97,27 @@ double parse_rate(const char* field, const std::string& value) {
   } catch (const std::out_of_range&) {
     bad_token(field, value);
   }
+}
+
+double parse_rate(const char* field, const std::string& value) {
+  return parse_token(field, value, [](const std::string& v, std::size_t* used) {
+    return std::stod(v, used);
+  });
 }
 
 long long parse_count(const char* field, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(value, &used);
-    if (used != value.size()) bad_token(field, value);
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_token(field, value);
-  } catch (const std::out_of_range&) {
-    bad_token(field, value);
-  }
+  return parse_token(field, value, [](const std::string& v, std::size_t* used) {
+    return std::stoll(v, used);
+  });
 }
 
 std::uint64_t parse_seed(const char* field, const std::string& value) {
-  try {
-    // std::stoull accepts a leading '-' and wraps modulo 2^64; a
-    // negative seed token is junk, not a huge seed.
-    if (!value.empty() && value.front() == '-') bad_token(field, value);
-    std::size_t used = 0;
-    const unsigned long long v = std::stoull(value, &used);
-    if (used != value.size()) bad_token(field, value);
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_token(field, value);
-  } catch (const std::out_of_range&) {
-    bad_token(field, value);
-  }
+  // std::stoull accepts a leading '-' and wraps modulo 2^64; a negative
+  // seed token is junk, not a huge seed.
+  if (!value.empty() && value.front() == '-') bad_token(field, value);
+  return parse_token(field, value, [](const std::string& v, std::size_t* used) {
+    return std::stoull(v, used);
+  });
 }
 
 }  // namespace
@@ -147,9 +164,7 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
 }
 
 bool FaultModel::outage_active(std::int64_t now) const noexcept {
-  for (const OutageWindow& w : config_.outage_schedule)
-    if (now >= w.from && now < w.until) return true;
-  return false;
+  return outage_until(now) != 0;  // every window ends after time 0
 }
 
 std::int64_t FaultModel::outage_until(std::int64_t now) const noexcept {
@@ -168,16 +183,9 @@ void FaultModel::expand_bursts(PNode num_nodes) {
     // stream operand so two bursts at the same phase hit different (but
     // individually deterministic) victim sets.
     const int want = static_cast<int>(std::min<PNode>(burst.count, num_nodes));
-    std::vector<PNode> order(static_cast<std::size_t>(num_nodes));
-    std::iota(order.begin(), order.end(), PNode{0});
-    std::sort(order.begin(), order.end(), [&](PNode x, PNode y) {
-      const auto hx = decision(config_.seed, kBurstOrder,
-                               static_cast<std::uint64_t>(b),
-                               static_cast<std::uint64_t>(x));
-      const auto hy = decision(config_.seed, kBurstOrder,
-                               static_cast<std::uint64_t>(b),
-                               static_cast<std::uint64_t>(y));
-      return hx != hy ? hx < hy : x < y;
+    const std::vector<PNode> order = hashed_order(num_nodes, [&](PNode v) {
+      return decision(config_.seed, kBurstOrder, static_cast<std::uint64_t>(b),
+                      static_cast<std::uint64_t>(v));
     });
     for (int i = 0; i < want; ++i)
       burst_crashes_.push_back(
@@ -229,14 +237,9 @@ void FaultModel::select_stragglers(PNode num_nodes) {
   straggler_nodes_.clear();
   const int want = std::min<PNode>(config_.stragglers, num_nodes);
   if (want == 0) return;
-  std::vector<PNode> order(static_cast<std::size_t>(num_nodes));
-  std::iota(order.begin(), order.end(), PNode{0});
-  std::sort(order.begin(), order.end(), [&](PNode a, PNode b) {
-    const auto ha = decision(config_.seed, kStragglerOrder,
-                             static_cast<std::uint64_t>(a), 0);
-    const auto hb = decision(config_.seed, kStragglerOrder,
-                             static_cast<std::uint64_t>(b), 0);
-    return ha != hb ? ha < hb : a < b;
+  const std::vector<PNode> order = hashed_order(num_nodes, [&](PNode v) {
+    return decision(config_.seed, kStragglerOrder,
+                    static_cast<std::uint64_t>(v), 0);
   });
   for (int i = 0; i < want; ++i) {
     straggler_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = 1;
@@ -247,26 +250,28 @@ void FaultModel::select_stragglers(PNode num_nodes) {
 
 bool FaultModel::drop_packet(std::int64_t packet, std::int64_t hop,
                              int attempt) const noexcept {
-  return coin(config_.packet_drop_rate,
-              decision(config_.seed, kPacketDrop,
-                       static_cast<std::uint64_t>(packet),
-                       static_cast<std::uint64_t>(hop),
-                       static_cast<std::uint64_t>(attempt)));
+  const double rate = config_.packet_drop_rate;
+  return rate > 0 && hash_to_unit(decision(config_.seed, kPacketDrop,
+                                           static_cast<std::uint64_t>(packet),
+                                           static_cast<std::uint64_t>(hop),
+                                           static_cast<std::uint64_t>(
+                                               attempt))) < rate;
 }
 
 bool FaultModel::drop_compare_exchange(std::int64_t step,
                                        std::int64_t pair) const noexcept {
-  return coin(config_.ce_drop_rate,
-              decision(config_.seed, kCeDrop, static_cast<std::uint64_t>(step),
-                       static_cast<std::uint64_t>(pair)));
+  return step_coin(config_.seed, config_.ce_drop_rate, kCeDrop, step)(pair);
 }
 
 bool FaultModel::corrupt_key(std::int64_t step,
                              std::int64_t pair) const noexcept {
-  return coin(config_.key_corrupt_rate,
-              decision(config_.seed, kKeyCorrupt,
-                       static_cast<std::uint64_t>(step),
-                       static_cast<std::uint64_t>(pair)));
+  return step_coin(config_.seed, config_.key_corrupt_rate, kKeyCorrupt,
+                   step)(pair);
+}
+
+StepCoins FaultModel::step_coins(std::int64_t step) const noexcept {
+  return {step_coin(config_.seed, config_.ce_drop_rate, kCeDrop, step),
+          step_coin(config_.seed, config_.key_corrupt_rate, kKeyCorrupt, step)};
 }
 
 Key FaultModel::corrupted_value(std::int64_t step, std::int64_t pair,
@@ -279,26 +284,12 @@ Key FaultModel::corrupted_value(std::int64_t step, std::int64_t pair,
   return key ^ (Key{1} << (h % 48));
 }
 
-std::optional<ComparatorFaultKind> FaultModel::comparator_fault(
-    PNode node, std::int64_t phase) const noexcept {
-  for (const ComparatorFault& f : config_.comparator_schedule) {
-    if (f.node != node) continue;
-    if (phase < f.from_phase) continue;
-    if (f.until_phase != -1 && phase >= f.until_phase) continue;
-    return f.kind;
-  }
-  return std::nullopt;
-}
-
-int FaultModel::comparator_burst(PNode node,
-                                 std::int64_t phase) const noexcept {
-  for (const ComparatorFault& f : config_.comparator_schedule) {
-    if (f.node != node) continue;
-    if (phase < f.from_phase) continue;
-    if (f.until_phase != -1 && phase >= f.until_phase) continue;
-    return f.burst;
-  }
-  return 1;
+StepComparatorFaults FaultModel::comparator_faults(std::int64_t phase) const {
+  StepComparatorFaults view;
+  for (const ComparatorFault& f : config_.comparator_schedule)
+    if (phase >= f.from_phase && (f.until_phase == -1 || phase < f.until_phase))
+      view.active.push_back(f);
+  return view;
 }
 
 Key FaultModel::comparator_garbage(PNode node, std::int64_t phase,

@@ -46,6 +46,9 @@
 // bit-identically for any thread count, call order, or platform.
 // Attaching a FaultModel with all rates zero and no failed links or
 // stragglers is behaviorally identical to attaching none.
+// Cost: a stream is hashed only when its rate is > 0 or its window
+// covers the step; the machines fix each step's StepCoins and
+// StepComparatorFaults before the pair loop.
 
 #include <cstdint>
 #include <optional>
@@ -54,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/hashing.hpp"
 #include "core/multiway_merge.hpp"  // Key
 #include "graph/graph.hpp"
 #include "product/gray_code.hpp"  // PNode
@@ -150,6 +154,53 @@ struct FaultCounters {
   std::int64_t straggler_phases = 0;///< phases slowed by a straggler
   std::int64_t crashes = 0;         ///< fail-stop crash events fired
   std::int64_t comparator_faults = 0;  ///< silently-wrong compare-exchanges
+  /// Per-pair fault hashes the Machine evaluated (coins and TMR replica
+  /// picks): work accounting, not behaviour, so no report hash reads it.
+  std::int64_t decisions = 0;
+};
+
+/// One per-pair decision stream at one fault-clock step, with its
+/// (seed, stream, step) hash prefix hoisted; never hashes at rate 0.
+struct StepCoin {
+  double rate = 0;
+  std::uint64_t prefix = 0;  ///< mix64(mix64(seed, stream), step)
+
+  [[nodiscard]] bool operator()(std::int64_t pair) const noexcept {
+    return rate > 0 &&
+           hash_to_unit(mix64(mix64(prefix, static_cast<std::uint64_t>(pair)),
+                              0)) < rate;
+  }
+};
+
+/// The compare-exchange coins of one step: drop(pair) and corrupt(pair)
+/// equal FaultModel::drop_compare_exchange / corrupt_key bit for bit.
+/// A plain value: build it once per step, read it from any thread.
+struct StepCoins {
+  StepCoin drop;
+  StepCoin corrupt;
+};
+
+/// The silent comparator faults active at one fault-clock step: the
+/// schedule entries whose [from_phase, until_phase) window covers it, in
+/// schedule order.  Empty when no window covers the step.
+struct StepComparatorFaults {
+  std::vector<ComparatorFault> active;
+
+  /// The fault at `node` (the earliest covering entry), or nullptr.
+  [[nodiscard]] const ComparatorFault* at(PNode node) const noexcept {
+    for (const ComparatorFault& f : active)
+      if (f.node == node) return &f;
+    return nullptr;
+  }
+
+  /// The fault that hijacks pair (low, high) — the lower endpoint's when
+  /// both are faulty — or nullptr.
+  [[nodiscard]] const ComparatorFault* hit(PNode low,
+                                           PNode high) const noexcept {
+    if (active.empty()) return nullptr;
+    const ComparatorFault* f = at(low);
+    return f != nullptr ? f : at(high);
+  }
 };
 
 /// Thrown by the machine when a fired crash cannot be absorbed in-phase
@@ -203,6 +254,7 @@ class FaultModel {
   }
 
   // Pure decision streams (const, thread-safe, call-order independent).
+  // Each returns false without hashing when its rate is 0.
   [[nodiscard]] bool drop_packet(std::int64_t packet, std::int64_t hop,
                                  int attempt) const noexcept;
   [[nodiscard]] bool drop_compare_exchange(std::int64_t step,
@@ -213,9 +265,12 @@ class FaultModel {
   [[nodiscard]] Key corrupted_value(std::int64_t step, std::int64_t pair,
                                     Key key) const noexcept;
 
+  /// The ce-drop and key-corrupt coins of fault-clock `step`.
+  [[nodiscard]] StepCoins step_coins(std::int64_t step) const noexcept;
+
   /// True iff any compute-side fault (drops, corruption, stragglers,
-  /// silent comparator faults) is configured; the Machine fast-path
-  /// stays fault-free otherwise.
+  /// silent comparator faults) is configured: the phase observer's
+  /// "perturbed" flag.  What can fire is decided per step (step_coins).
   [[nodiscard]] bool perturbs_compute() const noexcept {
     return config_.ce_drop_rate > 0 || config_.key_corrupt_rate > 0 ||
            config_.stragglers > 0 || !config_.comparator_schedule.empty();
@@ -227,17 +282,9 @@ class FaultModel {
     return !config_.comparator_schedule.empty();
   }
 
-  /// The active comparator fault at `node` during fault-clock `phase`,
-  /// or nullopt.  When several schedule entries cover the same (node,
-  /// phase), the earliest schedule entry wins (deterministic).
-  [[nodiscard]] std::optional<ComparatorFaultKind> comparator_fault(
-      PNode node, std::int64_t phase) const noexcept;
-
-  /// Block-mode corruption burst of the active comparator fault at
-  /// (node, phase) — same earliest-entry-wins rule as comparator_fault;
-  /// 1 when no fault is active.
-  [[nodiscard]] int comparator_burst(PNode node,
-                                     std::int64_t phase) const noexcept;
+  /// The comparator faults active during fault-clock `phase`.
+  [[nodiscard]] StepComparatorFaults comparator_faults(
+      std::int64_t phase) const;
 
   /// The deterministic garbage an arbitrary-output comparator emits —
   /// derived from (seed, node, phase, pair) so the value is stable
@@ -250,6 +297,7 @@ class FaultModel {
   /// redundancy: one physical fault corrupts one replica, so majority
   /// voting masks any single faulty comparator per pair; two faulty
   /// endpoints on distinct replicas can still outvote the healthy one.
+  /// Hashed only for an endpoint with an active comparator fault.
   [[nodiscard]] int faulty_replica(PNode node) const noexcept;
 
   // --- correlated faults (fault domains) ---------------------------------

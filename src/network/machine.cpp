@@ -1,12 +1,219 @@
 #include "network/machine.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
 #include <stdexcept>
 
 #include "product/snake_order.hpp"
 
 namespace prodsort {
+
+namespace {
+
+/// What one chunk of a compare-exchange step did; chunks merge once.
+struct PairTally {
+  std::int64_t swaps = 0;
+  std::int64_t drops = 0;
+  std::int64_t corruptions = 0;
+  std::int64_t comparator_faults = 0;
+  std::int64_t masked = 0;     ///< TMR replica outcomes the vote overruled
+  std::int64_t decisions = 0;  ///< per-pair fault hashes evaluated
+
+  PairTally& operator+=(const PairTally& o) {
+    swaps += o.swaps;
+    drops += o.drops;
+    corruptions += o.corruptions;
+    comparator_faults += o.comparator_faults;
+    masked += o.masked;
+    decisions += o.decisions;
+    return *this;
+  }
+};
+
+/// The one compare-exchange kernel: `policy(i, pair, low, high, tally)`
+/// runs pair i.  Pairs are disjoint and every fault decision is a pure
+/// hash of (step, pair index), so any thread count commits identical
+/// outcomes.
+template <class Policy>
+PairTally compare_exchange_pairs(std::span<const CEPair> pairs,
+                                 std::span<Key> keys,
+                                 ParallelExecutor* executor,
+                                 const Policy& policy) {
+  const auto run = [&](std::int64_t begin, std::int64_t end) {
+    PairTally tally;
+    for (std::int64_t i = begin; i < end; ++i) {
+      const CEPair& p = pairs[static_cast<std::size_t>(i)];
+      policy(i, p, keys[static_cast<std::size_t>(p.low)],
+             keys[static_cast<std::size_t>(p.high)], tally);
+    }
+    return tally;
+  };
+  const auto count = static_cast<std::int64_t>(pairs.size());
+  if (executor == nullptr) return run(0, count);
+  PairTally total;
+  std::mutex merge;
+  executor->parallel_for(count, [&](std::int64_t begin, std::int64_t end) {
+    const PairTally tally = run(begin, end);
+    const std::lock_guard<std::mutex> lock(merge);
+    total += tally;
+  });
+  return total;
+}
+
+/// The fault-free exchange: min to the low node.
+struct PlainPolicy {
+  void operator()(std::int64_t, const CEPair&, Key& low, Key& high,
+                  PairTally& tally) const {
+    if (low > high) {
+      std::swap(low, high);
+      ++tally.swaps;
+    }
+  }
+};
+
+/// Tosses `coin` for `event`, counting the hash when one is made.
+bool toss(const StepCoin& coin, std::int64_t event, PairTally& tally) {
+  if (coin.rate <= 0) return false;
+  ++tally.decisions;
+  return coin(event);
+}
+
+/// The faults that can fire in one step, fixed before the pair loop.
+struct StepFaults {
+  const FaultModel* fm = nullptr;
+  std::int64_t step = 0;
+  StepCoins coins;
+  StepComparatorFaults comparators;
+
+  [[nodiscard]] bool can_fire() const {
+    return coins.drop.rate > 0 || coins.corrupt.rate > 0 ||
+           !comparators.active.empty();
+  }
+
+  /// Pair i run by the silently-broken comparator `f`; returns whether
+  /// the keys swapped.  Nothing loud happens — only the certificate
+  /// layer can tell (core/certifier.hpp).
+  bool broken_exchange(const ComparatorFault& f, std::int64_t i,
+                       const CEPair& p, Key& low, Key& high) const {
+    switch (f.kind) {
+      case ComparatorFaultKind::kStuckPassThrough:
+        return false;  // the exchange silently never happens
+      case ComparatorFaultKind::kInverted:
+        if (low >= high) return false;
+        std::swap(low, high);  // max and min come out swapped
+        return true;
+      case ComparatorFaultKind::kArbitrary: {
+        const bool swapped = low > high;
+        if (swapped) std::swap(low, high);
+        (f.node == p.low ? low : high) =
+            fm->comparator_garbage(f.node, step, i);
+        return swapped;
+      }
+    }
+    return false;
+  }
+};
+
+/// One comparator per pair, under the step's faults.
+struct FaultyPolicy {
+  const StepFaults& faults;
+
+  void operator()(std::int64_t i, const CEPair& p, Key& low, Key& high,
+                  PairTally& tally) const {
+    // A broken comparator at either endpoint hijacks the exchange.
+    if (const ComparatorFault* f = faults.comparators.hit(p.low, p.high)) {
+      ++tally.comparator_faults;
+      tally.swaps += faults.broken_exchange(*f, i, p, low, high);
+      return;
+    }
+    if (toss(faults.coins.drop, i, tally)) {  // message lost: no exchange
+      ++tally.drops;
+      return;
+    }
+    if (low > high) {
+      std::swap(low, high);
+      ++tally.swaps;
+    }
+    if (toss(faults.coins.corrupt, i, tally)) {
+      low = faults.fm->corrupted_value(faults.step, i, low);
+      ++tally.corruptions;
+    }
+  }
+};
+
+/// Three comparator replicas per pair and a majority vote.  Replica r of
+/// pair i consumes the per-message decision streams under event id
+/// i*3+r, and a broken comparator at a node corrupts only that node's
+/// seed-hashed replica.
+struct TmrPolicy {
+  const StepFaults& faults;
+
+  void operator()(std::int64_t i, const CEPair& p, Key& low, Key& high,
+                  PairTally& tally) const {
+    // Hash the replica only for an endpoint whose comparator is broken.
+    const ComparatorFault* low_fault = faults.comparators.at(p.low);
+    const ComparatorFault* high_fault = faults.comparators.at(p.high);
+    const int low_replica = replica(low_fault, tally);
+    const int high_replica = replica(high_fault, tally);
+
+    Key out_low[3];
+    Key out_high[3];
+    bool perturbed[3] = {false, false, false};
+    for (int r = 0; r < 3; ++r) {
+      Key lo = low;
+      Key hi = high;
+      const std::int64_t ev = i * 3 + r;
+      const ComparatorFault* f = r == low_replica    ? low_fault
+                                 : r == high_replica ? high_fault
+                                                     : nullptr;
+      if (f != nullptr) {
+        ++tally.comparator_faults;
+        perturbed[r] = true;
+        (void)faults.broken_exchange(*f, i, p, lo, hi);
+      } else if (toss(faults.coins.drop, ev, tally)) {
+        ++tally.drops;
+        perturbed[r] = true;  // message lost: outputs = inputs
+      } else {
+        if (lo > hi) std::swap(lo, hi);
+        if (toss(faults.coins.corrupt, ev, tally)) {
+          lo = faults.fm->corrupted_value(faults.step, ev, lo);
+          ++tally.corruptions;
+          perturbed[r] = true;
+        }
+      }
+      out_low[r] = lo;
+      out_high[r] = hi;
+    }
+
+    const auto agree = [&](int a, int b) {
+      return out_low[a] == out_low[b] && out_high[a] == out_high[b];
+    };
+    // Majority vote; a three-way disagreement falls back to replica 0.
+    const int win = (agree(0, 1) || agree(0, 2)) ? 0 : (agree(1, 2) ? 1 : 0);
+    for (int r = 0; r < 3; ++r)
+      if (perturbed[r] && !agree(r, win)) ++tally.masked;
+    if (out_low[win] != low || out_high[win] != high) ++tally.swaps;
+    low = out_low[win];
+    high = out_high[win];
+  }
+
+  int replica(const ComparatorFault* f, PairTally& tally) const {
+    if (f == nullptr) return -1;
+    ++tally.decisions;
+    return faults.fm->faulty_replica(f->node);
+  }
+};
+
+/// A synchronous step runs at its slowest processor's pace.
+int straggler_slowdown(const FaultModel* fm, std::span<const CEPair> pairs) {
+  if (fm == nullptr || fm->config().stragglers == 0) return 1;
+  for (const CEPair& p : pairs)
+    if (fm->is_straggler(p.low) || fm->is_straggler(p.high))
+      return fm->config().straggler_factor;
+  return 1;
+}
+
+}  // namespace
 
 Machine::Machine(const ProductGraph& pg, std::vector<Key> keys,
                  ParallelExecutor* executor)
@@ -62,40 +269,50 @@ void Machine::compare_exchange_step(std::span<const CEPair> pairs,
     ++cost_.degraded_phases;
   }
 
-  if (tmr_) {
-    tmr_compare_exchange_step(pairs, hop_distance, step);
-    if (observer_ != nullptr) observer_->after_phase(keys_);
-    return;
-  }
-
-  if (faults_ != nullptr && faults_->perturbs_compute()) {
-    faulty_compare_exchange_step(pairs, hop_distance, step);
-    if (observer_ != nullptr) observer_->after_phase(keys_);
-    return;
-  }
-
-  std::atomic<std::int64_t> swaps{0};
-  auto body = [&](std::int64_t begin, std::int64_t end) {
-    std::int64_t local_swaps = 0;
-    for (std::int64_t i = begin; i < end; ++i) {
-      const CEPair& p = pairs[static_cast<std::size_t>(i)];
-      Key& low = keys_[static_cast<std::size_t>(p.low)];
-      Key& high = keys_[static_cast<std::size_t>(p.high)];
-      if (low > high) {
-        std::swap(low, high);
-        ++local_swaps;
-      }
-    }
-    swaps.fetch_add(local_swaps, std::memory_order_relaxed);
+  // The step's coins and active comparator faults are fixed before the
+  // pair loop.  A step where neither can fire runs the plain loop, in
+  // TMR mode too: three fault-free replicas always agree with it.
+  StepFaults faults;
+  if (faults_ != nullptr)
+    faults = {faults_, step, faults_->step_coins(step),
+              faults_->comparator_faults(step)};
+  const auto run = [&](const auto& policy) {
+    return compare_exchange_pairs(pairs, keys_, executor_, policy);
   };
-  if (executor_ != nullptr)
-    executor_->parallel_for(static_cast<std::int64_t>(pairs.size()), body);
-  else
-    body(0, static_cast<std::int64_t>(pairs.size()));
+  const PairTally tally = !faults.can_fire() ? run(PlainPolicy{})
+                          : tmr_             ? run(TmrPolicy{faults})
+                                             : run(FaultyPolicy{faults});
 
-  cost_.exec_steps += hop_distance;
-  cost_.comparisons += static_cast<std::int64_t>(pairs.size());
-  cost_.exchanges += swaps.load(std::memory_order_relaxed);
+  const int slow = straggler_slowdown(faults_, pairs);
+  const auto count = static_cast<std::int64_t>(pairs.size());
+  cost_.exec_steps += static_cast<std::int64_t>(hop_distance) * slow;
+  cost_.exchanges += tally.swaps;
+  if (tmr_) {
+    // Honest redundancy charge: three replica evaluations per pair and
+    // one extra synchronous step for the vote.  Replica-level drops and
+    // corruptions are absorbed by the vote, never redone, so they land
+    // in the model's tallies but not in retries.
+    cost_.exec_steps += 1;
+    cost_.comparisons += 3 * count;
+    ++cost_.tmr_phases;
+    cost_.tmr_masked += tally.masked;
+    if (slow > 1) ++cost_.degraded_phases;
+  } else {
+    cost_.comparisons += count - tally.drops;
+    cost_.retries += tally.drops;
+    if (tally.drops > 0 || tally.corruptions > 0 || slow > 1)
+      ++cost_.degraded_phases;
+  }
+  if (faults_ != nullptr) {
+    FaultCounters& counters = faults_->counters();
+    counters.ce_drops += tally.drops;
+    counters.key_corruptions += tally.corruptions;
+    // Ground truth for tests and soaks only: a comparator fault is
+    // deliberately absent from degraded_phases — silence is the point.
+    counters.comparator_faults += tally.comparator_faults;
+    counters.decisions += tally.decisions;
+    if (slow > 1) ++counters.straggler_phases;
+  }
 
   if (observer_ != nullptr) observer_->after_phase(keys_);
 }
@@ -110,12 +327,9 @@ bool Machine::fire_crashes(std::span<const CEPair> pairs, std::int64_t step) {
     if (fm.is_dead(v)) continue;  // already dead: fail-stop is idempotent
     ++cost_.crashes;
 
-    bool paired = false;
-    for (const CEPair& p : pairs)
-      if (p.low == v || p.high == v) {
-        paired = true;
-        break;
-      }
+    const bool paired =
+        std::any_of(pairs.begin(), pairs.end(),
+                    [v](const CEPair& p) { return p.low == v || p.high == v; });
 
     if (!crash->permanent && paired) {
       // The node died mid-exchange: its partner holds both values of the
@@ -133,234 +347,6 @@ bool Machine::fire_crashes(std::span<const CEPair> pairs, std::int64_t step) {
     throw CrashInterrupt(v, step, crash->permanent);
   }
   return reexec;
-}
-
-void Machine::faulty_compare_exchange_step(std::span<const CEPair> pairs,
-                                           int hop_distance,
-                                           std::int64_t step) {
-  FaultModel& fm = *faults_;
-
-  // Per-pair fault decisions are pure hashes of (step, pair index) and
-  // every pair touches disjoint keys, so the parallel path stays
-  // deterministic for any thread count.
-  std::atomic<std::int64_t> swaps{0}, drops{0}, corruptions{0}, comp_faults{0};
-  auto body = [&](std::int64_t begin, std::int64_t end) {
-    std::int64_t local_swaps = 0, local_drops = 0, local_corruptions = 0;
-    std::int64_t local_comp = 0;
-    for (std::int64_t i = begin; i < end; ++i) {
-      const CEPair& p = pairs[static_cast<std::size_t>(i)];
-      Key& low = keys_[static_cast<std::size_t>(p.low)];
-      Key& high = keys_[static_cast<std::size_t>(p.high)];
-
-      // A silently-broken comparator at either endpoint hijacks the
-      // exchange (lower node wins when both are faulty).  Nothing loud
-      // happens: no drop, no throw — only the certificate layer can
-      // tell (core/certifier.hpp).
-      if (fm.has_comparator_faults()) {
-        std::optional<ComparatorFaultKind> cf = fm.comparator_fault(p.low, step);
-        PNode cf_node = p.low;
-        if (!cf) {
-          cf = fm.comparator_fault(p.high, step);
-          cf_node = p.high;
-        }
-        if (cf) {
-          ++local_comp;
-          switch (*cf) {
-            case ComparatorFaultKind::kStuckPassThrough:
-              break;  // the exchange silently never happens
-            case ComparatorFaultKind::kInverted:
-              if (low < high) {
-                std::swap(low, high);  // max and min come out swapped
-                ++local_swaps;
-              }
-              break;
-            case ComparatorFaultKind::kArbitrary:
-              if (low > high) {
-                std::swap(low, high);
-                ++local_swaps;
-              }
-              (cf_node == p.low ? low : high) =
-                  fm.comparator_garbage(cf_node, step, i);
-              break;
-          }
-          continue;
-        }
-      }
-
-      if (fm.drop_compare_exchange(step, i)) {  // message lost: no exchange
-        ++local_drops;
-        continue;
-      }
-      if (low > high) {
-        std::swap(low, high);
-        ++local_swaps;
-      }
-      if (fm.corrupt_key(step, i)) {
-        low = fm.corrupted_value(step, i, low);
-        ++local_corruptions;
-      }
-    }
-    swaps.fetch_add(local_swaps, std::memory_order_relaxed);
-    drops.fetch_add(local_drops, std::memory_order_relaxed);
-    corruptions.fetch_add(local_corruptions, std::memory_order_relaxed);
-    comp_faults.fetch_add(local_comp, std::memory_order_relaxed);
-  };
-  if (executor_ != nullptr)
-    executor_->parallel_for(static_cast<std::int64_t>(pairs.size()), body);
-  else
-    body(0, static_cast<std::int64_t>(pairs.size()));
-
-  // Straggler slowdown: the phase is synchronous, so one slow processor
-  // stretches the whole step.
-  int slow = 1;
-  if (fm.config().stragglers > 0) {
-    for (const CEPair& p : pairs) {
-      if (fm.is_straggler(p.low) || fm.is_straggler(p.high)) {
-        slow = fm.config().straggler_factor;
-        break;
-      }
-    }
-  }
-
-  const std::int64_t dropped = drops.load(std::memory_order_relaxed);
-  const std::int64_t corrupted = corruptions.load(std::memory_order_relaxed);
-  cost_.exec_steps += static_cast<std::int64_t>(hop_distance) * slow;
-  cost_.comparisons += static_cast<std::int64_t>(pairs.size()) - dropped;
-  cost_.exchanges += swaps.load(std::memory_order_relaxed);
-  cost_.retries += dropped;
-  if (dropped > 0 || corrupted > 0 || slow > 1) ++cost_.degraded_phases;
-
-  fm.counters().ce_drops += dropped;
-  fm.counters().key_corruptions += corrupted;
-  // Ground truth for tests and soaks only: a comparator fault is
-  // deliberately absent from degraded_phases — silence is the point.
-  fm.counters().comparator_faults +=
-      comp_faults.load(std::memory_order_relaxed);
-  if (slow > 1) ++fm.counters().straggler_phases;
-}
-
-void Machine::tmr_compare_exchange_step(std::span<const CEPair> pairs,
-                                        int hop_distance, std::int64_t step) {
-  FaultModel* fm = faults_;
-  const bool perturbed = fm != nullptr && fm->perturbs_compute();
-
-  // Each pair is evaluated by three comparator replicas; the majority
-  // (low, high) outcome is committed.  Replica r of pair i consumes the
-  // per-message decision streams under event id i*3+r, and a
-  // silently-faulty comparator at a node corrupts only that node's
-  // seed-hashed replica — all pure hashes, so any thread count commits
-  // identical outcomes.
-  std::atomic<std::int64_t> swaps{0}, drops{0}, corruptions{0}, comp_faults{0},
-      masked{0};
-  auto body = [&](std::int64_t begin, std::int64_t end) {
-    std::int64_t local_swaps = 0, local_drops = 0, local_corruptions = 0;
-    std::int64_t local_comp = 0, local_masked = 0;
-    for (std::int64_t i = begin; i < end; ++i) {
-      const CEPair& p = pairs[static_cast<std::size_t>(i)];
-      const Key in_low = keys_[static_cast<std::size_t>(p.low)];
-      const Key in_high = keys_[static_cast<std::size_t>(p.high)];
-      Key out_low[3];
-      Key out_high[3];
-      bool replica_perturbed[3] = {false, false, false};
-
-      for (int r = 0; r < 3; ++r) {
-        Key lo = in_low;
-        Key hi = in_high;
-        const std::int64_t ev = i * 3 + r;
-        std::optional<ComparatorFaultKind> cf;
-        PNode cf_node = -1;
-        if (perturbed && fm->has_comparator_faults()) {
-          if (fm->faulty_replica(p.low) == r) {
-            cf = fm->comparator_fault(p.low, step);
-            cf_node = p.low;
-          }
-          if (!cf && fm->faulty_replica(p.high) == r) {
-            cf = fm->comparator_fault(p.high, step);
-            cf_node = p.high;
-          }
-        }
-        if (cf) {
-          ++local_comp;
-          replica_perturbed[r] = true;
-          switch (*cf) {
-            case ComparatorFaultKind::kStuckPassThrough:
-              break;
-            case ComparatorFaultKind::kInverted:
-              if (lo < hi) std::swap(lo, hi);
-              break;
-            case ComparatorFaultKind::kArbitrary:
-              if (lo > hi) std::swap(lo, hi);
-              (cf_node == p.low ? lo : hi) =
-                  fm->comparator_garbage(cf_node, step, i);
-              break;
-          }
-        } else if (perturbed && fm->drop_compare_exchange(step, ev)) {
-          ++local_drops;
-          replica_perturbed[r] = true;  // message lost: outputs = inputs
-        } else {
-          if (lo > hi) std::swap(lo, hi);
-          if (perturbed && fm->corrupt_key(step, ev)) {
-            lo = fm->corrupted_value(step, ev, lo);
-            ++local_corruptions;
-            replica_perturbed[r] = true;
-          }
-        }
-        out_low[r] = lo;
-        out_high[r] = hi;
-      }
-
-      const auto agree = [&](int a, int b) {
-        return out_low[a] == out_low[b] && out_high[a] == out_high[b];
-      };
-      // Majority vote; a three-way disagreement falls back to replica 0.
-      const int win = (agree(0, 1) || agree(0, 2)) ? 0 : (agree(1, 2) ? 1 : 0);
-      for (int r = 0; r < 3; ++r)
-        if (replica_perturbed[r] && !agree(r, win)) ++local_masked;
-
-      keys_[static_cast<std::size_t>(p.low)] = out_low[win];
-      keys_[static_cast<std::size_t>(p.high)] = out_high[win];
-      if (out_low[win] != in_low || out_high[win] != in_high) ++local_swaps;
-    }
-    swaps.fetch_add(local_swaps, std::memory_order_relaxed);
-    drops.fetch_add(local_drops, std::memory_order_relaxed);
-    corruptions.fetch_add(local_corruptions, std::memory_order_relaxed);
-    comp_faults.fetch_add(local_comp, std::memory_order_relaxed);
-    masked.fetch_add(local_masked, std::memory_order_relaxed);
-  };
-  if (executor_ != nullptr)
-    executor_->parallel_for(static_cast<std::int64_t>(pairs.size()), body);
-  else
-    body(0, static_cast<std::int64_t>(pairs.size()));
-
-  int slow = 1;
-  if (fm != nullptr && fm->config().stragglers > 0) {
-    for (const CEPair& p : pairs) {
-      if (fm->is_straggler(p.low) || fm->is_straggler(p.high)) {
-        slow = fm->config().straggler_factor;
-        break;
-      }
-    }
-  }
-
-  // Honest redundancy charge: three replica evaluations per pair and
-  // one extra synchronous step for the vote.
-  cost_.exec_steps += static_cast<std::int64_t>(hop_distance) * slow + 1;
-  cost_.comparisons += 3 * static_cast<std::int64_t>(pairs.size());
-  cost_.exchanges += swaps.load(std::memory_order_relaxed);
-  ++cost_.tmr_phases;
-  cost_.tmr_masked += masked.load(std::memory_order_relaxed);
-  if (slow > 1) ++cost_.degraded_phases;
-
-  if (fm != nullptr) {
-    // Replica-level drops/corruptions are absorbed by the vote, never
-    // redone, so they land in the model's tallies but not in retries.
-    fm->counters().ce_drops += drops.load(std::memory_order_relaxed);
-    fm->counters().key_corruptions +=
-        corruptions.load(std::memory_order_relaxed);
-    fm->counters().comparator_faults +=
-        comp_faults.load(std::memory_order_relaxed);
-    if (slow > 1) ++fm->counters().straggler_phases;
-  }
 }
 
 std::vector<Key> Machine::read_snake(const ViewSpec& view) const {

@@ -106,12 +106,14 @@ class Machine {
   /// evaluated by three comparator replicas and the majority outcome is
   /// committed.  The redundancy is *spatial* — a silently-faulty
   /// comparator (FaultConfig::comparator_schedule) occupies one
-  /// seed-hashed replica (FaultModel::faulty_replica), so voting masks
-  /// any single faulty comparator per pair; per-message faults (CE
-  /// drops, corruption) are decided per replica and masked the same
-  /// way.  Honestly charged: 3x comparisons plus one extra exec step
-  /// per phase for the vote (CostModel::tmr_phases / tmr_masked).
-  /// Without faults the voted outcome is bit-identical to plain mode.
+  /// seed-hashed replica (FaultModel::faulty_replica, hashed only for an
+  /// endpoint whose fault window covers the step), so voting masks any
+  /// single faulty comparator per pair; per-message faults (CE drops,
+  /// corruption) are decided per replica and masked the same way.
+  /// Honestly charged: 3x comparisons plus one extra exec step per phase
+  /// for the vote (CostModel::tmr_phases / tmr_masked).  Without faults
+  /// the voted outcome is bit-identical to plain mode, so a step where
+  /// no fault can fire runs the plain loop and is charged as TMR.
   void set_tmr(bool on) noexcept { tmr_ = on; }
   [[nodiscard]] bool tmr() const noexcept { return tmr_; }
 
@@ -139,10 +141,6 @@ class Machine {
                                   bool descending = false) const;
 
  private:
-  void faulty_compare_exchange_step(std::span<const CEPair> pairs,
-                                    int hop_distance, std::int64_t step);
-  void tmr_compare_exchange_step(std::span<const CEPair> pairs,
-                                 int hop_distance, std::int64_t step);
   /// Fires due crash events for `step`; returns true when the phase must
   /// be re-executed (partner recovery), throws CrashInterrupt when the
   /// lost key has no live copy.

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <random>
 
+#include "core/hashing.hpp"
 #include "core/product_sort.hpp"
 #include "core/s2/snake_oet_s2.hpp"
 #include "graph/graph_algos.hpp"
@@ -493,6 +494,192 @@ TEST(FaultModelTest, RejectsInvalidConfig) {
   FaultConfig negative;
   negative.failed_links = -1;
   EXPECT_THROW(FaultModel{negative}, std::invalid_argument);
+}
+
+// The per-pair decision formula written out: four splitmix64 rounds over
+// (seed, stream tag, step, pair, 0), tested against the rate.
+bool written_out_coin(std::uint64_t seed, std::uint64_t tag, double rate,
+                      std::int64_t step, std::int64_t pair) {
+  std::uint64_t h = mix64(seed, tag);
+  h = mix64(h, static_cast<std::uint64_t>(step));
+  h = mix64(h, static_cast<std::uint64_t>(pair));
+  h = mix64(h, 0);
+  return rate > 0 && hash_to_unit(h) < rate;
+}
+
+// The per-step coins hoist the (seed, stream, step) hash prefix out of
+// the pair loop; they and the per-call streams must answer exactly as
+// the written-out formula does.
+TEST(FaultDecisionEquivalence, StepCoinsMatchPerCallDecisions) {
+  constexpr std::uint64_t kCeDropTag = 0x63656472;      // "cedr"
+  constexpr std::uint64_t kKeyCorruptTag = 0x6b657963;  // "keyc"
+  for (const std::uint64_t seed :
+       {std::uint64_t{1}, std::uint64_t{7}, (std::uint64_t{1} << 63) + 5}) {
+    for (const double rate : {0.0, 1e-3, 0.5, 1.0}) {
+      FaultConfig config;
+      config.seed = seed;
+      config.ce_drop_rate = rate;
+      config.key_corrupt_rate = rate;
+      const FaultModel fm(config);
+      std::int64_t mismatches = 0;
+      std::int64_t drops = 0;
+      for (std::int64_t step = 0; step <= 200; ++step) {
+        const StepCoins coins = fm.step_coins(step);
+        for (std::int64_t pair = 0; pair <= 4096; ++pair) {
+          const bool drop =
+              written_out_coin(seed, kCeDropTag, rate, step, pair);
+          const bool corrupt =
+              written_out_coin(seed, kKeyCorruptTag, rate, step, pair);
+          mismatches += coins.drop(pair) != drop;
+          mismatches += fm.drop_compare_exchange(step, pair) != drop;
+          mismatches += coins.corrupt(pair) != corrupt;
+          mismatches += fm.corrupt_key(step, pair) != corrupt;
+          drops += drop;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "seed " << seed << " rate " << rate;
+      // The streams really are live: rate 0 never fires, rate 1 always.
+      const std::int64_t draws = 201 * 4097;
+      if (rate == 0 || rate == 1) {
+        EXPECT_EQ(drops, rate == 0 ? 0 : draws);
+      } else {
+        EXPECT_NEAR(static_cast<double>(drops) / draws, rate, 0.01);
+      }
+    }
+  }
+}
+
+// Today's rule, written out: the first schedule entry covering
+// (node, phase) is the node's fault.
+const ComparatorFault* scheduled_fault(const FaultConfig& config, PNode node,
+                                       std::int64_t phase) {
+  for (const ComparatorFault& f : config.comparator_schedule)
+    if (f.node == node && phase >= f.from_phase &&
+        (f.until_phase == -1 || phase < f.until_phase))
+      return &f;
+  return nullptr;
+}
+
+TEST(FaultDecisionEquivalence, StepComparatorViewMatchesScheduleLookup) {
+  using Kind = ComparatorFaultKind;
+  FaultConfig config;
+  config.seed = 3;
+  config.comparator_schedule = {
+      // Overlapping windows on node 2: the first entry wins on 5..9.
+      {.node = 2, .from_phase = 5, .until_phase = 20, .kind = Kind::kInverted},
+      {.node = 2, .from_phase = 0, .until_phase = 10,
+       .kind = Kind::kStuckPassThrough},
+      {.node = 2, .from_phase = 15, .until_phase = -1, .kind = Kind::kArbitrary,
+       .burst = 3},
+      // Adjacent windows on node 4.
+      {.node = 4, .from_phase = 10, .until_phase = 20, .kind = Kind::kInverted},
+      {.node = 4, .from_phase = 20, .until_phase = 30,
+       .kind = Kind::kStuckPassThrough},
+      // Permanent faults on nodes 5 and 6: pair (5, 6) has two faulty
+      // endpoints.
+      {.node = 5, .from_phase = 0, .until_phase = -1, .kind = Kind::kArbitrary,
+       .burst = 2},
+      {.node = 6, .from_phase = 25, .until_phase = -1,
+       .kind = Kind::kInverted},
+  };
+  const FaultModel fm(config);
+  constexpr PNode kNodes = 8;
+  for (std::int64_t phase = 0; phase < 40; ++phase) {
+    const StepComparatorFaults view = fm.comparator_faults(phase);
+    bool any = false;
+    for (PNode node = 0; node < kNodes; ++node) {
+      const ComparatorFault* want = scheduled_fault(config, node, phase);
+      any = any || want != nullptr;
+      if (want != nullptr) {
+        ASSERT_NE(view.at(node), nullptr) << node << "@" << phase;
+        EXPECT_EQ(*view.at(node), *want) << node << "@" << phase;
+      } else {
+        EXPECT_EQ(view.at(node), nullptr) << node << "@" << phase;
+      }
+      for (PNode partner = 0; partner < kNodes; ++partner) {
+        if (partner == node) continue;
+        const ComparatorFault* hit = view.hit(node, partner);
+        const ComparatorFault* expected =
+            want != nullptr ? want : scheduled_fault(config, partner, phase);
+        ASSERT_EQ(hit == nullptr, expected == nullptr)
+            << node << "," << partner << "@" << phase;
+        if (hit == nullptr) continue;
+        EXPECT_EQ(hit->kind, expected->kind);
+        EXPECT_EQ(hit->node, expected->node);
+        EXPECT_EQ(hit->burst, expected->burst);
+      }
+    }
+    EXPECT_EQ(view.active.empty(), !any) << "phase " << phase;
+  }
+  EXPECT_TRUE(FaultModel{FaultConfig{}}.comparator_faults(0).active.empty());
+}
+
+// FaultCounters::decisions is the exact work count of the per-pair fault
+// hashes: zero when no fault can fire, one coin per pair and stream
+// otherwise.
+std::int64_t sort_decisions(const FaultConfig& config, bool tmr,
+                            CostModel* cost = nullptr) {
+  const ProductGraph pg(labeled_cycle(4), 3);
+  FaultModel fm(config);
+  Machine m(pg, random_keys(pg.num_nodes(), 17));
+  m.set_fault_model(&fm);
+  m.set_tmr(tmr);
+  const SnakeOETS2 oet;
+  SortOptions options;
+  options.s2 = &oet;
+  (void)sort_product_network(m, options);
+  if (cost != nullptr) *cost = m.cost();
+  return fm.counters().decisions;
+}
+
+TEST(FaultDecisionWork, ZeroRatesHashNothing) {
+  FaultConfig quiet;
+  quiet.seed = 9;
+  quiet.stragglers = 2;
+  quiet.straggler_factor = 3;
+  EXPECT_EQ(sort_decisions(FaultConfig{}, false), 0);
+  EXPECT_EQ(sort_decisions(FaultConfig{}, true), 0);
+  EXPECT_EQ(sort_decisions(quiet, false), 0);
+  EXPECT_EQ(sort_decisions(quiet, true), 0);
+}
+
+TEST(FaultDecisionWork, CeOnlyHashesOneCoinPerPair) {
+  FaultConfig ce;
+  ce.seed = 4;
+  ce.ce_drop_rate = 0.05;
+  CostModel cost;
+  // Every pair draws one ce-drop coin: the dropped ones count as
+  // retries, the rest as comparisons.
+  const std::int64_t plain = sort_decisions(ce, false, &cost);
+  EXPECT_GT(cost.retries, 0);
+  EXPECT_EQ(plain, cost.comparisons + cost.retries);
+  // Under TMR every replica draws its own coin.
+  const std::int64_t tmr = sort_decisions(ce, true, &cost);
+  EXPECT_EQ(tmr, cost.comparisons);
+}
+
+TEST(FaultDecisionWork, TmrHashesReplicasOnlyInsideComparatorWindows) {
+  const ProductGraph pg(labeled_path(4), 2);
+  FaultConfig config;
+  config.seed = 2;
+  config.comparator_schedule = {{.node = 1,
+                                 .from_phase = 3,
+                                 .until_phase = 6,
+                                 .kind = ComparatorFaultKind::kInverted}};
+  FaultModel fm(config);
+  Machine m(pg, random_keys(pg.num_nodes(), 3));
+  m.set_fault_model(&fm);
+  m.set_tmr(true);
+  const std::vector<CEPair> pairs = {{0, 1}, {2, 3}, {4, 5}, {6, 7}};
+  for (std::int64_t step = 0; step < 10; ++step) {
+    const std::int64_t before = fm.counters().decisions;
+    m.compare_exchange_step(pairs);
+    // Inside the window one endpoint (node 1) is faulty: one replica
+    // pick.  Outside it nothing is hashed.
+    EXPECT_EQ(fm.counters().decisions - before, step >= 3 && step < 6 ? 1 : 0)
+        << "step " << step;
+  }
+  EXPECT_EQ(fm.counters().comparator_faults, 3);
 }
 
 }  // namespace
