@@ -13,6 +13,10 @@
 #      - no inline NOLINT / cppcheck-suppress in the sources: tidy noise
 #        is tuned in .clang-tidy, cppcheck noise is baselined in
 #        scripts/cppcheck-suppressions.txt (zero-scatter policy);
+#      - no hand-written hash folds (`mix_i64(`, `mix64(h,`) in
+#        src/**/*_report.cpp: a report hash goes through the struct's
+#        declared field list (core/report_fields.hpp), so no field can
+#        drop out of the replay gate unseen;
 #   2. clang-format --dry-run -Werror over the C++ sources;
 #   3. clang-tidy with the repo .clang-tidy over compile_commands.json;
 #   4. cppcheck with the documented suppression baseline.
@@ -66,6 +70,15 @@ if grep -rn 'NOLINT\|cppcheck-suppress' "$repo/src" "$repo/tools" \
      2>/dev/null; then
   note "lint: inline suppressions are not allowed; tune .clang-tidy or"
   note "lint: add to scripts/cppcheck-suppressions.txt with a reason"
+  status=1
+fi
+
+note "lint: checking that report hashes fold the declared field lists"
+# shellcheck disable=SC2046
+if grep -n 'mix_i64(\|mix64(h,' $(find "$repo/src" -name '*_report.cpp' |
+                                   sort); then
+  note "lint: fold report fields through fields() and HashFold"
+  note "lint: (core/report_fields.hpp), not by hand"
   status=1
 fi
 

@@ -55,32 +55,44 @@ struct CostModel {
   std::int64_t cert_steps = 0;    ///< exec_steps spent on certification
   std::int64_t certificates = 0;  ///< charged certifications issued
 
-  // Sort-service accounting (src/service/ and docs/SERVICE.md): how a
-  // backend pool member spent its life serving multi-tenant jobs.
-  std::int64_t service_attempts = 0; ///< sort attempts dispatched here
-  std::int64_t service_retries = 0;  ///< attempts beyond each job's first
+  /// The one field list, in declaration order: the paper clocks and
+  /// work counters, then fault_fields().  `v(name, field...)` is called
+  /// with the same field of every CostModel passed, so operator+= walks
+  /// two models in lockstep.
+  static void fields(auto&& v, auto&... self) {
+    v("s2_phases", self.s2_phases...);
+    v("routing_phases", self.routing_phases...);
+    v("formula_time", self.formula_time...);
+    v("exec_steps", self.exec_steps...);
+    v("comparisons", self.comparisons...);
+    v("exchanges", self.exchanges...);
+    fault_fields(v, self...);
+  }
+
+  /// The fault/recovery group: what reset_fault_counters() zeroes.
+  static void fault_fields(auto&& v, auto&... self) {
+    v("retries", self.retries...);
+    v("reroutes", self.reroutes...);
+    v("degraded_phases", self.degraded_phases...);
+    v("recovery_steps", self.recovery_steps...);
+    v("crashes", self.crashes...);
+    v("reexec_phases", self.reexec_phases...);
+    v("checkpoints", self.checkpoints...);
+    v("checkpoint_steps", self.checkpoint_steps...);
+    v("rollbacks", self.rollbacks...);
+    v("remap_sorts", self.remap_sorts...);
+    v("tmr_phases", self.tmr_phases...);
+    v("tmr_masked", self.tmr_masked...);
+    v("repair_passes", self.repair_passes...);
+    v("cert_steps", self.cert_steps...);
+    v("certificates", self.certificates...);
+  }
 
   /// Zeroes every fault/recovery counter (the paper-model clocks and the
   /// work counters are untouched).  Call between trials that reuse a
   /// machine so recovery reports never leak across runs.
   void reset_fault_counters() {
-    retries = 0;
-    reroutes = 0;
-    degraded_phases = 0;
-    recovery_steps = 0;
-    crashes = 0;
-    reexec_phases = 0;
-    checkpoints = 0;
-    checkpoint_steps = 0;
-    rollbacks = 0;
-    remap_sorts = 0;
-    tmr_phases = 0;
-    tmr_masked = 0;
-    repair_passes = 0;
-    cert_steps = 0;
-    certificates = 0;
-    service_attempts = 0;
-    service_retries = 0;
+    fault_fields([](const char*, auto& field) { field = 0; }, *this);
   }
 
   void charge_s2_phase(double weight) {
@@ -93,29 +105,8 @@ struct CostModel {
   }
 
   CostModel& operator+=(const CostModel& other) {
-    s2_phases += other.s2_phases;
-    routing_phases += other.routing_phases;
-    formula_time += other.formula_time;
-    exec_steps += other.exec_steps;
-    comparisons += other.comparisons;
-    exchanges += other.exchanges;
-    retries += other.retries;
-    reroutes += other.reroutes;
-    degraded_phases += other.degraded_phases;
-    recovery_steps += other.recovery_steps;
-    crashes += other.crashes;
-    reexec_phases += other.reexec_phases;
-    checkpoints += other.checkpoints;
-    checkpoint_steps += other.checkpoint_steps;
-    rollbacks += other.rollbacks;
-    remap_sorts += other.remap_sorts;
-    tmr_phases += other.tmr_phases;
-    tmr_masked += other.tmr_masked;
-    repair_passes += other.repair_passes;
-    cert_steps += other.cert_steps;
-    certificates += other.certificates;
-    service_attempts += other.service_attempts;
-    service_retries += other.service_retries;
+    fields([](const char*, auto& sum, const auto& term) { sum += term; },
+           *this, other);
     return *this;
   }
 };

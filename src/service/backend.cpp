@@ -27,10 +27,9 @@ SortBackend::SortBackend(const ProductGraph& pg, int id,
   }
 }
 
-AttemptResult SortBackend::run_attempt(const JobSpec& job, int attempt,
-                                       std::int64_t now,
+AttemptResult SortBackend::run_attempt(const JobSpec& job, std::int64_t now,
                                        const AttemptOptions& opts) {
-  if (job.block > 0) return run_block_attempt(job, attempt, now);
+  if (job.block > 0) return run_block_attempt(job, now);
   AttemptResult result;
   const PNode n = pg_->num_nodes();
   std::vector<Key> keys = service_job_keys(n, job);
@@ -94,8 +93,6 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, int attempt,
     result.crashes = machine.cost().crashes;
     result.cert_steps = machine.cost().cert_steps;
     totals_ += machine.cost();
-    ++totals_.service_attempts;
-    if (attempt > 1) ++totals_.service_retries;
     ++attempts_;
     if (!result.success) ++failures_;
     if (result.sdc_detected) ++sdc_detected_;
@@ -140,15 +137,13 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, int attempt,
   result.cert_steps = machine.cost().cert_steps;
 
   totals_ += machine.cost();
-  ++totals_.service_attempts;
-  if (attempt > 1) ++totals_.service_retries;
   ++attempts_;
   if (!result.success) ++failures_;
   if (result.sdc_detected) ++sdc_detected_;
   return result;
 }
 
-AttemptResult SortBackend::run_block_attempt(const JobSpec& job, int attempt,
+AttemptResult SortBackend::run_block_attempt(const JobSpec& job,
                                              std::int64_t now) {
   // Block-mode attempt (streaming runs, docs/STREAMING.md): sort
   // block * N^r keys with the Section 4 merge-split schedule, certify
@@ -201,8 +196,6 @@ AttemptResult SortBackend::run_block_attempt(const JobSpec& job, int attempt,
   result.comparisons = machine.cost().comparisons;
   result.cert_steps = machine.cost().cert_steps;
   totals_ += machine.cost();
-  ++totals_.service_attempts;
-  if (attempt > 1) ++totals_.service_retries;
   ++attempts_;
   if (!result.success) ++failures_;
   if (result.sdc_detected) ++sdc_detected_;

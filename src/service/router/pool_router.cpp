@@ -336,8 +336,7 @@ RouterReport PoolRouter::run() {
         }
       }
     }
-    const AttemptResult result = backend.run_attempt(
-        job, jstate[static_cast<std::size_t>(job.id)].waves, now, opts);
+    const AttemptResult result = backend.run_attempt(job, now, opts);
     if (config_.adaptive.enabled) {
       if (result.quarantined && result.sdc_detected)
         quarantine_burned[static_cast<std::size_t>(b)] = 1;

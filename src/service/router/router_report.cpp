@@ -2,48 +2,9 @@
 
 #include <sstream>
 
-#include "core/certifier.hpp"  // CertLevel names for the JSON export
-#include "core/hashing.hpp"
+#include "core/report_fields.hpp"
 
 namespace prodsort {
-
-namespace {
-
-std::uint64_t mix_i64(std::uint64_t h, std::int64_t v) {
-  return mix64(h, static_cast<std::uint64_t>(v));
-}
-
-std::uint64_t mix_latency(std::uint64_t h, const LatencyStats& l) {
-  h = mix_i64(h, l.p50);
-  h = mix_i64(h, l.p95);
-  h = mix_i64(h, l.p99);
-  h = mix_i64(h, l.max);
-  h = mix_i64(h, l.count);
-  return h;
-}
-
-void json_latency(std::ostringstream& out, const LatencyStats& l) {
-  out << "{\"p50\":" << l.p50 << ",\"p95\":" << l.p95 << ",\"p99\":" << l.p99
-      << ",\"max\":" << l.max << ",\"count\":" << l.count << "}";
-}
-
-void json_backend(std::ostringstream& out, const BackendHealth& b) {
-  out << "{\"id\":" << b.id << ",\"faulted\":" << (b.faulted ? 1 : 0)
-      << ",\"tmr\":" << (b.tmr ? 1 : 0)
-      << ",\"suspect\":" << (b.suspect ? 1 : 0)
-      << ",\"attempts\":" << b.attempts << ",\"failures\":" << b.failures
-      << ",\"sdc_detected\":" << b.sdc_detected
-      << ",\"sdc_attributed\":" << b.sdc_attributed
-      << ",\"tmr_attempts\":" << b.tmr_attempts
-      << ",\"quarantine_attempts\":" << b.quarantine_attempts
-      << ",\"cert_level\":\"" << to_string(static_cast<CertLevel>(b.cert_level))
-      << "\",\"busy_steps\":" << b.busy_steps
-      << ",\"cert_steps\":" << b.cert_steps << ",\"crashes\":" << b.crashes
-      << ",\"times_opened\":" << b.times_opened << ",\"breaker\":\""
-      << to_string(b.breaker) << "\"}";
-}
-
-}  // namespace
 
 bool RouterReport::conserved() const {
   const std::int64_t terminal = completed_on_time + completed_late +
@@ -67,138 +28,11 @@ bool RouterReport::conserved() const {
   return true;
 }
 
-std::uint64_t RouterReport::hash() const {
-  std::uint64_t h = mix64(seed);
-  h = mix_i64(h, offered);
-  h = mix_i64(h, completed_on_time);
-  h = mix_i64(h, completed_late);
-  h = mix_i64(h, shed_queue_full);
-  h = mix_i64(h, shed_deadline);
-  h = mix_i64(h, failed);
-  h = mix_i64(h, retries);
-  h = mix_i64(h, hedged_jobs);
-  h = mix_i64(h, failovers);
-  h = mix_i64(h, fallback_jobs);
-  h = mix_i64(h, degraded_jobs);
-  h = mix_i64(h, verified_jobs);
-  h = mix_i64(h, sdc_detected);
-  h = mix_i64(h, sdc_failures);
-  h = mix_i64(h, cert_escalations);
-  h = mix_i64(h, static_cast<std::int64_t>(sdc_budget * 1e6));
-  h = mix64(h, ledger_hash);
-  h = mix_i64(h, breaker_transitions);
-  h = mix_i64(h, horizon);
-  h = mix_latency(h, latency);
-  for (const TenantStats& t : tenants) {
-    h = mix_i64(h, t.id);
-    h = mix_i64(h, t.submitted);
-    h = mix_i64(h, t.completed_on_time);
-    h = mix_i64(h, t.completed_late);
-    h = mix_i64(h, t.shed_queue_full);
-    h = mix_i64(h, t.shed_deadline);
-    h = mix_i64(h, t.failed);
-    h = mix_i64(h, t.queue_high_water);
-    h = mix_latency(h, t.latency);
-  }
-  for (const PoolHealth& p : pools) {
-    h = mix_i64(h, p.id);
-    h = mix_i64(h, p.has_domain_faults ? 1 : 0);
-    h = mix_i64(h, p.dispatched);
-    h = mix_i64(h, p.failures);
-    h = mix_i64(h, p.outage_refusals);
-    h = mix_i64(h, p.outage_failures);
-    h = mix_i64(h, p.ewma_micro);
-    h = mix_i64(h, p.degraded ? 1 : 0);
-    h = mix_i64(h, p.quarantine_attempts);
-    h = mix_i64(h, p.tmr_attempts);
-    for (const BackendHealth& b : p.backends) {
-      h = mix_i64(h, b.id);
-      h = mix_i64(h, b.faulted ? 1 : 0);
-      h = mix_i64(h, b.tmr ? 1 : 0);
-      h = mix_i64(h, b.suspect ? 1 : 0);
-      h = mix_i64(h, b.attempts);
-      h = mix_i64(h, b.failures);
-      h = mix_i64(h, b.sdc_detected);
-      h = mix_i64(h, b.sdc_attributed);
-      h = mix_i64(h, b.tmr_attempts);
-      h = mix_i64(h, b.quarantine_attempts);
-      h = mix_i64(h, b.cert_level);
-      h = mix_i64(h, b.busy_steps);
-      h = mix_i64(h, b.cert_steps);
-      h = mix_i64(h, b.crashes);
-      h = mix_i64(h, b.times_opened);
-      h = mix_i64(h, static_cast<std::int64_t>(b.breaker));
-    }
-  }
-  for (const JobRecord& job : jobs) {
-    h = mix_i64(h, job.spec.id);
-    h = mix_i64(h, job.spec.tenant);
-    h = mix_i64(h, static_cast<std::int64_t>(job.outcome));
-    h = mix_i64(h, job.attempts);
-    h = mix_i64(h, job.backend);
-    h = mix_i64(h, job.fallback ? 1 : 0);
-    h = mix_i64(h, job.degraded ? 1 : 0);
-    h = mix_i64(h, job.verified ? 1 : 0);
-    h = mix_i64(h, job.completion);
-    h = mix_i64(h, job.latency);
-    h = mix64(h, job.checksum);
-  }
-  return h;
-}
+std::uint64_t RouterReport::hash() const { return HashFold::of(*this); }
 
 std::string RouterReport::json() const {
-  std::ostringstream out;
-  out << "{\"seed\":" << seed << ",\"offered\":" << offered
-      << ",\"completed_on_time\":" << completed_on_time
-      << ",\"completed_late\":" << completed_late
-      << ",\"shed_queue_full\":" << shed_queue_full
-      << ",\"shed_deadline\":" << shed_deadline << ",\"failed\":" << failed
-      << ",\"retries\":" << retries << ",\"hedged_jobs\":" << hedged_jobs
-      << ",\"failovers\":" << failovers
-      << ",\"fallback_jobs\":" << fallback_jobs
-      << ",\"degraded_jobs\":" << degraded_jobs
-      << ",\"verified_jobs\":" << verified_jobs
-      << ",\"sdc_detected\":" << sdc_detected
-      << ",\"sdc_failures\":" << sdc_failures
-      << ",\"cert_escalations\":" << cert_escalations
-      << ",\"sdc_budget\":" << sdc_budget << ",\"ledger_hash\":" << ledger_hash
-      << ",\"breaker_transitions\":" << breaker_transitions
-      << ",\"horizon\":" << horizon << ",\"latency\":";
-  json_latency(out, latency);
-  out << ",\"goodput\":" << goodput << ",\"tenants\":[";
-  for (std::size_t i = 0; i < tenants.size(); ++i) {
-    const TenantStats& t = tenants[i];
-    if (i != 0) out << ',';
-    out << "{\"id\":" << t.id << ",\"name\":\"" << t.name
-        << "\",\"submitted\":" << t.submitted
-        << ",\"completed_on_time\":" << t.completed_on_time
-        << ",\"completed_late\":" << t.completed_late
-        << ",\"shed_queue_full\":" << t.shed_queue_full
-        << ",\"shed_deadline\":" << t.shed_deadline << ",\"failed\":" << t.failed
-        << ",\"queue_high_water\":" << t.queue_high_water << ",\"latency\":";
-    json_latency(out, t.latency);
-    out << "}";
-  }
-  out << "],\"pools\":[";
-  for (std::size_t i = 0; i < pools.size(); ++i) {
-    const PoolHealth& p = pools[i];
-    if (i != 0) out << ',';
-    out << "{\"id\":" << p.id
-        << ",\"has_domain_faults\":" << (p.has_domain_faults ? 1 : 0)
-        << ",\"dispatched\":" << p.dispatched << ",\"failures\":" << p.failures
-        << ",\"outage_refusals\":" << p.outage_refusals
-        << ",\"outage_failures\":" << p.outage_failures
-        << ",\"ewma_micro\":" << p.ewma_micro
-        << ",\"degraded\":" << (p.degraded ? 1 : 0)
-        << ",\"quarantine_attempts\":" << p.quarantine_attempts
-        << ",\"tmr_attempts\":" << p.tmr_attempts << ",\"backends\":[";
-    for (std::size_t j = 0; j < p.backends.size(); ++j) {
-      if (j != 0) out << ',';
-      json_backend(out, p.backends[j]);
-    }
-    out << "]}";
-  }
-  out << "],\"hash\":" << hash() << "}";
+  JsonWriter out(*this);
+  out("hash", hash());
   return out.str();
 }
 

@@ -15,6 +15,8 @@
 //   submitted(t) == on-time(t) + late(t) + shed(t) + failed(t)  for all t
 //
 // plus the per-job terminal/verified checks the single service makes.
+// As in ServiceReport, each struct declares its fields once and hash()
+// and json() are derived from that list (core/report_fields.hpp).
 
 #include <cstdint>
 #include <string>
@@ -40,6 +42,20 @@ struct TenantStats {
   std::int64_t queue_high_water = 0;  ///< must stay <= the tenant's cap
   LatencyStats latency;               ///< completed jobs only
 
+  static void fields(auto& v, auto& self) {
+    v("id", self.id);
+    // A label for people; the id already tells tenants apart.
+    v.json_only("name", self.name);
+    v("submitted", self.submitted);
+    v("completed_on_time", self.completed_on_time);
+    v("completed_late", self.completed_late);
+    v("shed_queue_full", self.shed_queue_full);
+    v("shed_deadline", self.shed_deadline);
+    v("failed", self.failed);
+    v("queue_high_water", self.queue_high_water);
+    v("latency", self.latency);
+  }
+
   [[nodiscard]] bool conserved() const {
     return submitted == completed_on_time + completed_late + shed_queue_full +
                             shed_deadline + failed;
@@ -64,6 +80,20 @@ struct PoolHealth {
   std::int64_t quarantine_attempts = 0;  ///< summed over member backends
   std::int64_t tmr_attempts = 0;         ///< summed over member backends
   std::vector<BackendHealth> backends;
+
+  static void fields(auto& v, auto& self) {
+    v("id", self.id);
+    v("has_domain_faults", self.has_domain_faults);
+    v("dispatched", self.dispatched);
+    v("failures", self.failures);
+    v("outage_refusals", self.outage_refusals);
+    v("outage_failures", self.outage_failures);
+    v("ewma_micro", self.ewma_micro);
+    v("degraded", self.degraded);
+    v("quarantine_attempts", self.quarantine_attempts);
+    v("tmr_attempts", self.tmr_attempts);
+    v("backends", self.backends);
+  }
 };
 
 struct RouterReport {
@@ -93,18 +123,51 @@ struct RouterReport {
   std::vector<PoolHealth> pools;
   std::vector<JobRecord> jobs;  ///< per-job audit trail, by job id
 
+  static void fields(auto& v, auto& self) {
+    v("seed", self.seed);
+    v("offered", self.offered);
+    v("completed_on_time", self.completed_on_time);
+    v("completed_late", self.completed_late);
+    v("shed_queue_full", self.shed_queue_full);
+    v("shed_deadline", self.shed_deadline);
+    v("failed", self.failed);
+    v("retries", self.retries);
+    v("hedged_jobs", self.hedged_jobs);
+    v("failovers", self.failovers);
+    v("fallback_jobs", self.fallback_jobs);
+    v("degraded_jobs", self.degraded_jobs);
+    v("verified_jobs", self.verified_jobs);
+    v("sdc_detected", self.sdc_detected);
+    v("sdc_failures", self.sdc_failures);
+    v("cert_escalations", self.cert_escalations);
+    // Operator input folded as a stable integer (millionths), as in
+    // ServiceReport.
+    v.micro("sdc_budget", self.sdc_budget);
+    v("ledger_hash", self.ledger_hash);
+    v("breaker_transitions", self.breaker_transitions);
+    v("horizon", self.horizon);
+    v("latency", self.latency);
+    // A ratio derived from the counters above; nothing new to fold.
+    v.json_only("goodput", self.goodput);
+    v("tenants", self.tenants);
+    v("pools", self.pools);
+    // An audit trail, not a dashboard feed: hashed, never printed.
+    v.hash_only("jobs", self.jobs, /*with_tenant=*/true);
+  }
+
   /// The federated conservation invariant (header comment).
   [[nodiscard]] bool conserved() const;
 
-  /// Order-sensitive mix of every field; two runs are behaviorally
-  /// identical iff their hashes match (the replay gate compares this).
+  /// Order-sensitive fold of every declared field except goodput and
+  /// tenant names; two runs are behaviorally identical iff their hashes
+  /// match (the replay gate compares this).
   [[nodiscard]] std::uint64_t hash() const;
 
   [[nodiscard]] std::string summary() const;
 
-  /// JSON export: global counters, per-tenant stats, per-pool health
-  /// with nested backend records.  Per-job records omitted (audit
-  /// trail, not dashboard feed).
+  /// JSON export of every declared field except the per-job records
+  /// (global counters, per-tenant stats, per-pool health with nested
+  /// backend records), plus "hash".
   [[nodiscard]] std::string json() const;
 };
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/certifier.hpp"  // CertLevel names for the JSON export
-#include "core/hashing.hpp"
+#include "core/report_fields.hpp"
 
 namespace prodsort {
 
@@ -18,10 +17,6 @@ std::int64_t nearest_rank(const std::vector<std::int64_t>& sorted,
   std::size_t rank = (static_cast<std::size_t>(percentile) * n + 99) / 100;
   rank = std::clamp<std::size_t>(rank, 1, n);
   return sorted[rank - 1];
-}
-
-std::uint64_t mix_i64(std::uint64_t h, std::int64_t v) {
-  return mix64(h, static_cast<std::uint64_t>(v));
 }
 
 }  // namespace
@@ -52,115 +47,11 @@ bool ServiceReport::conserved() const {
   return true;
 }
 
-std::uint64_t ServiceReport::hash() const {
-  std::uint64_t h = mix64(seed);
-  h = mix_i64(h, offered);
-  h = mix_i64(h, completed_on_time);
-  h = mix_i64(h, completed_late);
-  h = mix_i64(h, shed_queue_full);
-  h = mix_i64(h, shed_deadline);
-  h = mix_i64(h, failed);
-  h = mix_i64(h, retries);
-  h = mix_i64(h, fallback_jobs);
-  h = mix_i64(h, degraded_jobs);
-  h = mix_i64(h, verified_jobs);
-  h = mix_i64(h, sdc_detected);
-  h = mix_i64(h, sdc_failures);
-  h = mix_i64(h, cert_escalations);
-  // The budget is operator input, not measured behavior, but two runs
-  // under different budgets are different schedules — fold a stable
-  // integer encoding (per-mille) rather than raw double bits.
-  h = mix_i64(h, static_cast<std::int64_t>(sdc_budget * 1e6));
-  h = mix64(h, ledger_hash);
-  h = mix_i64(h, breaker_transitions);
-  h = mix_i64(h, queue_high_water);
-  h = mix_i64(h, horizon);
-  h = mix_i64(h, latency.p50);
-  h = mix_i64(h, latency.p95);
-  h = mix_i64(h, latency.p99);
-  h = mix_i64(h, latency.max);
-  h = mix_i64(h, latency.count);
-  for (const JobRecord& job : jobs) {
-    h = mix_i64(h, job.spec.id);
-    h = mix_i64(h, static_cast<std::int64_t>(job.outcome));
-    h = mix_i64(h, job.attempts);
-    h = mix_i64(h, job.backend);
-    h = mix_i64(h, job.fallback ? 1 : 0);
-    h = mix_i64(h, job.degraded ? 1 : 0);
-    h = mix_i64(h, job.verified ? 1 : 0);
-    h = mix_i64(h, job.completion);
-    h = mix_i64(h, job.latency);
-    h = mix64(h, job.checksum);
-  }
-  for (const BackendHealth& b : backends) {
-    h = mix_i64(h, b.id);
-    h = mix_i64(h, b.faulted ? 1 : 0);
-    h = mix_i64(h, b.tmr ? 1 : 0);
-    h = mix_i64(h, b.suspect ? 1 : 0);
-    h = mix_i64(h, b.attempts);
-    h = mix_i64(h, b.failures);
-    h = mix_i64(h, b.sdc_detected);
-    h = mix_i64(h, b.sdc_attributed);
-    h = mix_i64(h, b.tmr_attempts);
-    h = mix_i64(h, b.quarantine_attempts);
-    h = mix_i64(h, b.cert_level);
-    h = mix_i64(h, b.busy_steps);
-    h = mix_i64(h, b.cert_steps);
-    h = mix_i64(h, b.crashes);
-    h = mix_i64(h, b.times_opened);
-    for (const auto& [node, hits] : b.sdc_nodes) {
-      h = mix_i64(h, node);
-      h = mix_i64(h, hits);
-    }
-    h = mix_i64(h, static_cast<std::int64_t>(b.breaker));
-  }
-  return h;
-}
+std::uint64_t ServiceReport::hash() const { return HashFold::of(*this); }
 
 std::string ServiceReport::json() const {
-  std::ostringstream out;
-  out << "{\"seed\":" << seed << ",\"offered\":" << offered
-      << ",\"completed_on_time\":" << completed_on_time
-      << ",\"completed_late\":" << completed_late
-      << ",\"shed_queue_full\":" << shed_queue_full
-      << ",\"shed_deadline\":" << shed_deadline << ",\"failed\":" << failed
-      << ",\"retries\":" << retries << ",\"fallback_jobs\":" << fallback_jobs
-      << ",\"degraded_jobs\":" << degraded_jobs
-      << ",\"verified_jobs\":" << verified_jobs
-      << ",\"sdc_detected\":" << sdc_detected
-      << ",\"sdc_failures\":" << sdc_failures
-      << ",\"cert_escalations\":" << cert_escalations
-      << ",\"sdc_budget\":" << sdc_budget
-      << ",\"ledger_hash\":" << ledger_hash
-      << ",\"breaker_transitions\":" << breaker_transitions
-      << ",\"queue_high_water\":" << queue_high_water
-      << ",\"horizon\":" << horizon << ",\"latency\":{\"p50\":" << latency.p50
-      << ",\"p95\":" << latency.p95 << ",\"p99\":" << latency.p99
-      << ",\"max\":" << latency.max << ",\"count\":" << latency.count
-      << "},\"goodput\":" << goodput << ",\"backends\":[";
-  for (std::size_t i = 0; i < backends.size(); ++i) {
-    const BackendHealth& b = backends[i];
-    if (i != 0) out << ',';
-    out << "{\"id\":" << b.id << ",\"faulted\":" << (b.faulted ? 1 : 0)
-        << ",\"tmr\":" << (b.tmr ? 1 : 0)
-        << ",\"suspect\":" << (b.suspect ? 1 : 0)
-        << ",\"attempts\":" << b.attempts << ",\"failures\":" << b.failures
-        << ",\"sdc_detected\":" << b.sdc_detected
-        << ",\"sdc_attributed\":" << b.sdc_attributed
-        << ",\"tmr_attempts\":" << b.tmr_attempts
-        << ",\"quarantine_attempts\":" << b.quarantine_attempts
-        << ",\"cert_level\":\"" << to_string(static_cast<CertLevel>(b.cert_level))
-        << "\",\"busy_steps\":" << b.busy_steps
-        << ",\"cert_steps\":" << b.cert_steps << ",\"crashes\":" << b.crashes
-        << ",\"times_opened\":" << b.times_opened << ",\"sdc_nodes\":[";
-    for (std::size_t j = 0; j < b.sdc_nodes.size(); ++j) {
-      if (j != 0) out << ',';
-      out << "{\"node\":" << b.sdc_nodes[j].first
-          << ",\"hits\":" << b.sdc_nodes[j].second << "}";
-    }
-    out << "],\"breaker\":\"" << to_string(b.breaker) << "\"}";
-  }
-  out << "],\"hash\":" << hash() << "}";
+  JsonWriter out(*this);
+  out("hash", hash());
   return out.str();
 }
 

@@ -83,6 +83,24 @@ struct JobRecord {
   std::int64_t completion = -1;  ///< virtual completion time (-1 unserved)
   std::int64_t latency = -1;     ///< completion - arrival
   std::uint64_t checksum = 0;    ///< input multiset checksum (end-to-end id)
+
+  /// The audit fields the reports fold (core/report_fields.hpp).  The
+  /// rest of the spec is a pure function of the seed and the id.
+  static void fields(auto& v, auto& self, bool with_tenant = false) {
+    v("id", self.spec.id);
+    // Only the federated report has tenants to tell apart; the
+    // single-pool report folds no tenant slot.
+    if (with_tenant) v("tenant", self.spec.tenant);
+    v("outcome", self.outcome);
+    v("attempts", self.attempts);
+    v("backend", self.backend);
+    v("fallback", self.fallback);
+    v("degraded", self.degraded);
+    v("verified", self.verified);
+    v("completion", self.completion);
+    v("latency", self.latency);
+    v("checksum", self.checksum);
+  }
 };
 
 /// Host sort used when the whole backend pool is breaker-open.  Charged

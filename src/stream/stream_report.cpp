@@ -2,134 +2,21 @@
 
 #include <sstream>
 
-#include "core/hashing.hpp"
+#include "core/report_fields.hpp"
 
 namespace prodsort {
-
-namespace {
-
-std::uint64_t mix_i64(std::uint64_t h, std::int64_t v) {
-  return mix64(h, static_cast<std::uint64_t>(v));
-}
-
-}  // namespace
 
 bool StreamReport::conserved() const {
   return complete && runs_failed == 0 && cert_escapes == 0 &&
          keys_emitted == keys_ingested && sealed_fp == ingest_fp;
 }
 
-std::uint64_t StreamReport::hash() const {
-  std::uint64_t h = mix64(seed);
-  h = mix_i64(h, batches);
-  h = mix_i64(h, keys_ingested);
-  h = mix_i64(h, keys_emitted);
-  h = mix_i64(h, runs);
-  h = mix_i64(h, run_attempts);
-  h = mix_i64(h, run_failures);
-  h = mix_i64(h, runs_failed);
-  h = mix_i64(h, retries);
-  h = mix_i64(h, crash_injected);
-  h = mix_i64(h, outage_refusals);
-  h = mix_i64(h, outage_failures);
-  h = mix_i64(h, sdc_detected);
-  h = mix_i64(h, repair_passes);
-  h = mix_i64(h, cert_escapes);
-  h = mix_i64(h, budget_bytes);
-  h = mix_i64(h, high_water_bytes);
-  h = mix_i64(h, spill_high_bytes);
-  h = mix_i64(h, backpressure_stalls);
-  h = mix_i64(h, forced_cuts);
-  h = mix_i64(h, padded_keys);
-  h = mix_i64(h, ranges_sealed);
-  h = mix_i64(h, empty_ranges);
-  h = mix_i64(h, merge_rollbacks);
-  h = mix_i64(h, merge_comparisons);
-  h = mix_i64(h, merge_moves);
-  h = mix_i64(h, merge_steps);
-  h = mix_i64(h, breaker_transitions);
-  h = mix_i64(h, horizon);
-  h = mix_i64(h, journal_records);
-  h = mix_i64(h, journal_bytes);
-  h = mix_i64(h, journal_syncs);
-  h = mix_i64(h, journal_short_writes);
-  h = mix_i64(h, journal_dropped_syncs);
-  h = mix_i64(h, journal_compactions);
-  h = mix_i64(h, spill_files);
-  h = mix_i64(h, spill_measured_high_bytes);
-  h = mix_i64(h, spill_reconcile_failures);
-  h = mix_i64(h, io_read_corruptions);
-  h = mix_i64(h, recovered_runs);
-  h = mix_i64(h, recovered_ranges);
-  h = mix_i64(h, reingested_batches);
-  h = mix_i64(h, replayed_records);
-  h = mix_i64(h, torn_tail_bytes);
-  h = mix_i64(h, run_latency.p50);
-  h = mix_i64(h, run_latency.p95);
-  h = mix_i64(h, run_latency.p99);
-  h = mix_i64(h, run_latency.max);
-  h = mix_i64(h, run_latency.count);
-  h = mix64(h, ingest_fp.checksum);
-  h = mix64(h, ingest_fp.count);
-  h = mix64(h, sealed_fp.checksum);
-  h = mix64(h, sealed_fp.count);
-  h = mix64(h, chain_hash);
-  h = mix_i64(h, complete ? 1 : 0);
-  return h;
-}
+std::uint64_t StreamReport::hash() const { return HashFold::of(*this); }
 
 std::string StreamReport::json() const {
-  std::ostringstream out;
-  out << "{\"seed\":" << seed << ",\"batches\":" << batches
-      << ",\"keys_ingested\":" << keys_ingested
-      << ",\"keys_emitted\":" << keys_emitted << ",\"runs\":" << runs
-      << ",\"run_attempts\":" << run_attempts
-      << ",\"run_failures\":" << run_failures
-      << ",\"runs_failed\":" << runs_failed << ",\"retries\":" << retries
-      << ",\"crash_injected\":" << crash_injected
-      << ",\"outage_refusals\":" << outage_refusals
-      << ",\"outage_failures\":" << outage_failures
-      << ",\"sdc_detected\":" << sdc_detected
-      << ",\"repair_passes\":" << repair_passes
-      << ",\"cert_escapes\":" << cert_escapes
-      << ",\"budget_bytes\":" << budget_bytes
-      << ",\"high_water_bytes\":" << high_water_bytes
-      << ",\"spill_high_bytes\":" << spill_high_bytes
-      << ",\"backpressure_stalls\":" << backpressure_stalls
-      << ",\"forced_cuts\":" << forced_cuts
-      << ",\"padded_keys\":" << padded_keys
-      << ",\"ranges_sealed\":" << ranges_sealed
-      << ",\"empty_ranges\":" << empty_ranges
-      << ",\"merge_rollbacks\":" << merge_rollbacks
-      << ",\"merge_comparisons\":" << merge_comparisons
-      << ",\"merge_moves\":" << merge_moves
-      << ",\"merge_steps\":" << merge_steps
-      << ",\"breaker_transitions\":" << breaker_transitions
-      << ",\"horizon\":" << horizon
-      << ",\"journal_records\":" << journal_records
-      << ",\"journal_bytes\":" << journal_bytes
-      << ",\"journal_syncs\":" << journal_syncs
-      << ",\"journal_short_writes\":" << journal_short_writes
-      << ",\"journal_dropped_syncs\":" << journal_dropped_syncs
-      << ",\"journal_compactions\":" << journal_compactions
-      << ",\"spill_files\":" << spill_files
-      << ",\"spill_measured_high_bytes\":" << spill_measured_high_bytes
-      << ",\"spill_reconcile_failures\":" << spill_reconcile_failures
-      << ",\"io_read_corruptions\":" << io_read_corruptions
-      << ",\"recovered_runs\":" << recovered_runs
-      << ",\"recovered_ranges\":" << recovered_ranges
-      << ",\"reingested_batches\":" << reingested_batches
-      << ",\"replayed_records\":" << replayed_records
-      << ",\"torn_tail_bytes\":" << torn_tail_bytes
-      << ",\"run_latency\":{\"p50\":" << run_latency.p50
-      << ",\"p95\":" << run_latency.p95 << ",\"p99\":" << run_latency.p99
-      << ",\"max\":" << run_latency.max << ",\"count\":" << run_latency.count
-      << "},\"ingest_checksum\":" << ingest_fp.checksum
-      << ",\"sealed_checksum\":" << sealed_fp.checksum
-      << ",\"chain_hash\":" << chain_hash
-      << ",\"complete\":" << (complete ? 1 : 0)
-      << ",\"conserved\":" << (conserved() ? 1 : 0) << ",\"hash\":" << hash()
-      << "}";
+  JsonWriter out(*this);
+  out("conserved", conserved());
+  out("hash", hash());
   return out.str();
 }
 

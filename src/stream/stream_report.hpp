@@ -8,6 +8,8 @@
 // STREAM-REPRO replay gate compares exactly this hash.  conserved() is
 // the stream's no-silent-loss invariant: every ingested key is emitted
 // exactly once and the chained multiset fingerprints agree end to end.
+// The fields are declared once, in fields(); hash() and json() are
+// derived from that list (core/report_fields.hpp).
 
 #include <cstdint>
 #include <string>
@@ -83,12 +85,68 @@ struct StreamReport {
 
   bool complete = false;  ///< every range sealed, no run dead
 
+  static void fields(auto& v, auto& self) {
+    v("seed", self.seed);
+    v("batches", self.batches);
+    v("keys_ingested", self.keys_ingested);
+    v("keys_emitted", self.keys_emitted);
+    v("runs", self.runs);
+    v("run_attempts", self.run_attempts);
+    v("run_failures", self.run_failures);
+    v("runs_failed", self.runs_failed);
+    v("retries", self.retries);
+    v("crash_injected", self.crash_injected);
+    v("outage_refusals", self.outage_refusals);
+    v("outage_failures", self.outage_failures);
+    v("sdc_detected", self.sdc_detected);
+    v("repair_passes", self.repair_passes);
+    v("cert_escapes", self.cert_escapes);
+    v("budget_bytes", self.budget_bytes);
+    v("high_water_bytes", self.high_water_bytes);
+    v("spill_high_bytes", self.spill_high_bytes);
+    v("backpressure_stalls", self.backpressure_stalls);
+    v("forced_cuts", self.forced_cuts);
+    v("padded_keys", self.padded_keys);
+    v("ranges_sealed", self.ranges_sealed);
+    v("empty_ranges", self.empty_ranges);
+    v("merge_rollbacks", self.merge_rollbacks);
+    v("merge_comparisons", self.merge_comparisons);
+    v("merge_moves", self.merge_moves);
+    v("merge_steps", self.merge_steps);
+    v("breaker_transitions", self.breaker_transitions);
+    v("horizon", self.horizon);
+    v("journal_records", self.journal_records);
+    v("journal_bytes", self.journal_bytes);
+    v("journal_syncs", self.journal_syncs);
+    v("journal_short_writes", self.journal_short_writes);
+    v("journal_dropped_syncs", self.journal_dropped_syncs);
+    v("journal_compactions", self.journal_compactions);
+    v("spill_files", self.spill_files);
+    v("spill_measured_high_bytes", self.spill_measured_high_bytes);
+    v("spill_reconcile_failures", self.spill_reconcile_failures);
+    v("io_read_corruptions", self.io_read_corruptions);
+    v("recovered_runs", self.recovered_runs);
+    v("recovered_ranges", self.recovered_ranges);
+    v("reingested_batches", self.reingested_batches);
+    v("replayed_records", self.replayed_records);
+    v("torn_tail_bytes", self.torn_tail_bytes);
+    v("run_latency", self.run_latency);
+    // JSON prints each fingerprint as its checksum; the key count is
+    // keys_ingested / keys_emitted again, so only the hash folds it.
+    v("ingest_checksum", self.ingest_fp.checksum);
+    v.hash_only("ingest_count", self.ingest_fp.count);
+    v("sealed_checksum", self.sealed_fp.checksum);
+    v.hash_only("sealed_count", self.sealed_fp.count);
+    v("chain_hash", self.chain_hash);
+    v("complete", self.complete);
+  }
+
   /// True iff the stream completed with every ingested key emitted
   /// exactly once: complete, keys_emitted == keys_ingested, sealed_fp
   /// == ingest_fp, and zero certificate escapes.
   [[nodiscard]] bool conserved() const;
 
-  /// Order-sensitive mix of every integer field.  Two runs are
+  /// Order-sensitive fold of every declared field.  Two runs are
   /// behaviorally identical iff their hashes match — the determinism
   /// tests and the --repro replay gate compare this.
   [[nodiscard]] std::uint64_t hash() const;
@@ -96,7 +154,8 @@ struct StreamReport {
   /// One-paragraph human summary for tool output.
   [[nodiscard]] std::string summary() const;
 
-  /// Machine-readable JSON export of the counters above.
+  /// JSON export of the declared fields except the two fingerprint
+  /// counts, plus "conserved" and "hash".
   [[nodiscard]] std::string json() const;
 };
 

@@ -780,7 +780,7 @@ struct StreamingSorter::Impl {
     spec.payload = run.slice;  // re-padded on every (re-)dispatch
     spec.payload.resize(static_cast<std::size_t>(run_keys), kStreamSentinel);
 
-    AttemptResult result = be.run_attempt(spec, run.attempts, now);
+    AttemptResult result = be.run_attempt(spec, now);
     report.sdc_detected += result.sdc_detected ? 1 : 0;
     report.repair_passes += result.repair_passes;
 

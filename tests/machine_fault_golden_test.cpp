@@ -44,7 +44,8 @@ std::uint64_t hash_outcome(std::span<const Key> keys, const CostModel& c,
         c.recovery_steps, c.crashes, c.reexec_phases, c.checkpoints,
         c.checkpoint_steps, c.rollbacks, c.remap_sorts, c.tmr_phases,
         c.tmr_masked, c.repair_passes, c.cert_steps, c.certificates,
-        c.service_attempts, c.service_retries})
+        // Two retired service counters; their 0s keep the pins.
+        std::int64_t{0}, std::int64_t{0}})
     h = fold(h, v);
   h = mix64(h, std::bit_cast<std::uint64_t>(c.formula_time));
   for (const std::int64_t v :
