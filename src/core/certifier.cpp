@@ -213,14 +213,20 @@ EndToEndCertificate charge_certificate(M& machine, const ViewSpec& view,
 // window land the same absolute alignment twice in a row — turning
 // every other alternating pass into a no-op and breaking the
 // width-passes-to-clean bound certify_and_repair budgets against.
+// `planned` is the attached SortPlan's rank table for the view (empty:
+// generate each rank).
 std::vector<CEPair> window_pairs(const ProductGraph& pg, const ViewSpec& view,
-                                 PNode lo, PNode hi, int parity) {
+                                 std::span<const PNode> planned, PNode lo,
+                                 PNode hi, int parity) {
+  const auto node_at = [&](PNode rank) {
+    return planned.empty() ? view_node_at_snake_rank(pg, view, rank)
+                           : planned[static_cast<std::size_t>(rank)];
+  };
   std::vector<CEPair> pairs;
   pairs.reserve(static_cast<std::size_t>((hi - lo) / 2 + 1));
   const PNode start = lo + (static_cast<int>(lo & 1) == parity ? 0 : 1);
   for (PNode rank = start; rank + 1 <= hi; rank += 2)
-    pairs.push_back({view_node_at_snake_rank(pg, view, rank),
-                     view_node_at_snake_rank(pg, view, rank + 1)});
+    pairs.push_back({node_at(rank), node_at(rank + 1)});
   return pairs;
 }
 
@@ -367,8 +373,9 @@ std::int64_t oet_window_pass(Machine& machine, const ViewSpec& view, PNode lo,
                              PNode hi, int parity) {
   const ProductGraph& pg = machine.graph();
   const std::int64_t before = machine.cost().exchanges;
-  machine.compare_exchange_step(window_pairs(pg, view, lo, hi, parity),
-                                pg.factor().dilation);
+  machine.compare_exchange_step(
+      window_pairs(pg, view, machine.planned_snake(view), lo, hi, parity),
+      pg.factor().dilation);
   return machine.cost().exchanges - before;
 }
 
@@ -430,7 +437,7 @@ RepairReport block_certify_and_repair(BlockMachine& machine,
         // The unit pass lifted to merge-splits over snake-adjacent
         // blocks.
         const std::vector<CEPair> pairs =
-            window_pairs(pg, view, blo, bhi, parity);
+            window_pairs(pg, view, {}, blo, bhi, parity);
         if (!pairs.empty())
           machine.merge_split_step(pairs, pg.factor().dilation);
       });

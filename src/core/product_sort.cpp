@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/s2/oracle_s2.hpp"
+#include "core/sort_plan.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -128,6 +129,9 @@ void merge_level(Machine& machine, int lo, int hi, const S2Sorter& s2) {
 }
 
 SortReport sort_product_network(Machine& machine, const SortOptions& options) {
+  if (const SortPlan* plan = machine.plan();
+      plan != nullptr && plan->replays(options))
+    return plan->replay(machine, options);
   const ProductGraph& pg = machine.graph();
   if (pg.dims() < 2)
     throw std::invalid_argument("sorting needs r >= 2 dimensions");

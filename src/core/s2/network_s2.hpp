@@ -25,11 +25,14 @@ class NetworkS2 final : public S2Sorter {
   explicit NetworkS2(ComparatorNetwork network);
 
   [[nodiscard]] std::string name() const override { return "network-s2"; }
+  [[nodiscard]] bool data_oblivious() const override { return true; }
 
   /// Executable cost: the sum over layers of the worst partner distance
-  /// (depth-weighted emulation time).  Needs the factor to size the
-  /// distance table; computed lazily per factor in sort_views, so the
-  /// static estimate here is depth * 2 * dilation-free diameter proxy.
+  /// (depth-weighted emulation time), exact — computed from all-pairs
+  /// factor distances on the snake of the canonical PG_2.  Nothing is
+  /// cached: the driver calls this once per S2 phase, so a generating
+  /// sort rebuilds PG_2 and the distance table every phase, while a
+  /// SortPlan (core/sort_plan.hpp) records each phase's weight once.
   [[nodiscard]] double phase_cost(const LabeledFactor& factor) const override;
 
   void sort_views(Machine& machine, std::span<const ViewSpec> views,

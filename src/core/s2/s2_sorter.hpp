@@ -44,6 +44,12 @@ class S2Sorter {
     return factor.s2_cost;
   }
 
+  /// True when the compare-exchange schedule of sort_views depends only
+  /// on (graph, views, directions), never on the keys — the condition
+  /// for recording one run and replaying it (core/sort_plan.hpp).
+  /// OracleS2 reads the keys, so the default is false.
+  [[nodiscard]] virtual bool data_oblivious() const { return false; }
+
   /// Sorts every view (each with exactly two free dimensions) into its
   /// local snake order; `descending[i]` flips view i's direction.  Views
   /// must be disjoint.  Executed in lockstep across views.

@@ -36,6 +36,7 @@ struct ShearsortPasses {
 class ShearsortS2 final : public S2Sorter {
  public:
   [[nodiscard]] std::string name() const override { return "shearsort"; }
+  [[nodiscard]] bool data_oblivious() const override { return true; }
 
   /// Executable analytic cost: (ceil(log2 N) + 1) * 2N + N phases of
   /// dilation hops each.

@@ -21,6 +21,7 @@ namespace prodsort {
 class SnakeOETS2 final : public S2Sorter {
  public:
   [[nodiscard]] std::string name() const override { return "snake-oet"; }
+  [[nodiscard]] bool data_oblivious() const override { return true; }
 
   /// N^2 phases of `dilation` hops each.
   [[nodiscard]] double phase_cost(const LabeledFactor& factor) const override {

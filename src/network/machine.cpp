@@ -4,6 +4,7 @@
 #include <mutex>
 #include <stdexcept>
 
+#include "core/sort_plan.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -349,7 +350,26 @@ bool Machine::fire_crashes(std::span<const CEPair> pairs, std::int64_t step) {
   return reexec;
 }
 
+void Machine::set_plan(const SortPlan* plan) {
+  if (plan != nullptr && &plan->graph() != pg_)
+    throw std::invalid_argument("sort plan recorded on another graph");
+  plan_ = plan;
+}
+
+std::span<const PNode> Machine::planned_snake(
+    const ViewSpec& view) const noexcept {
+  if (plan_ == nullptr || view != full_view(*pg_)) return {};
+  return plan_->snake_order();
+}
+
 std::vector<Key> Machine::read_snake(const ViewSpec& view) const {
+  if (const std::span<const PNode> order = planned_snake(view);
+      !order.empty()) {
+    std::vector<Key> out(order.size());
+    for (std::size_t rank = 0; rank < order.size(); ++rank)
+      out[rank] = keys_[static_cast<std::size_t>(order[rank])];
+    return out;
+  }
   const PNode size = view_size(*pg_, view);
   std::vector<Key> out(static_cast<std::size_t>(size));
   for (PNode rank = 0; rank < size; ++rank)

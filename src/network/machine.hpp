@@ -24,6 +24,8 @@
 
 namespace prodsort {
 
+class SortPlan;  // core/sort_plan.hpp
+
 class Machine {
  public:
   /// `keys.size()` must equal `pg.num_nodes()`.  The executor (optional)
@@ -132,6 +134,20 @@ class Machine {
   /// scheduled faults.
   void reset_fault_clock() noexcept { fault_step_ = 0; }
 
+  /// Attaches a recorded fault-free sort of this machine's graph
+  /// (core/sort_plan.hpp; borrowed, must outlive the machine, nullptr
+  /// detaches).  While attached, sort_product_network replays it when
+  /// the options match, and the full view's snake order comes from its
+  /// rank table.  Throws std::invalid_argument when the plan was
+  /// recorded on another graph.
+  void set_plan(const SortPlan* plan);
+  [[nodiscard]] const SortPlan* plan() const noexcept { return plan_; }
+
+  /// The attached plan's rank -> node table when `view` is the full
+  /// view; empty otherwise (callers then generate snake ranks).
+  [[nodiscard]] std::span<const PNode> planned_snake(
+      const ViewSpec& view) const noexcept;
+
   /// Reads the keys out in snake order of `view` — the "result" of a sort
   /// phase for verification.
   [[nodiscard]] std::vector<Key> read_snake(const ViewSpec& view) const;
@@ -152,6 +168,7 @@ class Machine {
   ParallelExecutor* executor_;
   FaultModel* faults_ = nullptr;
   PhaseObserver* observer_ = nullptr;
+  const SortPlan* plan_ = nullptr;
   std::int64_t fault_step_ = 0;  ///< event-id stream for fault decisions
   bool tmr_ = false;             ///< triple-redundant voting; see set_tmr
   bool statically_audited_ = false;  ///< see set_statically_audited

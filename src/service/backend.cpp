@@ -14,12 +14,13 @@ namespace prodsort {
 SortBackend::SortBackend(const ProductGraph& pg, int id,
                          const BackendConfig& config, const S2Sorter* s2,
                          ParallelExecutor* executor,
-                         const BreakerConfig& breaker)
+                         const BreakerConfig& breaker, const SortPlan* plan)
     : pg_(&pg),
       id_(id),
       config_(config),
       s2_(s2),
       executor_(executor),
+      plan_(plan),
       breaker_(breaker) {
   if (!config_.fault_schedule.empty()) {
     faults_ = std::make_unique<FaultModel>(
@@ -99,6 +100,8 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, std::int64_t now,
     return result;
   }
 
+  // Full topology: replay the recorded sort instead of regenerating it.
+  machine.set_plan(plan_);
   RecoveryPolicy policy = config_.recovery;
   policy.expected_checksum = checksum;
   if (opts.has_plan) policy.cert_plan = opts.cert_plan;

@@ -99,11 +99,15 @@ struct AttemptResult {
 class SortBackend {
  public:
   /// `pg` and `s2` are borrowed and must outlive the backend; the
-  /// executor (optional) is shared across the pool.  Throws
-  /// std::invalid_argument on a malformed fault schedule string.
+  /// executor (optional) is shared across the pool.  `plan` (optional,
+  /// borrowed, shared read-only across the pool) is the recorded
+  /// fault-free sort of (pg, s2): unit-mode attempts on the full
+  /// topology attach it to their Machine and replay it
+  /// (core/sort_plan.hpp).  Throws std::invalid_argument on a malformed
+  /// fault schedule string.
   SortBackend(const ProductGraph& pg, int id, const BackendConfig& config,
               const S2Sorter* s2, ParallelExecutor* executor,
-              const BreakerConfig& breaker);
+              const BreakerConfig& breaker, const SortPlan* plan = nullptr);
 
   /// Runs one sort attempt for `job` dispatched at virtual time `now`.
   /// Never throws: unmodeled escalation dead-ends count as a failed
@@ -143,6 +147,7 @@ class SortBackend {
   BackendConfig config_;
   const S2Sorter* s2_;
   ParallelExecutor* executor_;
+  const SortPlan* plan_;                ///< null = generate every sort
   std::unique_ptr<FaultModel> faults_;  ///< null = fault-free backend
   CircuitBreaker breaker_;
   CostModel totals_;

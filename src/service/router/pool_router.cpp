@@ -10,7 +10,7 @@
 
 #include "core/host_merge.hpp"
 #include "core/hashing.hpp"
-#include "core/product_sort.hpp"
+#include "core/sort_plan.hpp"
 #include "service/admission_queue.hpp"
 
 namespace prodsort {
@@ -83,6 +83,18 @@ PoolRouter::PoolRouter(const ProductGraph& pg, RouterConfig config,
       throw std::invalid_argument("tenant queue_cap must be >= 1: " + t.name);
   }
 
+  // Probe the fault-free service time once; arrivals and deadlines are
+  // scaled by it so `load` means the same thing on every topology.  The
+  // probe is recorded as the plan every backend replays.
+  JobSpec probe;
+  probe.id = -1;
+  probe.key_seed = mix64(config_.seed, kStreamProbe);
+  Machine machine(pg, service_job_keys(pg.num_nodes(), probe), executor_);
+  SortOptions options;
+  options.s2 = s2_;
+  plan_ = SortPlan::record(machine, options);
+  mean_steps_ = std::max<std::int64_t>(1, machine.cost().exec_steps);
+
   for (std::size_t pi = 0; pi < pools.size(); ++pi) {
     PoolSpec& spec = pools[pi];
     if (spec.backends.empty())
@@ -115,7 +127,7 @@ PoolRouter::PoolRouter(const ProductGraph& pg, RouterConfig config,
         bc.fault_schedule = FaultModel(fc).schedule_string();
       }
       backends_.push_back(std::make_unique<SortBackend>(
-          pg, global, bc, s2_, executor_, config_.breaker));
+          pg, global, bc, s2_, executor_, config_.breaker, plan_.get()));
       pool.members.push_back(global);
       pool_of_backend_.push_back(static_cast<int>(pi));
     }
@@ -133,17 +145,6 @@ PoolRouter::PoolRouter(const ProductGraph& pg, RouterConfig config,
       controllers_.emplace_back(cert);
     }
   }
-
-  // Probe the fault-free service time once; arrivals and deadlines are
-  // scaled by it so `load` means the same thing on every topology.
-  JobSpec probe;
-  probe.id = -1;
-  probe.key_seed = mix64(config_.seed, kStreamProbe);
-  Machine machine(pg, service_job_keys(pg.num_nodes(), probe), executor_);
-  SortOptions options;
-  options.s2 = s2_;
-  sort_product_network(machine, options);
-  mean_steps_ = std::max<std::int64_t>(1, machine.cost().exec_steps);
 }
 
 PoolRouter::~PoolRouter() = default;

@@ -108,6 +108,11 @@ class PoolRouter {
     return mean_steps_;
   }
 
+  /// The probe sort, recorded and lent to every backend for unit-mode
+  /// replay (core/sort_plan.hpp); null when the sorter is not
+  /// data-oblivious or the plan would exceed SortPlan::kMaxBytes.
+  [[nodiscard]] const SortPlan* plan() const noexcept { return plan_.get(); }
+
   [[nodiscard]] const RouterConfig& config() const noexcept { return config_; }
   [[nodiscard]] const SuspectLedger& ledger() const noexcept { return ledger_; }
 
@@ -129,6 +134,7 @@ class PoolRouter {
   RouterConfig config_;
   const S2Sorter* s2_;
   ParallelExecutor* executor_;
+  std::unique_ptr<const SortPlan> plan_;  ///< lent to backends_; outlives them
   std::vector<std::unique_ptr<SortBackend>> backends_;  ///< global, flat
   std::vector<int> pool_of_backend_;
   std::vector<Pool> pools_;

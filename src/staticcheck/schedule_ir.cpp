@@ -28,23 +28,31 @@ bool ScheduleIR::any_tmr() const {
   return false;
 }
 
-std::uint64_t ScheduleIR::canonical_hash() const {
-  std::uint64_t h = mix64(0x7374617469634952ULL,  // "staticIR"
-                          static_cast<std::uint64_t>(num_nodes));
-  h = mix64(h, static_cast<std::uint64_t>(block_size));
-  for (const SchedulePhase& phase : phases_) {
-    h = mix64(h, static_cast<std::uint64_t>(phase.hop_distance));
-    h = mix64(h, phase.pairs.size());
-    for (const CEPair& p : phase.pairs) {
-      h = mix64(h, static_cast<std::uint64_t>(p.low));
-      h = mix64(h, static_cast<std::uint64_t>(p.high));
-    }
+CanonicalScheduleHash::CanonicalScheduleHash(PNode num_nodes, int block_size)
+    : h_(mix64(mix64(0x7374617469634952ULL,  // "staticIR"
+                     static_cast<std::uint64_t>(num_nodes)),
+               static_cast<std::uint64_t>(block_size))) {}
+
+void CanonicalScheduleHash::phase(int hop_distance,
+                                  std::span<const CEPair> pairs) {
+  h_ = mix64(h_, static_cast<std::uint64_t>(hop_distance));
+  h_ = mix64(h_, pairs.size());
+  for (const CEPair& p : pairs) {
+    h_ = mix64(h_, static_cast<std::uint64_t>(p.low));
+    h_ = mix64(h_, static_cast<std::uint64_t>(p.high));
   }
-  return h;
 }
 
-ScheduleRecorder::ScheduleRecorder(const ProductGraph& pg, PhaseObserver* next)
-    : pg_(&pg), next_(next) {
+std::uint64_t ScheduleIR::canonical_hash() const {
+  CanonicalScheduleHash h(num_nodes, block_size);
+  for (const SchedulePhase& phase : phases_)
+    h.phase(phase.hop_distance, phase.pairs);
+  return h.value();
+}
+
+ScheduleRecorder::ScheduleRecorder(const ProductGraph& pg, PhaseObserver* next,
+                                   std::size_t max_pairs)
+    : pg_(&pg), next_(next), max_pairs_(max_pairs) {
   ir_.num_nodes = pg.num_nodes();
   ir_.radix = pg.radix();
   ir_.dims = pg.dims();
@@ -61,6 +69,12 @@ void ScheduleRecorder::before_phase(std::span<const Key> keys,
                                     bool faulty) {
   if (next_ != nullptr)
     next_->before_phase(keys, pairs, hop_distance, block_size, faulty);
+  if (overflowed_ || pairs.size() > max_pairs_ - pairs_) {
+    overflowed_ = true;
+    tmr_pending_ = false;
+    return;
+  }
+  pairs_ += pairs.size();
 
   SchedulePhase phase;
   phase.pairs.assign(pairs.begin(), pairs.end());
@@ -100,6 +114,8 @@ void ScheduleRecorder::after_phase(std::span<const Key> keys) {
 ScheduleIR ScheduleRecorder::take() {
   ScheduleIR out = std::move(ir_);
   ir_ = ScheduleIR{};
+  pairs_ = 0;
+  overflowed_ = false;
   ir_.num_nodes = pg_->num_nodes();
   ir_.radix = pg_->radix();
   ir_.dims = pg_->dims();

@@ -26,6 +26,8 @@
 // once and a proof is addressed by the hash it covers.
 
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +49,21 @@ struct SchedulePhase {
   int dim = 0;
   bool faulty = false;  ///< a FaultModel could have perturbed this phase
   bool tmr = false;     ///< executed under TMR voting
+};
+
+/// The canonical content hash of a schedule, fed phase by phase: a
+/// mix64 chain over (num_nodes, block_size, per phase: hop, pair count,
+/// every pair's endpoints).  ScheduleIR and SortPlan
+/// (core/sort_plan.hpp) both hash through it, so a plan and the IR of
+/// the same run agree by construction.
+class CanonicalScheduleHash {
+ public:
+  CanonicalScheduleHash(PNode num_nodes, int block_size);
+  void phase(int hop_distance, std::span<const CEPair> pairs);
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_;
 };
 
 /// A recorded compare-exchange schedule.  Labels (`topology`, `sorter`)
@@ -77,8 +94,7 @@ class ScheduleIR {
   [[nodiscard]] bool any_faulty() const;
   [[nodiscard]] bool any_tmr() const;
 
-  /// Canonical content hash: a mix64 chain over (num_nodes, block_size,
-  /// per phase: hop, pair count, every pair's endpoints).  Labels and
+  /// Canonical content hash (CanonicalScheduleHash).  Labels and
   /// dimension tags are derived data and excluded.  Two schedules with
   /// equal hashes are treated as one analysis unit.
   [[nodiscard]] std::uint64_t canonical_hash() const;
@@ -96,9 +112,12 @@ class ScheduleRecorder final : public PhaseObserver {
  public:
   /// `pg` must be the recorded machine's graph (dimension tags are
   /// computed from it) and must outlive the recorder; `next` (optional,
-  /// borrowed) receives every callback first.
-  explicit ScheduleRecorder(const ProductGraph& pg,
-                            PhaseObserver* next = nullptr);
+  /// borrowed) receives every callback first.  Once recording a phase
+  /// would take the total past `max_pairs`, the recorder stops storing
+  /// phases and reports overflowed(); callbacks still chain.
+  explicit ScheduleRecorder(
+      const ProductGraph& pg, PhaseObserver* next = nullptr,
+      std::size_t max_pairs = std::numeric_limits<std::size_t>::max());
 
   [[nodiscard]] bool supersedes_validation() const override {
     return next_ != nullptr && next_->supersedes_validation();
@@ -112,6 +131,9 @@ class ScheduleRecorder final : public PhaseObserver {
     return static_cast<std::int64_t>(ir_.phases().size());
   }
 
+  /// True once a phase was dropped for exceeding `max_pairs`.
+  [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
+
   /// Finishes recording and moves the IR out (topology/sorter labels
   /// are left for the caller to fill).  The recorder resets to empty.
   [[nodiscard]] ScheduleIR take();
@@ -120,6 +142,9 @@ class ScheduleRecorder final : public PhaseObserver {
   const ProductGraph* pg_;
   PhaseObserver* next_;
   ScheduleIR ir_;
+  std::size_t max_pairs_;
+  std::size_t pairs_ = 0;
+  bool overflowed_ = false;
   bool tmr_pending_ = false;
 };
 

@@ -7,9 +7,12 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
+#include "core/sort_plan.hpp"
 #include "service/router/hash_ring.hpp"
 #include "service/suspect_ledger.hpp"
+#include "staticcheck/schedule_ir.hpp"
 
 namespace prodsort {
 namespace {
@@ -246,6 +249,81 @@ TEST(PoolRouterTest, LedgerDrivenQuarantineThroughTheRouter) {
             report.completed_on_time + report.completed_late);
   EXPECT_EQ(report.sdc_detected, 0);
   EXPECT_NE(report.ledger_hash, 0u);
+}
+
+// --- the recorded probe plan -------------------------------------------
+
+// The router records its fault-free probe once as a SortPlan and lends
+// it to every backend; key-reading sorters keep generating.
+TEST(PoolRouterTest, RecordsAPlanForDataObliviousSorters) {
+  const ProductGraph pg(labeled_cycle(4), 3);
+  const SnakeOETS2 oet;
+  const ShearsortS2 shearsort;
+  for (const S2Sorter* s2 : {static_cast<const S2Sorter*>(&oet),
+                             static_cast<const S2Sorter*>(&shearsort)}) {
+    SCOPED_TRACE(s2->name());
+    const PoolRouter router(pg, small_router(0, 1.0), healthy_pools(1, 1), s2);
+    ASSERT_NE(router.plan(), nullptr);
+    EXPECT_EQ(&router.plan()->sorter(), s2);
+    EXPECT_EQ(router.plan()->exec_steps(), router.mean_service_steps());
+    EXPECT_LE(router.plan()->bytes(), SortPlan::kMaxBytes);
+  }
+  // No sorter means the default OracleS2, which reads the keys.
+  const PoolRouter oracle(pg, small_router(0, 1.0), healthy_pools(1, 1),
+                          nullptr);
+  EXPECT_EQ(oracle.plan(), nullptr);
+}
+
+TEST(PoolRouterTest, NoPlanAboveTheSizeCap) {
+  const ProductGraph pg(labeled_cycle(4), 5);  // 1,024 nodes
+  const SnakeOETS2 oet;
+  const PoolRouter router(pg, small_router(0, 1.0), healthy_pools(1, 1), &oet);
+  EXPECT_EQ(router.plan(), nullptr);
+  // Over the cap because the pairs alone exceed it.
+  EXPECT_GT(static_cast<std::size_t>(
+                record_product_schedule(pg, oet).total_pairs()) *
+                sizeof(CEPair),
+            SortPlan::kMaxBytes);
+  // The probe still measures the service time by generating.
+  Machine machine(pg,
+                  std::vector<Key>(static_cast<std::size_t>(pg.num_nodes())));
+  EXPECT_EQ(router.mean_service_steps(),
+            sort_product_network(machine, {.s2 = &oet}).cost.exec_steps);
+}
+
+TEST(PoolRouterTest, PlanRejectsAMachineOfAnotherGraph) {
+  const ProductGraph pg(labeled_cycle(4), 3);
+  const ProductGraph other(labeled_cycle(4), 3);
+  const SnakeOETS2 oet;
+  const PoolRouter router(pg, small_router(0, 1.0), healthy_pools(1, 1), &oet);
+  ASSERT_NE(router.plan(), nullptr);
+  Machine machine(
+      other, std::vector<Key>(static_cast<std::size_t>(other.num_nodes())));
+  EXPECT_THROW(machine.set_plan(router.plan()), std::invalid_argument);
+  EXPECT_THROW((void)router.plan()->replay(machine, {.s2 = &oet}),
+               std::invalid_argument);
+}
+
+// Every backend shares the one plan read-only; replay on a 4-thread
+// executor (faults, crashes and TMR included) matches one thread.
+TEST(PoolRouterTest, SharedPlanReplaysIdenticallyOnFourThreads) {
+  const ProductGraph pg(labeled_cycle(4), 3);
+  const SnakeOETS2 oet;
+  RouterConfig config = small_router(24, 1.2);
+  std::vector<PoolSpec> pools = healthy_pools(2, 2);
+  pools[0].backends[1].tmr = true;
+  pools[1].backends[0].fault_schedule = "seed=5,ce=0.002,crashes=4@7";
+
+  std::vector<std::uint64_t> hashes;
+  for (const int threads : {1, 4}) {
+    ParallelExecutor executor(threads);
+    PoolRouter router(pg, config, pools, &oet, &executor);
+    ASSERT_NE(router.plan(), nullptr);
+    const RouterReport report = router.run();
+    EXPECT_TRUE(report.conserved());
+    hashes.push_back(report.hash());
+  }
+  EXPECT_EQ(hashes[0], hashes[1]);
 }
 
 TEST(PoolRouterTest, RejectsInvalidConfig) {

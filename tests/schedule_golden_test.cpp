@@ -10,11 +10,13 @@
 
 #include <cstdint>
 #include <iterator>
+#include <numeric>
 #include <string>
 
 #include "core/block_sort.hpp"
 #include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
+#include "core/sort_plan.hpp"
 #include "graph/labeled_factor.hpp"
 #include "staticcheck/schedule_ir.hpp"
 
@@ -84,6 +86,32 @@ TEST(ScheduleGoldenTest, UnitSortersMatchPinnedHashes) {
               kUnit.shearsort[t]);
     EXPECT_EQ(record_product_schedule(pg, snake_oet).canonical_hash(),
               kUnit.snake_oet[t]);
+  }
+}
+
+// The SortPlan a router records for a unit row carries exactly the
+// pinned schedule; a row whose pairs exceed the plan cap gets no plan.
+std::uint64_t plan_hash(const ProductGraph& pg, const S2Sorter& s2) {
+  std::vector<Key> keys(static_cast<std::size_t>(pg.num_nodes()));
+  std::iota(keys.begin(), keys.end(), Key{0});
+  Machine machine(pg, std::move(keys));
+  const auto plan = SortPlan::record(machine, {.s2 = &s2});
+  if (plan != nullptr) return plan->canonical_hash();
+  const ScheduleIR ir = record_product_schedule(pg, s2);
+  EXPECT_GT(static_cast<std::size_t>(ir.total_pairs()) * sizeof(CEPair),
+            SortPlan::kMaxBytes);
+  return ir.canonical_hash();
+}
+
+TEST(ScheduleGoldenTest, UnitSortPlansMatchPinnedHashes) {
+  const ShearsortS2 shearsort;
+  const SnakeOETS2 snake_oet;
+  for (std::size_t t = 0; t < std::size(kTopologies); ++t) {
+    const Topology& topo = kTopologies[t];
+    SCOPED_TRACE(topo.name);
+    const ProductGraph pg(topo.factor(), topo.dims);
+    EXPECT_EQ(plan_hash(pg, shearsort), kUnit.shearsort[t]);
+    EXPECT_EQ(plan_hash(pg, snake_oet), kUnit.snake_oet[t]);
   }
 }
 
