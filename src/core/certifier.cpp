@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/hashing.hpp"
+#include "core/key_sort.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -427,7 +428,7 @@ RepairReport block_certify_and_repair(BlockMachine& machine,
           auto blk =
               machine.mutable_block(view_node_at_snake_rank(pg, view, rank));
           if (!std::is_sorted(blk.begin(), blk.end())) {
-            std::sort(blk.begin(), blk.end());
+            sort_block_keys(blk);
             machine.cost().comparisons += b;
             resorted = true;
           }

@@ -32,9 +32,11 @@ std::vector<Key> measured_multiway_merge(
   out.reserve(static_cast<std::size_t>(total));
 
   // Min-heap over the live run heads.  Every heap comparison goes
-  // through the instrumented comparator; ties break on run index so the
-  // merge order — and therefore the counted work — is independent of
-  // heap library internals across platforms.
+  // through the instrumented comparator; ties break on run index, which
+  // fixes the merge order.  It does not fix the count: how many
+  // comparisons a push or pop makes is the standard library's
+  // push_heap/pop_heap pattern (pinned for libstdc++ in stream_test),
+  // as measured_host_sort's count is std::sort's.
   auto greater = [&stats](const HeadRef& a, const HeadRef& b) {
     ++stats.comparisons;
     if (a.key != b.key) return a.key > b.key;

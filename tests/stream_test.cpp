@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/certifier.hpp"
@@ -106,6 +108,51 @@ TEST(Splitters, PreSortedAndReversedInputsScatterConserving) {
   }
 }
 
+// The per-key scatter loop scatter_keys replaced, kept as its oracle.
+std::vector<std::vector<Key>> scatter_by_range_of(
+    std::span<const Key> keys, std::span<const Key> splitters) {
+  std::vector<std::vector<Key>> out(splitters.size() + 1);
+  for (const Key k : keys)
+    out[static_cast<std::size_t>(range_of(k, splitters))].push_back(k);
+  return out;
+}
+
+TEST(Splitters, ScatterMatchesPerKeyRangeOf) {
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  std::vector<Key> keys;
+  for (int i = 0; i < 500; ++i)
+    keys.push_back(static_cast<Key>(mix64(21, static_cast<std::uint64_t>(i)) %
+                                    200) -
+                   100);
+  keys.insert(keys.end(), {kMin, kMax, kMin, kMax, 0, -1});
+
+  std::vector<std::vector<Key>> cases = {
+      {},                                  // no splitters: one range
+      {0},                                 // keys equal to the splitter
+      {-5, -5, -5, 7, 7},                  // duplicate splitters
+      {kMin, kMax},                        // INT64 extremes as splitters
+      {kMin, kMin, 0, kMax, kMax},
+  };
+  // 1 to 64 ranges from the keys' own sample, duplicates included, and
+  // a few more, up to more ranges than distinct keys.
+  std::vector<Key> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  for (int ranges = 1; ranges <= 64; ++ranges)
+    cases.push_back(pick_splitters(sorted, ranges));
+  for (const int ranges : {65, 66, 100, 300})
+    cases.push_back(pick_splitters(sorted, ranges));
+
+  for (const std::vector<Key>& splitters : cases) {
+    EXPECT_EQ(scatter_keys(keys, splitters),
+              scatter_by_range_of(keys, splitters))
+        << splitters.size() << " splitters";
+    const std::vector<std::vector<Key>> empty = scatter_keys({}, splitters);
+    ASSERT_EQ(empty.size(), splitters.size() + 1);
+    for (const auto& frag : empty) EXPECT_TRUE(frag.empty());
+  }
+}
+
 // --- fingerprint accumulator --------------------------------------------
 
 TEST(FingerprintAccumulator, MatchesFingerprintSequence) {
@@ -156,11 +203,61 @@ TEST(HostMerge, MergesUnequalRunsAndMeasures) {
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   EXPECT_EQ(out.size(), 12u);
   EXPECT_EQ(stats.moves, 12);
-  EXPECT_GT(stats.comparisons, 0);
+  EXPECT_EQ(stats.comparisons, 14) << "pinned: see PinnedCountsOnFixedMerges";
+  EXPECT_EQ(stats.runs, 3);
   EXPECT_EQ(stats.steps(),
             (stats.comparisons + stats.moves + kHostMergeLanes - 1) /
                 kHostMergeLanes)
       << "virtual-time charge is ceil(ops / lanes)";
+}
+
+// The counted work of fixed merges, pinned.  The counts follow the
+// heap library's pop_heap/push_heap comparison pattern (the run-index
+// tie-break fixes the merge order, not the count), so a change of
+// merge implementation shows here before it moves any report.
+struct PinnedMerge {
+  std::int64_t comparisons;
+  std::int64_t moves;
+  std::int64_t runs;
+};
+
+void expect_merge(const std::vector<std::vector<Key>>& runs,
+                  const PinnedMerge& pinned, const std::string& what) {
+  std::vector<Key> expected;
+  for (const auto& run : runs)
+    expected.insert(expected.end(), run.begin(), run.end());
+  std::sort(expected.begin(), expected.end());
+  HostMergeStats stats;
+  EXPECT_EQ(measured_multiway_merge(runs, stats), expected) << what;
+  EXPECT_EQ(stats.comparisons, pinned.comparisons) << what;
+  EXPECT_EQ(stats.moves, pinned.moves) << what;
+  EXPECT_EQ(stats.runs, pinned.runs) << what;
+}
+
+TEST(HostMerge, PinnedCountsOnFixedMerges) {
+  expect_merge({{1, 2, 2, 5}, {2, 2, 3}, {2, 5, 5}, {2}}, {27, 11, 4},
+               "ties across runs");
+  expect_merge({{}, {3, 4}, {}, {1, 7}, {}}, {3, 4, 2}, "empty runs");
+  expect_merge({{}, {}}, {0, 0, 0}, "only empty runs");
+  expect_merge({}, {0, 0, 0}, "no runs");
+  expect_merge({{1, 2, 3, 4, 5}}, {0, 5, 1}, "one run");
+
+  // k runs of 1-7 keys each, values in [0, 29) with repeats.
+  const PinnedMerge by_k[] = {
+      {1, 7, 2},     {11, 11, 3},   {24, 13, 4},   {60, 20, 5},
+      {88, 25, 6},   {99, 28, 7},   {111, 29, 8},  {146, 35, 9},
+      {182, 39, 10}, {177, 41, 11}, {221, 48, 12}, {244, 53, 13},
+      {259, 56, 14}, {260, 57, 15}, {299, 63, 16}, {340, 67, 17}};
+  for (int k = 2; k <= 17; ++k) {
+    std::vector<std::vector<Key>> runs(static_cast<std::size_t>(k));
+    for (int r = 0; r < k; ++r) {
+      auto& run = runs[static_cast<std::size_t>(r)];
+      for (int i = 0; i < (r * 5) % 7 + 1; ++i)
+        run.push_back((r * 37 + i * 13) % 29);
+      std::sort(run.begin(), run.end());
+    }
+    expect_merge(runs, by_k[k - 2], std::to_string(k) + " runs");
+  }
 }
 
 TEST(HostMerge, LanesMatchCertificateLanes) {
