@@ -10,6 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "durability/atomic_file.hpp"
+
 namespace prodsort {
 
 namespace {
@@ -18,7 +20,12 @@ constexpr std::uint32_t kRecordMagic = 0x50534a4cu;  // "PSJL"
 // Header: magic(4) + seq(8) + type(2) + flags(2) + len(4); the CRC(4)
 // trails the payload.
 constexpr std::size_t kHeaderBytes = 20;
+constexpr std::size_t kFlagsOffset = 14;
 constexpr std::size_t kCrcBytes = 4;
+// Flags bit 0: more records of this commit group follow.  A record
+// without it closes its group; a journal written one record per group
+// (flags 0) replays exactly as before groups existed.
+constexpr std::uint16_t kGroupContinues = 1;
 // Payloads are small (a few dozen bytes); anything above this is a
 // corrupted length field, not a real record — refusing early keeps a
 // flipped length bit from swallowing the rest of the file as "payload".
@@ -80,6 +87,21 @@ std::uint64_t get_u64(std::string_view data, std::size_t pos) {
                            std::to_string(offset) + ": " + why);
 }
 
+void append_record(std::string& out, std::uint64_t seq, RecordType type,
+                   std::string_view payload, bool group_end) {
+  if (payload.size() > kMaxPayloadBytes)
+    throw std::runtime_error("journal payload too large: " +
+                             std::to_string(payload.size()) + " bytes");
+  const std::size_t start = out.size();
+  put_u32(out, kRecordMagic);
+  put_u64(out, seq);
+  put_u16(out, static_cast<std::uint16_t>(type));
+  put_u16(out, group_end ? 0 : kGroupContinues);
+  put_u32(out, static_cast<std::uint32_t>(payload.size()));
+  out.append(payload);
+  put_u32(out, crc32_ieee(std::string_view(out).substr(start)));
+}
+
 }  // namespace
 
 std::string to_string(RecordType type) {
@@ -106,19 +128,10 @@ std::uint32_t crc32_ieee(std::string_view data) {
 }
 
 std::string encode_record(std::uint64_t seq, RecordType type,
-                          std::string_view payload) {
-  if (payload.size() > kMaxPayloadBytes)
-    throw std::runtime_error("journal payload too large: " +
-                             std::to_string(payload.size()) + " bytes");
+                          std::string_view payload, bool group_end) {
   std::string out;
   out.reserve(kHeaderBytes + payload.size() + kCrcBytes);
-  put_u32(out, kRecordMagic);
-  put_u64(out, seq);
-  put_u16(out, static_cast<std::uint16_t>(type));
-  put_u16(out, 0);  // flags, reserved
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload);
-  put_u32(out, crc32_ieee(out));
+  append_record(out, seq, type, payload, group_end);
   return out;
 }
 
@@ -126,24 +139,22 @@ JournalReplay replay_journal_buffer(std::string_view buffer) {
   JournalReplay replay;
   std::size_t pos = 0;
   std::uint64_t expect_seq = 1;
+  // Where the open commit group began, and its first record's index:
+  // whatever replays past here commits only when a record closes it.
+  std::size_t group_start = 0;
+  std::size_t group_first = 0;
   // A record that fails *because the file ends* is a torn tail; the
-  // same failure with bytes after it is bit rot.  tear() decides which.
-  const auto tear = [&](std::size_t record_end, const std::string& why) {
-    if (record_end >= buffer.size()) {
-      replay.torn_tail = true;
-      replay.torn_bytes = static_cast<std::int64_t>(buffer.size() - pos);
-      return true;
-    }
+  // same failure with bytes after it is bit rot.  torn() decides which.
+  const auto torn = [&](std::size_t record_end, const std::string& why) {
+    if (record_end >= buffer.size()) return true;
     replay_fail(static_cast<std::int64_t>(pos), why);
   };
   while (pos < buffer.size()) {
-    if (pos + kHeaderBytes > buffer.size()) {
-      tear(buffer.size(), "truncated header");
-      break;
-    }
+    if (pos + kHeaderBytes > buffer.size()) break;  // truncated header
     const std::uint32_t magic = get_u32(buffer, pos);
     const std::uint64_t seq = get_u64(buffer, pos + 4);
     const std::uint16_t type_raw = get_u16(buffer, pos + 12);
+    const std::uint16_t flags = get_u16(buffer, pos + kFlagsOffset);
     const std::uint32_t len = get_u32(buffer, pos + 16);
     // A torn append leaves a *prefix* of a valid record; with the full
     // header present, its fields are genuine.  A bad magic or an
@@ -155,22 +166,17 @@ JournalReplay replay_journal_buffer(std::string_view buffer) {
       replay_fail(static_cast<std::int64_t>(pos),
                   "implausible payload length " + std::to_string(len));
     const std::size_t record_end = pos + kHeaderBytes + len + kCrcBytes;
-    if (record_end > buffer.size()) {
-      tear(buffer.size(), "truncated record");
-      break;
-    }
+    if (record_end > buffer.size()) break;  // truncated record
     const std::uint32_t stored_crc =
         get_u32(buffer, record_end - kCrcBytes);
     const std::uint32_t actual_crc =
         crc32_ieee(buffer.substr(pos, kHeaderBytes + len));
-    if (stored_crc != actual_crc) {
-      if (tear(record_end,
-               "bad CRC on record seq " + std::to_string(seq) +
-                   " (stored " + std::to_string(stored_crc) + ", computed " +
-                   std::to_string(actual_crc) + ")")) {
-        break;
-      }
-    }
+    if (stored_crc != actual_crc &&
+        torn(record_end, "bad CRC on record seq " + std::to_string(seq) +
+                             " (stored " + std::to_string(stored_crc) +
+                             ", computed " + std::to_string(actual_crc) +
+                             ")"))
+      break;
     // CRC passed: the record committed, so structural violations from
     // here on are real errors even at EOF.
     if (type_raw < 1 ||
@@ -191,11 +197,21 @@ JournalReplay replay_journal_buffer(std::string_view buffer) {
     record.payload = std::string(buffer.substr(pos + kHeaderBytes, len));
     record.offset = static_cast<std::int64_t>(pos);
     record.end_offset = static_cast<std::int64_t>(record_end);
+    record.group_end = (flags & kGroupContinues) == 0;
     replay.records.push_back(std::move(record));
     ++expect_seq;
     pos = record_end;
-    replay.valid_bytes = static_cast<std::int64_t>(pos);
+    if (replay.records.back().group_end) {
+      group_start = pos;
+      group_first = replay.records.size();
+    }
   }
+  // Everything past the last closed group is the uncommitted write a
+  // crash interrupted: a torn record, or whole records of an open group.
+  replay.records.resize(group_first);
+  replay.valid_bytes = static_cast<std::int64_t>(group_start);
+  replay.torn_bytes = static_cast<std::int64_t>(buffer.size() - group_start);
+  replay.torn_tail = replay.torn_bytes > 0;
   return replay;
 }
 
@@ -323,6 +339,8 @@ std::string RunDispatchedRecord::encode() const {
   w.i64(keys);
   w.fp(fp);
   w.i64(file_bytes);
+  w.str(file);
+  w.i64(offset);
   return w.take();
 }
 
@@ -335,6 +353,8 @@ RunDispatchedRecord RunDispatchedRecord::decode(std::string_view payload) {
   v.keys = r.i64();
   v.fp = r.fp();
   v.file_bytes = r.i64();
+  v.file = r.str();
+  v.offset = r.i64();
   r.finish();
   return v;
 }
@@ -345,6 +365,8 @@ std::string RunVerifiedRecord::encode() const {
   w.i64(keys);
   w.fp(fp);
   w.i64(file_bytes);
+  w.str(file);
+  w.i64(offset);
   return w.take();
 }
 
@@ -355,6 +377,8 @@ RunVerifiedRecord RunVerifiedRecord::decode(std::string_view payload) {
   v.keys = r.i64();
   v.fp = r.fp();
   v.file_bytes = r.i64();
+  v.file = r.str();
+  v.offset = r.i64();
   r.finish();
   return v;
 }
@@ -478,38 +502,6 @@ void JournalWriter::open_fresh(const std::string& path) {
   synced_size_ = 0;
 }
 
-void JournalWriter::write_all(int fd, std::string_view data, bool faultable) {
-  std::size_t done = 0;
-  bool first = true;
-  while (done < data.size()) {
-    std::size_t want = data.size() - done;
-    // The injected short write cuts only the first syscall of an
-    // append; the loop then completes the remainder, exactly how a
-    // robust writer handles a real short count from write(2).
-    if (first && faultable && want > 1 && clock_ != nullptr &&
-        clock_->draw_short_write()) {
-      want = want / 2;
-    }
-    first = false;
-    const ssize_t n = ::write(fd, data.data() + done, want);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("journal write failed: " + path_ + ": " +
-                               std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
-void JournalWriter::sync_file() {
-  ++syncs_;
-  if (clock_ != nullptr && clock_->draw_drop_sync()) return;  // fsync lied
-  if (::fsync(fd_) != 0)
-    throw std::runtime_error("journal fsync failed: " + path_ + ": " +
-                             std::strerror(errno));
-  synced_size_ = written_size_;
-}
-
 void JournalWriter::maybe_kill() {
   if (kill_after_ <= 0 || committed_ < kill_after_) return;
   // Model the power cut: everything past the last *successful* fsync
@@ -518,76 +510,90 @@ void JournalWriter::maybe_kill() {
     throw std::runtime_error("journal truncate failed: " + path_ + ": " +
                              std::strerror(errno));
   ::fsync(fd_);
-  throw DurabilityKill(seq_);
+  throw DurabilityKill(static_cast<std::uint64_t>(kill_after_));
+}
+
+std::uint64_t JournalWriter::stage(RecordType type,
+                                   std::string_view payload) {
+  // Staged with the continues flag set; close_group() clears it on the
+  // group's last record.
+  last_record_ = group_.size();
+  append_record(group_, seq_ + group_records_ + 1, type, payload,
+                /*group_end=*/false);
+  return seq_ + ++group_records_;
+}
+
+void JournalWriter::close_group() {
+  group_[last_record_ + kFlagsOffset] = 0;  // kGroupContinues, the only bit
+  const std::uint32_t crc = crc32_ieee(std::string_view(group_).substr(
+      last_record_, group_.size() - kCrcBytes - last_record_));
+  group_.resize(group_.size() - kCrcBytes);
+  put_u32(group_, crc);
+}
+
+void JournalWriter::commit() {
+  if (group_records_ == 0) return;
+  if (fd_ < 0)
+    throw std::logic_error("journal commit before rewrite on a deferred "
+                           "writer: " +
+                           path_);
+  close_group();
+  // An injected short write lands the first half alone; the writer
+  // completes the remainder, exactly how it handles a real short count.
+  std::size_t first = group_.size();
+  if (clock_ != nullptr && group_.size() > 1 && clock_->draw_short_write())
+    first = group_.size() / 2;
+  write_fully(fd_, std::string_view(group_).substr(0, first), path_);
+  write_fully(fd_, std::string_view(group_).substr(first), path_);
+  written_size_ += static_cast<std::int64_t>(group_.size());
+  bytes_ += static_cast<std::int64_t>(group_.size());
+  seq_ += group_records_;
+  committed_ += static_cast<std::int64_t>(group_records_);
+  group_.clear();
+  group_records_ = 0;
+  ++syncs_;
+  if (clock_ == nullptr || !clock_->draw_drop_sync()) {  // else fsync lied
+    if (::fsync(fd_) != 0)
+      throw std::runtime_error("journal fsync failed: " + path_ + ": " +
+                               std::strerror(errno));
+    synced_size_ = written_size_;
+  }
+  maybe_kill();
 }
 
 std::uint64_t JournalWriter::append(RecordType type,
                                     std::string_view payload) {
-  if (fd_ < 0)
-    throw std::logic_error("journal append before rewrite on a deferred "
-                           "writer: " +
-                           path_);
-  const std::uint64_t seq = ++seq_;
-  const std::string record = encode_record(seq, type, payload);
-  write_all(fd_, record, /*faultable=*/true);
-  written_size_ += static_cast<std::int64_t>(record.size());
-  bytes_ += static_cast<std::int64_t>(record.size());
-  sync_file();
-  ++committed_;
-  maybe_kill();
+  const std::uint64_t seq = stage(type, payload);
+  commit();
   return seq;
 }
 
 void JournalWriter::rewrite(
     const std::vector<std::pair<RecordType, std::string>>& records) {
-  const std::string tmp = path_ + ".new";
-  const int tmp_fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (tmp_fd < 0)
-    throw std::runtime_error("cannot open compaction file: " + tmp + ": " +
-                             std::strerror(errno));
-  std::uint64_t seq = 0;
-  std::int64_t tmp_bytes = 0;
-  try {
-    for (const auto& [type, payload] : records) {
-      const std::string record = encode_record(++seq, type, payload);
-      write_all(tmp_fd, record, /*faultable=*/false);
-      tmp_bytes += static_cast<std::int64_t>(record.size());
-    }
-    if (::fsync(tmp_fd) != 0)
-      throw std::runtime_error("compaction fsync failed: " + tmp + ": " +
-                               std::strerror(errno));
-  } catch (...) {
-    ::close(tmp_fd);
-    throw;
-  }
-  ::close(tmp_fd);
-  // The point of no return.  Before the rename the old journal is
-  // untouched, so a crash anywhere above replays the pre-compaction
-  // state; after it, the compacted journal is the journal.
-  if (::rename(tmp.c_str(), path_.c_str()) != 0)
-    throw std::runtime_error("compaction rename failed: " + tmp + " -> " +
-                             path_ + ": " + std::strerror(errno));
-  const std::size_t slash = path_.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path_.substr(0, slash);
-  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  // The compacted journal is one group numbered from 1; it supersedes
+  // whatever was staged.
+  group_.clear();
+  group_records_ = 0;
+  seq_ = 0;
+  for (const auto& [type, payload] : records) stage(type, payload);
+  if (group_records_ > 0) close_group();
+  // The point of no return is the rename inside: before it the old
+  // journal is untouched, so a crash replays the pre-compaction state;
+  // after it, the compacted journal is the journal.
+  write_file_atomic(path_, group_);
   // Re-open for append at the compacted tail.
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd_ < 0)
     throw std::runtime_error("cannot re-open compacted journal: " + path_ +
                              ": " + std::strerror(errno));
-  seq_ = seq;
-  written_size_ = tmp_bytes;
-  synced_size_ = tmp_bytes;
-  bytes_ += tmp_bytes;
-  committed_ += static_cast<std::int64_t>(records.size());
+  seq_ = group_records_;
+  written_size_ = static_cast<std::int64_t>(group_.size());
+  synced_size_ = written_size_;
+  bytes_ += written_size_;
+  committed_ += static_cast<std::int64_t>(group_records_);
+  group_.clear();
+  group_records_ = 0;
   ++compactions_;
   maybe_kill();
 }

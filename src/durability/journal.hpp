@@ -5,20 +5,24 @@
 //
 // Every externally visible state transition of a durable
 // StreamingSorter — batch ingested, run cut to spill, run verified,
-// ingestion flushed, range sealed, spill-ledger reconciliation —
-// commits one length-prefixed, CRC-checksummed, monotonically
-// sequenced record to an append-only log before the pipeline proceeds.
-// The commit contract is write-ahead in the literal sense: any file
-// the record references (a run slice, a verified run output, a sealed
-// range) is written and fsync'd *before* the record is appended and
-// fsync'd, so a record's presence certifies its referenced bytes were
-// durable first.
+// ingestion flushed, range sealed, spill-ledger reconciliation — is one
+// length-prefixed, CRC-checksummed, monotonically sequenced record in
+// an append-only log.  Records are staged and committed in *groups*,
+// one per discrete event of the pipeline: the group goes out in one
+// write and one fsync.  The commit contract is write-ahead per group:
+// any spill data a record names (a run slice, a verified run output, a
+// sealed range) is written and fsync'd *before* the group holding the
+// record is written, so a record's presence certifies its referenced
+// bytes were durable first.
 //
-// Replay (replay_journal) enforces three integrity rules:
+// Replay (replay_journal) enforces four integrity rules:
 //
 //  * torn tail — an incomplete or checksum-failing record that runs to
 //    end-of-file is the uncommitted write a crash interrupted; it is
 //    discarded (reported, never an error);
+//  * torn group — complete records at end-of-file whose group never
+//    closed (the last one carries the continues flag) are the rest of
+//    that interrupted write, discarded with it: a group commits whole;
 //  * bit rot  — a bad magic or bad CRC *followed by more data* cannot
 //    be a torn write (something was appended after it, so it had
 //    committed); replay refuses loudly with a named error;
@@ -29,8 +33,8 @@
 // Once a range seals, the whole prefix that produced it is dead
 // weight; rewrite() compacts the journal — config + snapshot + the
 // still-live records — into a new file that atomically replaces the
-// old one (write, fsync, rename, fsync dir), so journal size tracks
-// *outstanding* work, not stream length.
+// old one (write_file_atomic), so journal size tracks *outstanding*
+// work, not stream length.
 
 #include <cstdint>
 #include <memory>
@@ -43,19 +47,21 @@
 #include "core/certifier.hpp"  // FingerprintState
 #include "core/multiway_merge.hpp"  // Key
 #include "durability/io_faults.hpp"
+#include "durability/spill_store.hpp"  // SpillRef
 
 namespace prodsort {
 
-/// Thrown by the deterministic kill hook (Journal::set_kill_after):
-/// after the N-th record commits, the journal truncates its file to
-/// the *synced* size — exactly the bytes a power cut would preserve,
-/// including the effect of any dropped fsyncs — and throws this.  The
-/// driver treats it as SIGKILL: no cleanup, exit.
+/// Thrown by the deterministic kill hook (JournalWriter::set_kill_after):
+/// once the commit group holding the N-th record commits, the journal
+/// truncates its file to the *synced* size — exactly the bytes a power
+/// cut would preserve, including the effect of any dropped fsyncs — and
+/// throws this with `records` = N.  prodsort_stream treats it as SIGKILL: no
+/// cleanup, exit.
 struct DurabilityKill : std::runtime_error {
-  explicit DurabilityKill(std::uint64_t seq)
+  explicit DurabilityKill(std::uint64_t record)
       : std::runtime_error("durability kill after record " +
-                           std::to_string(seq)),
-        records(seq) {}
+                           std::to_string(record)),
+        records(record) {}
   std::uint64_t records;
 };
 
@@ -72,15 +78,17 @@ enum class RecordType : std::uint16_t {
 
 [[nodiscard]] std::string to_string(RecordType type);
 
-/// One replayed record: sequence, type, raw payload, and the byte
-/// range it occupied (offsets let tests truncate at exact record
-/// boundaries to simulate a kill after any given commit).
+/// One replayed record: sequence, type, raw payload, the byte range it
+/// occupied, and whether it closes its commit group (offsets of group
+/// ends let tests truncate at exact commit boundaries to simulate a
+/// kill after any given commit).
 struct JournalRecord {
   std::uint64_t seq = 0;
   RecordType type = RecordType::kConfig;
   std::string payload;
   std::int64_t offset = 0;
   std::int64_t end_offset = 0;
+  bool group_end = true;
 };
 
 struct JournalReplay {
@@ -94,10 +102,12 @@ struct JournalReplay {
 /// checksum.  Exposed for the fuzz tests.
 [[nodiscard]] std::uint32_t crc32_ieee(std::string_view data);
 
-/// Encodes one record: magic, sequence, type, length-prefixed payload,
-/// CRC over everything before it.
+/// Encodes one record: magic, sequence, type, flags, length-prefixed
+/// payload, CRC over everything before it.  `group_end` false sets the
+/// continues flag: more records of the same commit group follow.
 [[nodiscard]] std::string encode_record(std::uint64_t seq, RecordType type,
-                                        std::string_view payload);
+                                        std::string_view payload,
+                                        bool group_end = true);
 
 /// Replays an encoded record stream (the journal file's bytes),
 /// applying the integrity rules above.  Throws std::runtime_error
@@ -172,7 +182,10 @@ struct RunDispatchedRecord {
   std::int64_t pad = 0;
   std::int64_t keys = 0;         ///< real keys in the retained slice
   FingerprintState fp;           ///< slice fingerprint (== output's)
-  std::int64_t file_bytes = 0;   ///< slice spill file size, fsync'd first
+  std::int64_t file_bytes = 0;   ///< slice blob size, fsync'd first
+  std::string file{};            ///< spill file holding the slice blob
+  std::int64_t offset = 0;       ///< the blob's byte offset in `file`
+  [[nodiscard]] SpillRef blob() const { return {file, offset, file_bytes}; }
   [[nodiscard]] std::string encode() const;
   [[nodiscard]] static RunDispatchedRecord decode(std::string_view payload);
 };
@@ -181,7 +194,10 @@ struct RunVerifiedRecord {
   std::int64_t run = 0;
   std::int64_t keys = 0;
   FingerprintState fp;
-  std::int64_t file_bytes = 0;   ///< output spill file size, fsync'd first
+  std::int64_t file_bytes = 0;   ///< output blob size, fsync'd first
+  std::string file{};            ///< spill file holding the output blob
+  std::int64_t offset = 0;       ///< the blob's byte offset in `file`
+  [[nodiscard]] SpillRef blob() const { return {file, offset, file_bytes}; }
   [[nodiscard]] std::string encode() const;
   [[nodiscard]] static RunVerifiedRecord decode(std::string_view payload);
 };
@@ -205,7 +221,7 @@ struct RangeSealedRecord {
   std::uint8_t has_keys = 0;
   Key first = 0;
   Key last = 0;
-  std::int64_t file_bytes = 0;   ///< range output file, fsync'd first
+  std::int64_t file_bytes = 0;   ///< range<r>.out size, fsync'd first
   [[nodiscard]] std::string encode() const;
   [[nodiscard]] static RangeSealedRecord decode(std::string_view payload);
 };
@@ -237,7 +253,7 @@ struct SnapshotRecord {
 // --- the writer ----------------------------------------------------------
 
 /// Append-only journal writer over one file, with the io-fault clock
-/// threaded through every write and sync.  Not thread-safe; the
+/// threaded through every group write and sync.  Not thread-safe; the
 /// streaming pipeline journals from its (single-threaded) event loop.
 class JournalWriter {
  public:
@@ -252,26 +268,33 @@ class JournalWriter {
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
-  /// Commits one record: encode, append (short writes detected and
-  /// completed), fsync (droppable by the fault clock).  Returns the
-  /// record's sequence number.  Fires the kill hook after the commit.
+  /// Adds one record to the open commit group and returns its sequence
+  /// number.  Nothing reaches the file until commit().
+  std::uint64_t stage(RecordType type, std::string_view payload);
+
+  /// Commits the staged group: one write (one short-write draw; a
+  /// short write is completed, never torn), one fsync (one drop-sync
+  /// draw), then the kill hook.  A no-op when nothing is staged.
+  void commit();
+
+  /// stage() + commit(): a one-record group.
   std::uint64_t append(RecordType type, std::string_view payload);
 
-  /// Atomically replaces the journal with `records` (compaction):
-  /// encodes them as sequences 1..n into `path + ".new"`, fsyncs,
-  /// renames over the journal, fsyncs the directory, and re-opens for
-  /// append with seq = n.  The kill hook counts these records too; a
-  /// kill mid-rewrite leaves the *old* journal intact (the rename
-  /// never happens), which is exactly a compaction crash.
+  /// Atomically replaces the journal with `records` (compaction),
+  /// discarding any staged group — the caller's records supersede it.
+  /// The records are encoded as one group, sequences 1..n, and written
+  /// with write_file_atomic; the writer then re-opens for append with
+  /// seq = n.  The rename is the commit point: a crash before it leaves
+  /// the *old* journal intact.  The kill hook counts these records too
+  /// and fires after the rename.
   void rewrite(
       const std::vector<std::pair<RecordType, std::string>>& records);
 
-  /// Deterministic crash: after the N-th committed record (counting
-  /// from the writer's construction), truncate to the synced size and
-  /// throw DurabilityKill.  0 disables.
+  /// Deterministic crash: once the group holding the N-th committed
+  /// record (counting from the writer's construction) commits, truncate
+  /// to the synced size and throw DurabilityKill.  0 disables.
   void set_kill_after(std::int64_t records) { kill_after_ = records; }
 
-  [[nodiscard]] std::uint64_t next_seq() const noexcept { return seq_ + 1; }
   [[nodiscard]] std::int64_t records_committed() const noexcept {
     return committed_;
   }
@@ -283,14 +306,16 @@ class JournalWriter {
 
  private:
   void open_fresh(const std::string& path);
-  void write_all(int fd, std::string_view data, bool faultable);
-  void sync_file();
+  void close_group();
   void maybe_kill();
 
   std::string path_;
   IoFaultClock* clock_;
   int fd_ = -1;
   std::uint64_t seq_ = 0;
+  std::string group_;  ///< the staged records, encoded
+  std::uint64_t group_records_ = 0;
+  std::size_t last_record_ = 0;  ///< offset of the last staged record
   std::int64_t written_size_ = 0;
   std::int64_t synced_size_ = 0;
   std::int64_t committed_ = 0;

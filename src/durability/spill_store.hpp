@@ -1,27 +1,35 @@
 #pragma once
 
-// Real spill-file backend for the streaming pipeline's retained slices
-// and sorted runs (docs/DURABILITY.md, "Spill files").
+// Real spill files for the streaming pipeline's retained slices, sorted
+// runs and sealed ranges (docs/DURABILITY.md, "Spill files").
 //
-// PR 9's spill ledger modeled out-of-core bytes as counters
-// (spill_high_bytes) without ever touching disk.  This store makes the
-// model *measured*: every retained slice, verified run output, and
-// sealed range lands in its own file under the journal directory, keys
-// packed as little-endian 64-bit integers, fsync'd before the journal
-// record that references the file commits.  The store tracks the live
-// file set's total size, so the byte-counter model can be reconciled
-// against actual disk occupancy (kLedgerDelta records) instead of
-// trusted blindly.
+// The pipeline commits once per discrete event.  Every run slice and
+// run output an event spills is staged as a *blob* of the event's
+// group file `g<id>.spill`; flush() writes the whole group straight
+// from the key vectors with one writev and one fsync, before the
+// journal records that name the blobs commit.  A blob is named by
+// (file, offset, bytes), keys as little-endian 64-bit integers.  The
+// store counts each file's live bytes and live blobs: a released blob
+// leaves the live set at once (so the byte-counter model reconciles
+// against it, kLedgerDelta records), and a file whose last blob is
+// released is unlinked by reap() once no committed record names it.
+// A sealed range is the one exception to grouping: it is the whole of
+// its own file `range<r>.out`, the stream's durable product.
 //
 // Reads go through the io-fault clock: a drawn read corruption flips
-// one hashed bit of the returned buffer, which the caller's
-// fingerprint check then catches (spill corruption is detected by
-// certification, not by per-file checksums — the journal already holds
-// the authoritative fingerprint for every file it references).
+// one hashed bit of the returned keys, which the caller's fingerprint
+// check then catches (spill corruption is detected by certification,
+// not by per-file checksums — the journal already holds the
+// authoritative fingerprint for every blob it references).
 
+#include <sys/uio.h>
+
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/multiway_merge.hpp"  // Key
@@ -29,54 +37,93 @@
 
 namespace prodsort {
 
+// Keys go to disk as their in-memory bytes: the file format is
+// little-endian int64, so that needs a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "spill files store keys as little-endian int64");
+
+/// Where a blob of keys lives on disk.
+struct SpillRef {
+  std::string file;  ///< file name inside the store's directory
+  std::int64_t offset = 0;
+  std::int64_t bytes = 0;
+};
+
 class SpillStore {
  public:
-  /// `dir` must exist; `clock` is borrowed and may be null.
+  /// `dir` must exist; `clock` is borrowed and may be null.  Group
+  /// files already in `dir` (a crashed run's) are remembered as
+  /// orphans, and new group ids continue past them, so a file the old
+  /// journal may name is never overwritten.
   SpillStore(std::string dir, IoFaultClock* clock);
 
-  /// Conventional file names inside the store.
-  [[nodiscard]] static std::string slice_name(std::int64_t run);
-  [[nodiscard]] static std::string output_name(std::int64_t run);
+  /// The sealed range file's conventional name.
   [[nodiscard]] static std::string range_name(int range);
 
   [[nodiscard]] std::string path_of(const std::string& name) const;
 
-  /// Writes `keys` to `name` (truncating), fsyncs, and tracks the file
-  /// as live.  Returns the file size in bytes.  Throws on I/O errors.
-  std::int64_t write_keys(const std::string& name,
-                          const std::vector<Key>& keys);
+  /// Adds `keys` to the pending group and returns where they will
+  /// live.  No I/O: flush() writes straight from `keys`, which must
+  /// stay valid and unchanged until then.
+  SpillRef stage(std::span<const Key> keys);
 
-  /// Reads `name` back (read-corruption-injectable).  Throws on a
-  /// missing/unreadable file or a size that is not a whole number of
-  /// keys — both named with the path.
-  [[nodiscard]] std::vector<Key> read_keys(const std::string& name);
+  /// Writes every staged blob to one new group file, fsync'd once, and
+  /// tracks the blobs as live.  A no-op when nothing is staged.
+  void flush();
 
-  /// Unlinks `name` and drops it from the live set.  Missing files are
-  /// tolerated (recovery may have already consumed them).
-  void remove(const std::string& name);
+  /// Writes `keys` as the whole of file `name`, fsync'd, and tracks it
+  /// as one live blob (a sealed range's file).
+  SpillRef write_file(const std::string& name, std::span<const Key> keys);
 
-  /// Recovery adoption: stats an existing file and tracks it as live.
-  /// Returns its size, or -1 if the file is missing.  When
-  /// `expected_bytes` >= 0 and the size disagrees, throws a named
-  /// error — a journaled record's file must be exactly as journaled or
-  /// explicitly absent, never silently resized.
-  std::int64_t adopt(const std::string& name, std::int64_t expected_bytes);
+  /// Reads a blob back (read-corruption-injectable).  Throws a named
+  /// error on a missing file, a short read, or a size that is not a
+  /// whole number of keys.
+  [[nodiscard]] std::vector<Key> read(const SpillRef& ref);
 
-  [[nodiscard]] bool exists(const std::string& name) const;
+  /// Drops a blob from the live set; a file whose last live blob goes
+  /// is left for reap().  Untracked files are ignored.
+  void release(const SpillRef& ref);
 
-  /// Sum of live (tracked) file sizes right now.
+  /// Unlinks every file with no live blob left.  Call only after the
+  /// journal commit that stops naming them.
+  void reap();
+
+  /// Recovery adoption: marks a journaled blob live again.  Returns
+  /// false if its file is missing; throws a named error if the file is
+  /// too short to hold the blob — a journaled blob must be exactly as
+  /// journaled or explicitly absent, never silently truncated.
+  bool adopt(const SpillRef& ref);
+
+  /// Unlinks every orphan group file that no adopt() claimed.  Call
+  /// once the journal can no longer name an unadopted orphan.
+  void reap_orphans();
+
+  /// Sum of live blob sizes right now.
   [[nodiscard]] std::int64_t live_bytes() const noexcept { return live_; }
   /// High-water of live_bytes() — the measured counterpart of the
   /// ledger's accounted spill_high_bytes.
   [[nodiscard]] std::int64_t measured_high() const noexcept { return high_; }
+  /// Distinct files written or adopted.
   [[nodiscard]] std::int64_t files_created() const noexcept {
     return created_;
   }
 
  private:
+  struct LiveFile {
+    std::int64_t bytes = 0;
+    std::int64_t blobs = 0;
+  };
+
+  void track(const std::string& file, std::int64_t bytes);
+
   std::string dir_;
   IoFaultClock* clock_;
-  std::unordered_map<std::string, std::int64_t> live_files_;
+  /// Tracked files; an entry with no live blob awaits reap().
+  std::unordered_map<std::string, LiveFile> files_;
+  std::unordered_set<std::string> orphans_;
+  std::vector<iovec> pending_;  ///< the staged group's blobs
+  std::int64_t pending_bytes_ = 0;
+  std::int64_t next_group_ = 0;
   std::int64_t live_ = 0;
   std::int64_t high_ = 0;
   std::int64_t created_ = 0;

@@ -170,9 +170,9 @@ RecoveryManifest load_recovery_manifest(const std::string& journal_dir,
     }
   }
 
-  // Runs of sealed ranges were released at seal; drop any stragglers
-  // (a crash can land between the seal record and the compaction that
-  // would have dropped them).
+  // Runs of sealed ranges were released at seal.  The compaction that
+  // commits a seal drops them, so a journal naming one after its
+  // range's seal was not written that way; drop the stragglers.
   const int sealed_ranges = static_cast<int>(manifest.sealed.size());
   std::erase_if(manifest.runs, [sealed_ranges](const RecoveredRun& run) {
     return run.cut.range < sealed_ranges;

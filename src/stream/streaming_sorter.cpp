@@ -12,6 +12,7 @@
 #include <optional>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/certifier.hpp"
@@ -111,12 +112,17 @@ struct StreamingSorter::Impl {
     int attempts = 0;
     bool done = false;
     std::vector<Key> output;  ///< stripped sorted output (spill) once done
-    /// Durable mode: the slice file's size — the file (and these bytes
-    /// in the spill ledger) is retained until the range seals, so a
-    /// lost output file can still re-dispatch.  0 when journaling is
-    /// off (slice bytes release at verify, PR 9 behavior).
-    std::int64_t slice_bytes = 0;
+    /// Durable mode: the slice blob — retained (with its bytes in the
+    /// spill ledger) until the range seals, so a lost output can still
+    /// re-dispatch.  Empty when journaling is off (slice bytes release
+    /// at verify).
+    SpillRef slice_ref;
+    SpillRef output_ref;  ///< durable mode: the verified output's blob
   };
+  // A commit group's spill blobs are written straight from run slices
+  // and outputs at the end of the event, so growing `runs` mid-event
+  // must move the key vectors (keeping their buffers), never copy them.
+  static_assert(std::is_nothrow_move_constructible_v<Run>);
 
   enum Kind { kArrival = 0, kCompletion = 1, kMergeDone = 2, kRequeue = 3 };
 
@@ -197,6 +203,10 @@ struct StreamingSorter::Impl {
   const RecoveryManifest* recovery = nullptr;
   std::vector<RangeSealedRecord> sealed_records;  ///< for compaction
   std::int64_t range_bytes_live = 0;  ///< sealed range files on disk
+  bool seal_pending = false;  ///< this event sealed: commit by compaction
+  /// Slices dropped mid-event whose blobs are staged but not yet
+  /// written; freed once the event's group is on disk.
+  std::vector<std::vector<Key>> held_until_flush;
 
   [[nodiscard]] bool durable() const noexcept { return journal != nullptr; }
 
@@ -302,16 +312,16 @@ struct StreamingSorter::Impl {
                                 pg->dims());
   }
 
-  /// Reads a spill file and checks it against the journaled fingerprint
+  /// Reads a spill blob and checks it against the journaled fingerprint
   /// state, re-reading once on a mismatch (a read-back corruption is
-  /// transient; a bad file is not).  Returns false when the file is
+  /// transient; a bad file is not).  Returns false when the blob is
   /// missing or fails the check both times.
-  bool read_checked(const std::string& name, const FingerprintState& expect,
+  bool read_checked(const SpillRef& ref, const FingerprintState& expect,
                     std::vector<Key>* out) {
     for (int attempt = 0; attempt < 2; ++attempt) {
       std::vector<Key> keys;
       try {
-        keys = store->read_keys(name);
+        keys = store->read(ref);
       } catch (const std::runtime_error&) {
         return false;
       }
@@ -325,10 +335,10 @@ struct StreamingSorter::Impl {
     return false;
   }
 
-  /// Journals one seal: range file durable first, then the record, then
-  /// the range's run files (slices and outputs) leave the store, the
-  /// spill ledger reconciles against measured disk, and the journal
-  /// compacts down to the still-live records.
+  /// Seals range r durably: the range file is written and fsync'd now,
+  /// and the range's run blobs leave the live set (and the slice bytes
+  /// the ledger), but the seal commits only with the compaction that
+  /// ends the event (commit_event), and the run files are reaped after.
   void seal_durable(int r, const std::vector<Key>& output,
                     const FingerprintState& range_fp) {
     RangeSealedRecord rec;
@@ -340,33 +350,53 @@ struct StreamingSorter::Impl {
       rec.first = output.front();
       rec.last = output.back();
       rec.file_bytes =
-          store->write_keys(SpillStore::range_name(r), output);
+          store->write_file(SpillStore::range_name(r), output).bytes;
       range_bytes_live += rec.file_bytes;
     }
-    journal->append(RecordType::kRangeSealed, rec.encode());
     sealed_records.push_back(rec);
     for (Run& run : runs) {
       if (run.range != r) continue;
-      store->remove(SpillStore::slice_name(run.id));
-      store->remove(SpillStore::output_name(run.id));
+      store->release(run.slice_ref);
+      store->release(run.output_ref);
       // Durable retention ends at seal: release the slice bytes the
       // non-durable model would have released at verify.
-      spill_release(run.slice_bytes);
-      run.slice_bytes = 0;
+      spill_release(run.slice_ref.bytes);
+      run.slice_ref = {};
+      run.output_ref = {};
     }
+    seal_pending = true;
   }
 
-  /// After the caller has released the sealed runs' output bytes:
-  /// reconcile the ledger against measured disk and compact the log.
-  void finish_seal_durable() {
-    reconcile_ledger();
-    journal->rewrite(live_records());
+  /// Commits the event that just ran as one group: its spill blobs go
+  /// to one fsync'd group file first, then its journal records in one
+  /// write and one fsync.  An event that sealed commits instead by
+  /// compaction — the seal and ledger records go into the rewritten
+  /// journal, whose rename is the commit point — and only then are the
+  /// sealed runs' files reaped.
+  void commit_event() {
+    store->flush();
+    held_until_flush.clear();
+    if (seal_pending) {
+      seal_pending = false;
+      std::vector<std::pair<RecordType, std::string>> records =
+          live_records();
+      records.emplace_back(RecordType::kLedgerDelta,
+                           reconcile_ledger().encode());
+      journal->rewrite(records);
+      store->reap();
+    } else {
+      journal->commit();
+    }
+    // Once flushed, the journal can name no group file an earlier
+    // process left behind except those recovery adopted.
+    if (flushed) store->reap_orphans();
   }
 
-  /// Compares the byte-counter spill model against measured live file
-  /// sizes and journals the reconciliation point.  A disagreement is a
-  /// modeling bug (gate: zero), counted loudly, never absorbed.
-  void reconcile_ledger() {
+  /// Compares the byte-counter spill model against the measured live
+  /// blob bytes: the reconciliation point the compaction journals.  A
+  /// disagreement is a modeling bug (gate: zero), counted loudly, never
+  /// absorbed.
+  LedgerDeltaRecord reconcile_ledger() {
     const std::int64_t measured = store->live_bytes() - range_bytes_live;
     if (measured != spill_used) ++report.spill_reconcile_failures;
     LedgerDeltaRecord delta;
@@ -374,7 +404,7 @@ struct StreamingSorter::Impl {
     delta.spill_measured = measured;
     delta.resident_used = ram.used();
     delta.spill_high = spill_high;
-    journal->append(RecordType::kLedgerDelta, delta.encode());
+    return delta;
   }
 
   /// The compacted journal: config + aggregate snapshot + sealed-range
@@ -395,28 +425,41 @@ struct StreamingSorter::Impl {
     for (const RangeSealedRecord& rec : sealed_records)
       records.emplace_back(RecordType::kRangeSealed, rec.encode());
     for (const Run& run : runs) {
-      if (run.slice_bytes == 0 && run.range >= 0 &&
+      // Skip recovery placeholders and sealed ranges' (released) runs.
+      if (run.range < 0 ||
           run.range < static_cast<int>(sealed_records.size()))
-        continue;  // sealed range's run: files already released
-      if (run.range < 0) continue;  // recovery placeholder
-      RunDispatchedRecord cut;
-      cut.run = run.id;
-      cut.range = run.range;
-      cut.pad = run.pad;
-      cut.keys = static_cast<std::int64_t>(run.acc.state().count);
-      cut.fp = run.acc.state();
-      cut.file_bytes = run.slice_bytes;
+        continue;
+      const RunDispatchedRecord cut = cut_record(run);
       records.emplace_back(RecordType::kRunDispatched, cut.encode());
-      if (run.done) {
-        RunVerifiedRecord verify;
-        verify.run = run.id;
-        verify.keys = cut.keys;
-        verify.fp = cut.fp;
-        verify.file_bytes = cut.keys * kKeyBytes;
-        records.emplace_back(RecordType::kRunVerified, verify.encode());
-      }
+      if (run.done)
+        records.emplace_back(RecordType::kRunVerified,
+                             verify_record(run).encode());
     }
     return records;
+  }
+
+  [[nodiscard]] static RunDispatchedRecord cut_record(const Run& run) {
+    RunDispatchedRecord rec;
+    rec.run = run.id;
+    rec.range = run.range;
+    rec.pad = run.pad;
+    rec.keys = static_cast<std::int64_t>(run.acc.state().count);
+    rec.fp = run.acc.state();
+    rec.file_bytes = run.slice_ref.bytes;
+    rec.file = run.slice_ref.file;
+    rec.offset = run.slice_ref.offset;
+    return rec;
+  }
+
+  [[nodiscard]] static RunVerifiedRecord verify_record(const Run& run) {
+    RunVerifiedRecord rec;
+    rec.run = run.id;
+    rec.keys = static_cast<std::int64_t>(run.acc.state().count);
+    rec.fp = run.acc.state();
+    rec.file_bytes = run.output_ref.bytes;
+    rec.file = run.output_ref.file;
+    rec.offset = run.output_ref.offset;
+    return rec;
   }
 
   /// Rebuilds pipeline state from a replayed journal (flushed mode) or
@@ -451,10 +494,12 @@ struct StreamingSorter::Impl {
     for (const RangeSealedRecord& rec : m.sealed) {
       sealed_records.push_back(rec);
       if (rec.keys > 0) {
-        store->adopt(SpillStore::range_name(rec.range), rec.file_bytes);
+        const SpillRef ref{SpillStore::range_name(rec.range), 0,
+                           rec.file_bytes};
+        store->adopt(ref);
         range_bytes_live += rec.file_bytes;
         std::vector<Key> keys;
-        if (!read_checked(SpillStore::range_name(rec.range), rec.fp, &keys))
+        if (!read_checked(ref, rec.fp, &keys))
           throw std::runtime_error(
               "recovery: sealed range " + std::to_string(rec.range) +
               " fails its journaled fingerprint and its runs were "
@@ -497,27 +542,25 @@ struct StreamingSorter::Impl {
       run.range = rr.cut.range;
       run.pad = rr.cut.pad;
       run.acc = FingerprintAccumulator::from_state(rr.cut.fp);
-      run.slice_bytes = rr.cut.file_bytes;
-      store->adopt(SpillStore::slice_name(run.id), rr.cut.file_bytes);
-      spill_add(run.slice_bytes);
+      run.slice_ref = rr.cut.blob();
+      store->adopt(run.slice_ref);
+      spill_add(run.slice_ref.bytes);
       bool adopted = false;
       if (rr.verified) {
         std::vector<Key> output;
-        if (store->exists(SpillStore::output_name(run.id)) &&
-            read_checked(SpillStore::output_name(run.id), rr.verify.fp,
-                         &output) &&
-            std::is_sorted(output.begin(), output.end())) {
-          store->adopt(SpillStore::output_name(run.id),
-                       rr.verify.file_bytes);
+        if (read_checked(rr.verify.blob(), rr.verify.fp, &output) &&
+            std::is_sorted(output.begin(), output.end()) &&
+            store->adopt(rr.verify.blob())) {
           spill_add(static_cast<std::int64_t>(output.size()) * kKeyBytes);
           run.done = true;
           run.output = std::move(output);
+          run.output_ref = rr.verify.blob();
           adopted = true;
         }
       }
       if (!adopted) {
         std::vector<Key> slice;
-        if (!read_checked(SpillStore::slice_name(run.id), rr.cut.fp, &slice))
+        if (!read_checked(run.slice_ref, rr.cut.fp, &slice))
           throw std::runtime_error(
               "recovery: run " + std::to_string(run.id) +
               " slice file fails its journaled fingerprint — the journal "
@@ -590,7 +633,7 @@ struct StreamingSorter::Impl {
       rec.keys = static_cast<std::int64_t>(keys.size());
       rec.checksum = batch_acc.finalize().checksum;
       rec.chain_after = chain;
-      journal->append(RecordType::kBatchIngested, rec.encode());
+      journal->stage(RecordType::kBatchIngested, rec.encode());
     }
 
     if (!have_splitters) {
@@ -630,7 +673,7 @@ struct StreamingSorter::Impl {
         rec.runs_total = static_cast<std::int64_t>(runs.size());
         rec.padded_keys = report.padded_keys;
         rec.forced_cuts = report.forced_cuts;
-        journal->append(RecordType::kIngestDone, rec.encode());
+        journal->stage(RecordType::kIngestDone, rec.encode());
       }
     }
   }
@@ -657,16 +700,8 @@ struct StreamingSorter::Impl {
 
     bool adopted = false;
     if (durable()) {
-      run.slice_bytes = store->write_keys(SpillStore::slice_name(run.id),
-                                          run.slice);
-      RunDispatchedRecord rec;
-      rec.run = run.id;
-      rec.range = r;
-      rec.pad = run.pad;
-      rec.keys = take;
-      rec.fp = run.acc.state();
-      rec.file_bytes = run.slice_bytes;
-      journal->append(RecordType::kRunDispatched, rec.encode());
+      run.slice_ref = store->stage(run.slice);
+      journal->stage(RecordType::kRunDispatched, cut_record(run).encode());
       adopted = adopt_verified_cut(run);
     }
     if (!adopted) ready.push_back(run.id);
@@ -695,24 +730,19 @@ struct StreamingSorter::Impl {
           "different stream");
     if (!match->verified) return false;
     std::vector<Key> output;
-    if (!read_checked(SpillStore::output_name(run.id), match->verify.fp,
-                      &output) ||
-        !std::is_sorted(output.begin(), output.end()))
+    if (!read_checked(match->verify.blob(), match->verify.fp, &output) ||
+        !std::is_sorted(output.begin(), output.end()) ||
+        !store->adopt(match->verify.blob()))
       return false;  // damaged output: re-dispatch from the fresh slice
-    store->adopt(SpillStore::output_name(run.id), match->verify.file_bytes);
     spill_add(static_cast<std::int64_t>(output.size()) * kKeyBytes);
     run.done = true;
     run.output = std::move(output);
-    run.slice.clear();
-    run.slice.shrink_to_fit();
+    run.output_ref = match->verify.blob();
+    // The slice's staged blob is written at the end of the event.
+    held_until_flush.push_back(std::move(run.slice));
+    run.slice = {};
     ++report.recovered_runs;
-    RunVerifiedRecord rec;
-    rec.run = run.id;
-    rec.keys = static_cast<std::int64_t>(run.output.size());
-    rec.fp = run.acc.state();
-    rec.file_bytes =
-        static_cast<std::int64_t>(run.output.size()) * kKeyBytes;
-    journal->append(RecordType::kRunVerified, rec.encode());
+    journal->stage(RecordType::kRunVerified, verify_record(run).encode());
     return true;
   }
 
@@ -848,17 +878,13 @@ struct StreamingSorter::Impl {
         spill_add(static_cast<std::int64_t>(out.size()) * kKeyBytes);
         run.output = std::move(out);
         if (durable()) {
-          // Write-ahead: output durable, then the verify record.  The
-          // slice file (and its ledger bytes) is retained until seal so
-          // a lost output can still re-dispatch.
-          const std::int64_t file_bytes = store->write_keys(
-              SpillStore::output_name(run.id), run.output);
-          RunVerifiedRecord rec;
-          rec.run = run.id;
-          rec.keys = static_cast<std::int64_t>(run.output.size());
-          rec.fp = run.acc.state();
-          rec.file_bytes = file_bytes;
-          journal->append(RecordType::kRunVerified, rec.encode());
+          // Write-ahead: the output blob commits with the event's group
+          // file, ahead of the verify record.  The slice blob (and its
+          // ledger bytes) is retained until seal so a lost output can
+          // still re-dispatch.
+          run.output_ref = store->stage(run.output);
+          journal->stage(RecordType::kRunVerified,
+                         verify_record(run).encode());
         } else {
           spill_release(static_cast<std::int64_t>(run.slice.size()) *
                         kKeyBytes);
@@ -919,10 +945,7 @@ struct StreamingSorter::Impl {
       }
       if (!all_done) return;
       if (!any) {
-        if (durable()) {
-          seal_durable(next_seal, {}, FingerprintState{});
-          finish_seal_durable();
-        }
+        if (durable()) seal_durable(next_seal, {}, FingerprintState{});
         ++report.ranges_sealed;
         ++report.empty_ranges;
         ++next_seal;
@@ -1025,7 +1048,6 @@ struct StreamingSorter::Impl {
       run.output.clear();
       run.output.shrink_to_fit();
     }
-    if (durable()) finish_seal_durable();
     emitted->insert(emitted->end(), pm.output.begin(), pm.output.end());
     ++report.ranges_sealed;
     ++next_seal;
@@ -1069,6 +1091,7 @@ struct StreamingSorter::Impl {
           break;
       }
       if (flushed) try_start_merge(now);
+      if (durable()) commit_event();
     }
 
     report.seed = cfg.seed;

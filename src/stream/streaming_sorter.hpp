@@ -98,8 +98,9 @@ struct StreamConfig {
   // the write-ahead journal and real spill files under that directory;
   // io_faults injects deterministic short writes / dropped fsyncs /
   // read corruption; kill_after_records arms the deterministic crash
-  // hook (the run throws DurabilityKill after the N-th journal record
-  // commits, leaving exactly what a power cut would).
+  // hook (the run throws DurabilityKill once the commit group holding
+  // the N-th journal record commits, leaving exactly what a power cut
+  // would).
   std::string journal_dir;
   IoFaultConfig io_faults;
   std::int64_t kill_after_records = 0;

@@ -1,8 +1,9 @@
 // Durability layer (src/durability/, docs/DURABILITY.md): the
 // CRC-checksummed write-ahead journal and its replay integrity rules
-// (torn tail vs bit rot vs sequence violations), the typed record
-// payloads, the real spill-file store and its ledger reconciliation,
-// atomic whole-file replacement, deterministic I/O fault injection —
+// (torn tail and torn group vs bit rot vs sequence violations), the
+// typed record payloads, the spill store's group files and its ledger
+// reconciliation, one commit group per stream event, atomic whole-file
+// replacement, deterministic I/O fault injection —
 // and the headline contract: killing a durable StreamingSorter after
 // *every* journal record boundary and recovering yields output,
 // certificate chain, and fingerprints bit-identical to an
@@ -18,6 +19,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -128,6 +130,31 @@ TEST(Journal, EveryTruncationPointIsATornTailNeverAnError) {
     EXPECT_EQ(static_cast<std::size_t>(replay.valid_bytes),
               boundaries[complete]);
   }
+}
+
+TEST(Journal, AGroupReplaysWholeOrNotAtAll) {
+  // Records 2-4 form one commit group (2 and 3 carry the continues
+  // flag).  A crash can cut the group's single write anywhere; records
+  // of the group that survive intact must still be discarded, because
+  // the group never closed.
+  std::string buffer = encode_record(1, RecordType::kConfig, "cfg");
+  const std::size_t group_start = buffer.size();
+  buffer += encode_record(2, RecordType::kBatchIngested, "b", false);
+  buffer += encode_record(3, RecordType::kRunDispatched, "r", false);
+  buffer += encode_record(4, RecordType::kIngestDone, "d");
+  for (std::size_t cut = group_start; cut < buffer.size(); ++cut) {
+    const JournalReplay replay =
+        replay_journal_buffer(std::string_view(buffer).substr(0, cut));
+    ASSERT_EQ(replay.records.size(), 1u) << "cut at byte " << cut;
+    EXPECT_EQ(replay.valid_bytes, static_cast<std::int64_t>(group_start));
+    EXPECT_EQ(replay.torn_tail, cut > group_start) << "cut at byte " << cut;
+  }
+  const JournalReplay whole = replay_journal_buffer(buffer);
+  ASSERT_EQ(whole.records.size(), 4u);
+  EXPECT_FALSE(whole.torn_tail);
+  EXPECT_FALSE(whole.records[1].group_end);
+  EXPECT_FALSE(whole.records[2].group_end);
+  EXPECT_TRUE(whole.records[3].group_end);
 }
 
 TEST(Journal, BadCrcMidFileIsRotButAtEofIsTorn) {
@@ -380,6 +407,41 @@ TEST(JournalWriter, AppendsReplayAndCompactionsReplaceAtomically) {
   EXPECT_EQ(writer.records_committed(), 6);
 }
 
+TEST(JournalWriter, StagedRecordsCommitAsOneGroupWithOneSync) {
+  const std::string dir = scratch_dir("group");
+  const std::string path = dir + "/wal.log";
+  JournalWriter writer(path, nullptr);
+  EXPECT_EQ(writer.stage(RecordType::kConfig, "cfg"), 1u);
+  EXPECT_EQ(writer.stage(RecordType::kBatchIngested, "b0"), 2u);
+  EXPECT_EQ(writer.stage(RecordType::kRunDispatched, "r0"), 3u);
+  EXPECT_EQ(read_whole_file(path), "") << "nothing is written before commit";
+  writer.commit();
+  writer.commit();  // nothing staged: no write, no sync
+  EXPECT_EQ(writer.syncs(), 1);
+  EXPECT_EQ(writer.records_committed(), 3);
+  EXPECT_EQ(writer.append(RecordType::kIngestDone, "done"), 4u);
+  EXPECT_EQ(writer.syncs(), 2);
+  const JournalReplay replay = replay_journal(path);
+  ASSERT_EQ(replay.records.size(), 4u);
+  EXPECT_FALSE(replay.records[0].group_end);
+  EXPECT_FALSE(replay.records[1].group_end);
+  EXPECT_TRUE(replay.records[2].group_end);
+  EXPECT_TRUE(replay.records[3].group_end);
+  EXPECT_EQ(replay.records[2].payload, "r0");
+
+  // A rewrite supersedes a staged group; the compacted journal is one
+  // group of its own.
+  writer.stage(RecordType::kBatchIngested, "dropped");
+  writer.rewrite({{RecordType::kConfig, "cfg"},
+                  {RecordType::kSnapshot, "snap"}});
+  writer.commit();
+  const JournalReplay compacted = replay_journal(path);
+  ASSERT_EQ(compacted.records.size(), 2u);
+  EXPECT_FALSE(compacted.records[0].group_end);
+  EXPECT_TRUE(compacted.records[1].group_end);
+  EXPECT_EQ(writer.syncs(), 2) << "compaction is not a journal append";
+}
+
 TEST(JournalWriter, ShortWritesAreCompletedNotTorn) {
   const std::string dir = scratch_dir("shortw");
   IoFaultConfig cfg;
@@ -479,39 +541,104 @@ TEST(SpillStore, RoundTripsKeysAndMeasuresLiveBytes) {
   const std::string dir = scratch_dir("spill");
   SpillStore store(dir, nullptr);
   const std::vector<Key> keys = {5, -3, 0, 1 << 20, -(1LL << 40)};
-  const std::int64_t bytes = store.write_keys(SpillStore::slice_name(0), keys);
-  EXPECT_EQ(bytes, static_cast<std::int64_t>(keys.size() * sizeof(Key)));
-  EXPECT_EQ(store.live_bytes(), bytes);
-  EXPECT_EQ(store.read_keys(SpillStore::slice_name(0)), keys);
-  store.write_keys(SpillStore::output_name(0), keys);
-  EXPECT_EQ(store.live_bytes(), 2 * bytes);
-  EXPECT_EQ(store.measured_high(), 2 * bytes);
+  const std::vector<Key> more = {7, 8};
+  // Two blobs staged in one event land in one group file, back to back.
+  const SpillRef a = store.stage(keys);
+  const SpillRef b = store.stage(more);
+  EXPECT_EQ(a.file, b.file);
+  EXPECT_EQ(a.offset, 0);
+  EXPECT_EQ(a.bytes, static_cast<std::int64_t>(keys.size() * sizeof(Key)));
+  EXPECT_EQ(b.offset, a.bytes);
+  EXPECT_EQ(store.live_bytes(), 0) << "nothing is live before flush()";
+  store.flush();
+  EXPECT_EQ(store.files_created(), 1);
+  EXPECT_EQ(store.live_bytes(), a.bytes + b.bytes);
+  EXPECT_EQ(store.read(a), keys);
+  EXPECT_EQ(store.read(b), more);
+  // The file bytes are the keys as little-endian int64, nothing else.
+  std::string expect;
+  for (const std::vector<Key>* blob : {&keys, &more})
+    for (const Key key : *blob)
+      for (int i = 0; i < 8; ++i)
+        expect.push_back(static_cast<char>(
+            (static_cast<std::uint64_t>(key) >> (8 * i)) & 0xff));
+  EXPECT_EQ(read_whole_file(store.path_of(a.file)), expect);
+
+  // A second event's group is a new file.
+  const SpillRef c = store.stage(more);
+  store.flush();
+  EXPECT_NE(c.file, a.file);
   EXPECT_EQ(store.files_created(), 2);
-  store.remove(SpillStore::slice_name(0));
-  EXPECT_EQ(store.live_bytes(), bytes);
-  EXPECT_FALSE(store.exists(SpillStore::slice_name(0)));
-  EXPECT_EQ(store.measured_high(), 2 * bytes) << "high-water never recedes";
-  EXPECT_THROW((void)store.read_keys("absent.out"), std::runtime_error);
+  EXPECT_EQ(store.measured_high(), a.bytes + 2 * b.bytes);
+
+  // Releasing a blob drops its bytes at once; the file goes only with
+  // its last blob, and only at reap().
+  store.release(a);
+  EXPECT_EQ(store.live_bytes(), 2 * b.bytes);
+  store.reap();
+  EXPECT_EQ(store.read(b), more) << "a file with a live blob stays";
+  store.release(b);
+  EXPECT_EQ(store.read(b), more) << "a released file stays until reap()";
+  store.reap();
+  EXPECT_THROW((void)store.read(b), std::runtime_error);
+  EXPECT_EQ(store.read(c), more);
+  EXPECT_EQ(store.measured_high(), a.bytes + 2 * b.bytes)
+      << "high-water never recedes";
+  EXPECT_THROW((void)store.read(SpillRef{"absent.spill", 0, 8}),
+               std::runtime_error);
+  EXPECT_THROW((void)store.read(SpillRef{c.file, 0, c.bytes + 8}),
+               std::runtime_error)
+      << "a blob running past the end of its file is a short read";
 }
 
 TEST(SpillStore, AdoptChecksTheJournaledSize) {
   const std::string dir = scratch_dir("adopt");
   SpillStore store(dir, nullptr);
-  const std::int64_t bytes =
-      store.write_keys(SpillStore::range_name(1), {1, 2, 3});
+  const std::vector<Key> keys = {1, 2, 3};
+  store.stage(keys);
+  const SpillRef ref = store.stage(keys);
+  store.flush();
   SpillStore fresh(dir, nullptr);
-  EXPECT_EQ(fresh.adopt(SpillStore::range_name(1), bytes), bytes);
-  EXPECT_EQ(fresh.live_bytes(), bytes);
-  EXPECT_EQ(fresh.adopt("missing.out", 24), -1)
+  EXPECT_TRUE(fresh.adopt(ref));
+  EXPECT_EQ(fresh.live_bytes(), ref.bytes);
+  EXPECT_FALSE(fresh.adopt(SpillRef{"g99.spill", 0, 24}))
       << "an absent file is a recoverable condition, not an error";
   try {
-    (void)fresh.adopt(SpillStore::range_name(1), bytes + 8);
-    FAIL() << "a size mismatch must be refused";
+    (void)fresh.adopt(SpillRef{ref.file, ref.offset, ref.bytes + 8});
+    FAIL() << "a blob past the end of its file must be refused";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("journal recorded"),
               std::string::npos)
         << e.what();
   }
+  // New groups never reuse an existing file name: a crashed run's
+  // files may still be named by its journal.
+  const SpillRef next = fresh.stage(keys);
+  fresh.flush();
+  EXPECT_NE(next.file, ref.file);
+  fresh.reap_orphans();
+  EXPECT_EQ(fresh.read(ref), keys) << "an adopted orphan is kept";
+}
+
+TEST(SpillStore, UnadoptedOrphansAreReaped) {
+  const std::string dir = scratch_dir("orphans");
+  const std::vector<Key> keys = {4, 5};
+  SpillRef kept;
+  SpillRef lost;
+  {
+    SpillStore store(dir, nullptr);
+    kept = store.stage(keys);
+    store.flush();
+    lost = store.stage(keys);
+    store.flush();
+  }
+  write_whole_file(dir + "/wal.log", "not a spill file");
+  SpillStore fresh(dir, nullptr);
+  ASSERT_TRUE(fresh.adopt(kept));
+  fresh.reap_orphans();
+  const std::vector<std::string> left = dir_entries(dir);
+  EXPECT_EQ(left, (std::vector<std::string>{kept.file, "wal.log"}));
+  EXPECT_NE(kept.file, lost.file);
 }
 
 // --- atomic file replacement ---------------------------------------------
@@ -609,6 +736,8 @@ TEST(DurableStream, JournalingDoesNotChangeTheStreamsOutput) {
     if (leaf == "wal.log") saw_wal = true;
     EXPECT_NE(leaf.rfind("run", 0), 0u)
         << "sealing must reap every run spill file, found " << leaf;
+    EXPECT_FALSE(leaf.ends_with(".spill"))
+        << "sealing must reap every group file, found " << leaf;
   }
   EXPECT_TRUE(saw_wal);
 }
@@ -740,20 +869,22 @@ TEST(DurableStream, DamagedVerifiedOutputFallsBackToTheSlice) {
   const StreamOutcome reference = run_stream(cfg);
   const std::int64_t records = reference.report.journal_records;
 
-  // Find a kill point whose debris includes a verified run output.
+  // Find a kill point whose journal names a verified run output.
   for (std::int64_t kill = records; kill >= 1; --kill) {
     const std::string dir = crash_at(cfg, kill, "spill_loss");
-    std::string out_file;
-    for (const std::string& leaf : dir_entries(dir))
-      if (leaf.size() > 4 && leaf.substr(leaf.size() - 4) == ".out" &&
-          leaf.rfind("run", 0) == 0)
-        out_file = leaf;
-    if (out_file.empty()) continue;
+    std::optional<RunVerifiedRecord> verified;
+    for (const JournalRecord& rec : replay_journal(dir + "/wal.log").records)
+      if (rec.type == RecordType::kRunVerified)
+        verified = RunVerifiedRecord::decode(rec.payload);
+    if (!verified) continue;
+    const std::string out_file = verified->file;
 
-    // Corrupt one: the journaled fingerprint catches it and the run
+    // Corrupt it: the journaled fingerprint catches it and the run
     // re-dispatches from its retained slice instead.
     std::string bytes = read_whole_file(dir + "/" + out_file);
-    ASSERT_FALSE(bytes.empty());
+    ASSERT_EQ(verified->offset, 0);
+    ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), verified->file_bytes)
+        << "a completion's group file holds its run output alone";
     bytes[bytes.size() / 2] =
         static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
     write_whole_file(dir + "/" + out_file, bytes);
@@ -913,6 +1044,134 @@ TEST(DurableStream, RecoveryWithoutAJournalDirIsRejected) {
   // An empty journal (zero records) is not a stream either.
   write_whole_file(dir + "/wal.log", "");
   EXPECT_THROW((void)recover_stream(dir, &executor), std::runtime_error);
+}
+
+// --- commit groups -------------------------------------------------------
+
+TEST(DurableStream, FaultFreeCommitCountsFollowTheGroupFormula) {
+  StreamConfig cfg = small_config();
+  cfg.journal_dir = scratch_dir("formula");
+  const StreamReport report = run_stream(cfg).report;
+  ASSERT_TRUE(report.conserved());
+  ASSERT_EQ(report.run_attempts, report.runs)
+      << "fault-free: every run verifies on its first attempt";
+  // One journal fsync for the config record, one per arrival and one
+  // per completion; each seal commits by compaction instead.
+  EXPECT_EQ(report.journal_syncs, 1 + report.batches + report.runs);
+  EXPECT_EQ(report.journal_compactions, cfg.ranges);
+  // One spill file per event that spills: each arrival that cuts a run,
+  // each completion, and each seal of a non-empty range.  Every arrival
+  // but the first cuts: a range buffer gains about a third of a batch's
+  // 96 keys and cuts at 64 (the 2nd arrival cuts range 0, the 3rd
+  // ranges 1 and 2, the 4th range 0 again), and the 5th flushes all.
+  const std::int64_t cutting_arrivals = 4;
+  EXPECT_EQ(report.spill_files, cutting_arrivals + report.runs +
+                                    (cfg.ranges - report.empty_ranges));
+  EXPECT_EQ(report.batches, 5);
+  EXPECT_EQ(report.runs, 9);
+  EXPECT_EQ(report.empty_ranges, 0);
+  EXPECT_EQ(report.journal_syncs, 15);
+  EXPECT_EQ(report.spill_files, 16);
+}
+
+/// Copies every file of `from` into a fresh scratch directory `name`.
+std::string copy_dir(const std::string& from, const std::string& name) {
+  const std::string to = scratch_dir(name);
+  for (const std::string& leaf : dir_entries(from))
+    write_whole_file(to + "/" + leaf, read_whole_file(from + "/" + leaf));
+  return to;
+}
+
+TEST(DurableStream, RecoveryFromEveryEarlierGroupReapsLaterGroupDebris) {
+  // A power cut can lose the last commit groups of the journal while
+  // their group files, fsync'd first, survive.  Truncating wal.log back
+  // to every earlier group boundary and leaving every spill file on
+  // disk models exactly that; recovery must ignore the debris (no
+  // record names it), never overwrite it, and reap it.
+  StreamConfig cfg = small_config();
+  cfg.journal_dir = scratch_dir("debris_ref");
+  const StreamOutcome reference = run_stream(cfg);
+  const std::int64_t records = reference.report.journal_records;
+  std::int64_t truncations = 0;
+  for (const std::int64_t kill : {records / 3, 2 * records / 3, records}) {
+    const std::string crashed = crash_at(cfg, kill, "debris_crash");
+    const JournalReplay replay = replay_journal(crashed + "/wal.log");
+    for (const JournalRecord& rec : replay.records) {
+      if (!rec.group_end) continue;
+      const std::string dir = copy_dir(crashed, "debris");
+      ASSERT_EQ(::truncate((dir + "/wal.log").c_str(), rec.end_offset), 0);
+      ParallelExecutor executor(1);
+      const StreamRecoveryResult recovered = recover_stream(dir, &executor);
+      const std::string label = "kill " + std::to_string(kill) +
+                                ", truncated after record " +
+                                std::to_string(rec.seq);
+      expect_same_stream(reference, recovered.report, recovered.emitted,
+                         label);
+      EXPECT_EQ(recovered.report.torn_tail_bytes, 0) << label;
+      for (const std::string& leaf : dir_entries(dir))
+        EXPECT_FALSE(leaf.ends_with(".spill"))
+            << label << ": group file " << leaf << " left after recovery";
+      ++truncations;
+    }
+  }
+  EXPECT_GT(truncations, 10);
+}
+
+TEST(DurableStream, CrashBeforeTheCompactionRenameKeepsTheSealingRunsReadable) {
+  // A seal commits by compaction: the range file is fsync'd, then the
+  // rewritten journal is renamed over wal.log, and only then are the
+  // range's run files reaped.  Block the rename (a directory squats on
+  // the compaction's temp path, so the rewrite fails before it) and
+  // every blob the old journal names for the sealing range must still
+  // read back with its journaled fingerprint.
+  StreamConfig plain = small_config();
+  plain.journal_dir = scratch_dir("compaction_ref");
+  const StreamOutcome reference = run_stream(plain);
+
+  StreamConfig cfg = small_config();
+  cfg.journal_dir = scratch_dir("compaction_crash");
+  const std::string squat = cfg.journal_dir + "/wal.log.tmp";
+  ASSERT_EQ(::mkdir(squat.c_str(), 0755), 0);
+  EXPECT_THROW((void)run_stream(cfg), std::runtime_error);
+  ASSERT_EQ(::rmdir(squat.c_str()), 0);
+
+  const JournalReplay replay = replay_journal(cfg.journal_dir + "/wal.log");
+  std::vector<RunDispatchedRecord> cuts;
+  std::vector<RunVerifiedRecord> verifies;
+  for (const JournalRecord& rec : replay.records) {
+    ASSERT_NE(rec.type, RecordType::kRangeSealed)
+        << "the seal must not commit before the rename";
+    if (rec.type == RecordType::kRunDispatched)
+      cuts.push_back(RunDispatchedRecord::decode(rec.payload));
+    if (rec.type == RecordType::kRunVerified)
+      verifies.push_back(RunVerifiedRecord::decode(rec.payload));
+  }
+  SpillStore store(cfg.journal_dir, nullptr);
+  const auto expect_readable = [&](const SpillRef& ref,
+                                   const FingerprintState& fp) {
+    FingerprintAccumulator acc;
+    acc.absorb(store.read(ref));
+    EXPECT_EQ(acc.state(), fp) << ref.file << " @" << ref.offset;
+  };
+  int sealing_runs = 0;
+  for (const RunDispatchedRecord& cut : cuts) {
+    if (cut.range != 0) continue;
+    ++sealing_runs;
+    expect_readable(cut.blob(), cut.fp);
+    const auto verify =
+        std::find_if(verifies.begin(), verifies.end(),
+                     [&](const RunVerifiedRecord& v) { return v.run == cut.run; });
+    ASSERT_NE(verify, verifies.end())
+        << "range 0 was merging, so run " << cut.run << " had verified";
+    expect_readable(verify->blob(), verify->fp);
+  }
+  EXPECT_GT(sealing_runs, 0);
+
+  ParallelExecutor executor(1);
+  const StreamRecoveryResult recovered =
+      recover_stream(cfg.journal_dir, &executor);
+  expect_same_stream(reference, recovered.report, recovered.emitted,
+                     "recovery after a failed compaction");
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(ReportGolden, JournaledStreamReportIsPinned) {
   EXPECT_GT(report.journal_dropped_syncs, 0);
   EXPECT_GT(report.spill_files, 0);
   expect_pinned(report.hash(), report.json(),
-                {0x6e01a51c4e85996fULL, 0x366d292cc97a77b3ULL});
+                {0x0ac65c5bd0981fa1ULL, 0x111e91534e2e2b7fULL});
 }
 
 // --- ServiceReport ---------------------------------------------------------

@@ -29,8 +29,8 @@
 // deterministic short writes / dropped fsyncs / read corruption
 // (TOKEN = `ioseed@S+shortw@R+dropsync@R+corrupt@R`, or `none`);
 // `--kill-after-records N` crashes the process (exit 137, printing
-// DURABILITY-KILL) after the N-th journal record commits, leaving
-// exactly what a power cut would.  `--recover DIR` replays the
+// DURABILITY-KILL) once the commit group holding the N-th journal
+// record commits, leaving exactly what a power cut would.  `--recover DIR` replays the
 // journal, discards a torn tail, re-verifies surviving runs against
 // their journaled fingerprints, re-dispatches what needs it, and
 // finishes the stream — the emitted output and the STREAM-FP line are
@@ -203,6 +203,16 @@ int run_repro(const std::string& line, const std::string& journal_dir) {
   return 1;
 }
 
+/// The deterministic kill's exit: the marker line and the status a
+/// SIGKILL'd process reports.
+int report_kill(const DurabilityKill& kill) {
+  std::printf("DURABILITY-KILL after %lld journal record(s) and the rest of"
+              " their commit group — journal truncated to its synced"
+              " prefix\n",
+              static_cast<long long>(kill.records));
+  return 137;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -300,10 +310,7 @@ int main(int argc, char** argv) {
     try {
       return run_repro(repro_line, cfg.journal_dir);
     } catch (const DurabilityKill& kill) {
-      std::printf("DURABILITY-KILL after %lld journal record(s) — journal"
-                  " truncated to its synced prefix\n",
-                  static_cast<long long>(kill.records));
-      return 137;
+      return report_kill(kill);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--repro: malformed line: %s\n", e.what());
       return 2;
@@ -354,10 +361,7 @@ int main(int argc, char** argv) {
                      json_path.c_str());
       return 0;
     } catch (const DurabilityKill& kill) {
-      std::printf("DURABILITY-KILL after %lld journal record(s) — journal"
-                  " truncated to its synced prefix\n",
-                  static_cast<long long>(kill.records));
-      return 137;
+      return report_kill(kill);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "prodsort_stream --recover: %s\n", e.what());
       return 2;
@@ -419,10 +423,7 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const DurabilityKill& kill) {
-    std::printf("DURABILITY-KILL after %lld journal record(s) — journal"
-                " truncated to its synced prefix\n",
-                static_cast<long long>(kill.records));
-    return 137;
+    return report_kill(kill);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "prodsort_stream: %s\n", e.what());
     return 2;
