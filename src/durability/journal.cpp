@@ -30,6 +30,11 @@ constexpr std::uint16_t kGroupContinues = 1;
 // corrupted length field, not a real record — refusing early keeps a
 // flipped length bit from swallowing the rest of the file as "payload".
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 24;
+// A blob frame shares the record header's layout (sequence 0, flags 0)
+// under a type no record uses, far from every record type in bits, and
+// its CRC follows the header directly: the raw keys come after it.
+constexpr std::uint16_t kBlobFrameType = 0x8000;
+constexpr std::size_t kBlobHeaderBytes = kHeaderBytes + kCrcBytes;
 
 constexpr std::array<std::uint32_t, 256> make_crc_table() {
   std::array<std::uint32_t, 256> table{};
@@ -135,6 +140,18 @@ std::string encode_record(std::uint64_t seq, RecordType type,
   return out;
 }
 
+std::string encode_blob_header(std::uint32_t bytes) {
+  std::string out;
+  out.reserve(kBlobHeaderBytes);
+  put_u32(out, kRecordMagic);
+  put_u64(out, 0);
+  put_u16(out, kBlobFrameType);
+  put_u16(out, 0);
+  put_u32(out, bytes);
+  put_u32(out, crc32_ieee(out));
+  return out;
+}
+
 JournalReplay replay_journal_buffer(std::string_view buffer) {
   JournalReplay replay;
   std::size_t pos = 0;
@@ -162,6 +179,19 @@ JournalReplay replay_journal_buffer(std::string_view buffer) {
     // end-of-file.
     if (magic != kRecordMagic)
       replay_fail(static_cast<std::int64_t>(pos), "bad magic");
+    if (type_raw == kBlobFrameType) {
+      // A blob frame: skipped by its header, which its own CRC checks.
+      // It belongs to the group its next records close; one running past
+      // end-of-file ends the loop with that group unclosed (torn).
+      if (pos + kBlobHeaderBytes > buffer.size()) break;  // truncated header
+      const std::size_t frame_end = pos + kBlobHeaderBytes + len;
+      const std::uint32_t stored_crc = get_u32(buffer, pos + kHeaderBytes);
+      if (stored_crc != crc32_ieee(buffer.substr(pos, kHeaderBytes)) &&
+          torn(frame_end, "bad CRC on blob frame header"))
+        break;
+      pos = frame_end;
+      continue;
+    }
     if (len > kMaxPayloadBytes)
       replay_fail(static_cast<std::int64_t>(pos),
                   "implausible payload length " + std::to_string(len));
@@ -202,6 +232,7 @@ JournalReplay replay_journal_buffer(std::string_view buffer) {
     ++expect_seq;
     pos = record_end;
     if (replay.records.back().group_end) {
+      replay.last_group_offset = static_cast<std::int64_t>(group_start);
       group_start = pos;
       group_first = replay.records.size();
     }
@@ -485,7 +516,9 @@ SnapshotRecord SnapshotRecord::decode(std::string_view payload) {
 
 JournalWriter::JournalWriter(std::string path, IoFaultClock* clock,
                              bool open_now)
-    : path_(std::move(path)), clock_(clock) {
+    : path_(std::move(path)),
+      name_(path_.substr(path_.find_last_of('/') + 1)),
+      clock_(clock) {
   if (open_now) open_fresh(path_);
 }
 
@@ -523,6 +556,21 @@ std::uint64_t JournalWriter::stage(RecordType type,
   return seq_ + ++group_records_;
 }
 
+SpillRef JournalWriter::stage_blob(std::span<const Key> keys) {
+  if (keys.size_bytes() > UINT32_MAX)
+    throw std::runtime_error("journal blob too large: " +
+                             std::to_string(keys.size_bytes()) + " bytes");
+  const auto bytes = static_cast<std::int64_t>(keys.size_bytes());
+  const SpillRef ref{name_,
+                     written_size_ + blob_bytes_ +
+                         static_cast<std::int64_t>(kBlobHeaderBytes),
+                     bytes};
+  blobs_.push_back(
+      {encode_blob_header(static_cast<std::uint32_t>(bytes)), keys});
+  blob_bytes_ += static_cast<std::int64_t>(kBlobHeaderBytes) + bytes;
+  return ref;
+}
+
 void JournalWriter::close_group() {
   group_[last_record_ + kFlagsOffset] = 0;  // kGroupContinues, the only bit
   const std::uint32_t crc = crc32_ieee(std::string_view(group_).substr(
@@ -538,19 +586,41 @@ void JournalWriter::commit() {
                            "writer: " +
                            path_);
   close_group();
+  // One write: the blob frames, then the records that name them.
+  parts_.clear();
+  for (StagedBlob& blob : blobs_) {
+    parts_.push_back({blob.header.data(), blob.header.size()});
+    parts_.push_back(
+        {const_cast<Key*>(blob.keys.data()), blob.keys.size_bytes()});
+  }
+  parts_.push_back({group_.data(), group_.size()});
+  const std::int64_t total =
+      blob_bytes_ + static_cast<std::int64_t>(group_.size());
   // An injected short write lands the first half alone; the writer
   // completes the remainder, exactly how it handles a real short count.
-  std::size_t first = group_.size();
-  if (clock_ != nullptr && group_.size() > 1 && clock_->draw_short_write())
-    first = group_.size() / 2;
-  write_fully(fd_, std::string_view(group_).substr(0, first), path_);
-  write_fully(fd_, std::string_view(group_).substr(first), path_);
-  written_size_ += static_cast<std::int64_t>(group_.size());
+  if (clock_ != nullptr && total > 1 && clock_->draw_short_write()) {
+    std::vector<iovec> half;
+    auto want = static_cast<std::size_t>(total / 2);
+    std::size_t i = 0;
+    for (; want >= parts_[i].iov_len; ++i) {
+      want -= parts_[i].iov_len;
+      half.push_back(parts_[i]);
+    }
+    half.push_back({parts_[i].iov_base, want});
+    parts_[i].iov_base = static_cast<char*>(parts_[i].iov_base) + want;
+    parts_[i].iov_len -= want;
+    parts_.erase(parts_.begin(), parts_.begin() + static_cast<std::ptrdiff_t>(i));
+    write_fully(fd_, half, path_);
+  }
+  write_fully(fd_, parts_, path_);
+  written_size_ += total;
   bytes_ += static_cast<std::int64_t>(group_.size());
   seq_ += group_records_;
   committed_ += static_cast<std::int64_t>(group_records_);
   group_.clear();
   group_records_ = 0;
+  blobs_.clear();
+  blob_bytes_ = 0;
   ++syncs_;
   if (clock_ == nullptr || !clock_->draw_drop_sync()) {  // else fsync lied
     if (::fsync(fd_) != 0)
@@ -570,10 +640,17 @@ std::uint64_t JournalWriter::append(RecordType type,
 
 void JournalWriter::rewrite(
     const std::vector<std::pair<RecordType, std::string>>& records) {
+  // The compacted records may name blobs of the outgoing file, so a
+  // tail a dropped sync left unsynced is made durable before the rename.
+  if (fd_ >= 0 && synced_size_ < written_size_ && ::fsync(fd_) != 0)
+    throw std::runtime_error("journal fsync failed: " + path_ + ": " +
+                             std::strerror(errno));
   // The compacted journal is one group numbered from 1; it supersedes
   // whatever was staged.
   group_.clear();
   group_records_ = 0;
+  blobs_.clear();
+  blob_bytes_ = 0;
   seq_ = 0;
   for (const auto& [type, payload] : records) stage(type, payload);
   if (group_records_ > 0) close_group();

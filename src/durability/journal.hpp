@@ -8,36 +8,47 @@
 // ingestion flushed, range sealed, spill-ledger reconciliation — is one
 // length-prefixed, CRC-checksummed, monotonically sequenced record in
 // an append-only log.  Records are staged and committed in *groups*,
-// one per discrete event of the pipeline: the group goes out in one
-// write and one fsync.  The commit contract is write-ahead per group:
-// any spill data a record names (a run slice, a verified run output, a
-// sealed range) is written and fsync'd *before* the group holding the
-// record is written, so a record's presence certifies its referenced
-// bytes were durable first.
+// one per discrete event of the pipeline.  A group also carries the
+// spill blobs its records name (run slices, run outputs) as *blob
+// frames* ahead of its records, and goes out in one write and one
+// fsync: a record and the keys it names become durable together, and
+// the group's closing record is written after every blob of the group.
 //
 // Replay (replay_journal) enforces four integrity rules:
 //
-//  * torn tail — an incomplete or checksum-failing record that runs to
-//    end-of-file is the uncommitted write a crash interrupted; it is
-//    discarded (reported, never an error);
-//  * torn group — complete records at end-of-file whose group never
-//    closed (the last one carries the continues flag) are the rest of
-//    that interrupted write, discarded with it: a group commits whole;
+//  * torn tail — an incomplete or checksum-failing record, or a blob
+//    frame running past end-of-file, is the uncommitted write a crash
+//    interrupted; it is discarded (reported, never an error);
+//  * torn group — complete frames at end-of-file whose group never
+//    closed (the last record carries the continues flag, or no record
+//    followed the blobs) are the rest of that interrupted write,
+//    discarded with it: a group commits whole;
 //  * bit rot  — a bad magic or bad CRC *followed by more data* cannot
 //    be a torn write (something was appended after it, so it had
 //    committed); replay refuses loudly with a named error;
 //  * sequence — records must be numbered 1, 2, 3, ... exactly; a
 //    duplicate or a gap is named in the error (a replayed-over or
-//    spliced journal, not a crash artifact).
+//    spliced journal, not a crash artifact).  Blob frames take no
+//    sequence number.
+//
+// A blob frame's CRC covers its header only; its keys are checked by
+// the fingerprint of the record that names them (stream/recovery.cpp
+// also uses that check to discard a final group whose pages reached
+// the disk out of order).
 //
 // Once a range seals, the whole prefix that produced it is dead
 // weight; rewrite() compacts the journal — config + snapshot + the
 // still-live records — into a new file that atomically replaces the
 // old one (write_file_atomic), so journal size tracks *outstanding*
-// work, not stream length.
+// work, not stream length.  The compaction copies no blob: before it,
+// the caller retires the outgoing journal to a generation file
+// (SpillStore::retire), where the live blobs stay until released.
+
+#include <sys/uio.h>
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -96,6 +107,8 @@ struct JournalReplay {
   bool torn_tail = false;      ///< trailing uncommitted bytes discarded
   std::int64_t torn_bytes = 0; ///< size of the discarded tail
   std::int64_t valid_bytes = 0;
+  /// Where the last closed group begins, its blob frames included.
+  std::int64_t last_group_offset = 0;
 };
 
 /// CRC-32 (IEEE 802.3, reflected) over `data` — the per-record
@@ -108,6 +121,11 @@ struct JournalReplay {
 [[nodiscard]] std::string encode_record(std::uint64_t seq, RecordType type,
                                         std::string_view payload,
                                         bool group_end = true);
+
+/// Encodes a blob frame's header for a blob of `bytes` key bytes: magic,
+/// no sequence, the blob frame type, length, CRC over the header alone.
+/// The keys follow the header raw.
+[[nodiscard]] std::string encode_blob_header(std::uint32_t bytes);
 
 /// Replays an encoded record stream (the journal file's bytes),
 /// applying the integrity rules above.  Throws std::runtime_error
@@ -272,9 +290,16 @@ class JournalWriter {
   /// number.  Nothing reaches the file until commit().
   std::uint64_t stage(RecordType type, std::string_view payload);
 
-  /// Commits the staged group: one write (one short-write draw; a
-  /// short write is completed, never torn), one fsync (one drop-sync
-  /// draw), then the kill hook.  A no-op when nothing is staged.
+  /// Adds a blob frame holding `keys` to the open commit group and
+  /// returns where the keys will lie in the journal file.  No copy:
+  /// commit() writes straight from `keys`, which must stay valid and
+  /// unchanged until then.  A group's blobs precede its records.
+  SpillRef stage_blob(std::span<const Key> keys);
+
+  /// Commits the staged group — its blob frames, then its records — as
+  /// one write (one short-write draw; a short write is completed, never
+  /// torn) and one fsync (one drop-sync draw), then the kill hook.  A
+  /// no-op when no record is staged.
   void commit();
 
   /// stage() + commit(): a one-record group.
@@ -283,10 +308,13 @@ class JournalWriter {
   /// Atomically replaces the journal with `records` (compaction),
   /// discarding any staged group — the caller's records supersede it.
   /// The records are encoded as one group, sequences 1..n, and written
-  /// with write_file_atomic; the writer then re-opens for append with
-  /// seq = n.  The rename is the commit point: a crash before it leaves
-  /// the *old* journal intact.  The kill hook counts these records too
-  /// and fires after the rename.
+  /// with write_file_atomic; no blob is copied, so the caller retires
+  /// the outgoing file first when its blobs must outlive it.  If a
+  /// dropped sync left the outgoing journal's tail unsynced, it is
+  /// synced first: the compacted records may name its blobs.  The
+  /// writer then re-opens for append with seq = n.  The rename is the
+  /// commit point: a crash before it leaves the *old* journal intact.
+  /// The kill hook counts these records too and fires after the rename.
   void rewrite(
       const std::vector<std::pair<RecordType, std::string>>& records);
 
@@ -298,6 +326,8 @@ class JournalWriter {
   [[nodiscard]] std::int64_t records_committed() const noexcept {
     return committed_;
   }
+  /// Record bytes written, compactions included; blob frames are not
+  /// counted.
   [[nodiscard]] std::int64_t bytes_written() const noexcept { return bytes_; }
   [[nodiscard]] std::int64_t syncs() const noexcept { return syncs_; }
   [[nodiscard]] std::int64_t compactions() const noexcept {
@@ -309,10 +339,20 @@ class JournalWriter {
   void close_group();
   void maybe_kill();
 
+  /// A staged blob frame: its encoded header and the caller's keys.
+  struct StagedBlob {
+    std::string header;
+    std::span<const Key> keys;
+  };
+
   std::string path_;
+  std::string name_;  ///< path_'s file name, as blob refs name it
   IoFaultClock* clock_;
   int fd_ = -1;
   std::uint64_t seq_ = 0;
+  std::vector<StagedBlob> blobs_;
+  std::int64_t blob_bytes_ = 0;  ///< staged blob frames, headers included
+  std::vector<iovec> parts_;     ///< the group write, rebuilt per commit
   std::string group_;  ///< the staged records, encoded
   std::uint64_t group_records_ = 0;
   std::size_t last_record_ = 0;  ///< offset of the last staged record

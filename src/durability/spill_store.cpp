@@ -21,38 +21,41 @@ namespace {
 
 constexpr std::int64_t kKeyBytes = sizeof(Key);
 
-std::string group_name(std::int64_t id) {
-  std::string name = "g";
-  name += std::to_string(id);
-  name += ".spill";
+constexpr std::string_view kGenerationSuffix = ".spill";
+
+std::string generation_name(std::int64_t gen) {
+  std::string name = "j";
+  name += std::to_string(gen);
+  name += kGenerationSuffix;
   return name;
 }
 
-/// The id of a group file name `g<id>.spill`, or -1 for any other name.
-std::int64_t group_id(std::string_view name) {
-  constexpr std::string_view kSuffix = ".spill";
-  if (name.size() <= 1 + kSuffix.size() || name.front() != 'g' ||
-      !name.ends_with(kSuffix))
+/// The number of a generation file name `j<gen>.spill`, or -1 for any
+/// other name.
+std::int64_t generation_of(std::string_view name) {
+  if (name.size() <= 1 + kGenerationSuffix.size() || name.front() != 'j' ||
+      !name.ends_with(kGenerationSuffix))
     return -1;
   const std::string_view digits =
-      name.substr(1, name.size() - 1 - kSuffix.size());
-  std::int64_t id = -1;
+      name.substr(1, name.size() - 1 - kGenerationSuffix.size());
+  std::int64_t gen = -1;
   const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), id);
-  return ec == std::errc{} && ptr == digits.data() + digits.size() ? id : -1;
+      std::from_chars(digits.data(), digits.data() + digits.size(), gen);
+  return ec == std::errc{} && ptr == digits.data() + digits.size() ? gen : -1;
 }
 
-/// Creates (truncating) `path`, writes `parts`, fsyncs, closes.  The
+/// Creates (truncating) `path`, writes `keys`, fsyncs, closes.  The
 /// write-ahead contract: the file is durable before any journal record
 /// naming it commits, so this fsync is not droppable.
-void write_synced(const std::string& path, std::span<iovec> parts) {
+void write_synced(const std::string& path, std::span<const Key> keys) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0)
     throw std::runtime_error("cannot open spill file: " + path + ": " +
                              std::strerror(errno));
   try {
-    write_fully(fd, parts, path);
+    iovec part{const_cast<Key*>(keys.data()), keys.size_bytes()};
+    write_fully(fd, std::span<iovec>(&part, 1), path);
     if (::fsync(fd) != 0)
       throw std::runtime_error("spill fsync failed: " + path + ": " +
                                std::strerror(errno));
@@ -63,20 +66,16 @@ void write_synced(const std::string& path, std::span<iovec> parts) {
   ::close(fd);
 }
 
-iovec key_part(std::span<const Key> keys) {
-  return {const_cast<Key*>(keys.data()), keys.size_bytes()};
-}
-
 }  // namespace
 
 SpillStore::SpillStore(std::string dir, IoFaultClock* clock)
     : dir_(std::move(dir)), clock_(clock) {
   if (DIR* d = ::opendir(dir_.c_str())) {
     while (const dirent* entry = ::readdir(d)) {
-      const std::int64_t id = group_id(entry->d_name);
-      if (id < 0) continue;
+      const std::int64_t gen = generation_of(entry->d_name);
+      if (gen < 0) continue;
       orphans_.insert(entry->d_name);
-      next_group_ = std::max(next_group_, id + 1);
+      next_generation_ = std::max(next_generation_, gen + 1);
     }
     ::closedir(d);
   }
@@ -90,46 +89,53 @@ std::string SpillStore::path_of(const std::string& name) const {
   return dir_ + "/" + name;
 }
 
-SpillRef SpillStore::stage(std::span<const Key> keys) {
-  const SpillRef ref{group_name(next_group_), pending_bytes_,
-                     static_cast<std::int64_t>(keys.size_bytes())};
-  pending_.push_back(key_part(keys));
-  pending_bytes_ += ref.bytes;
+SpillRef SpillStore::write_file(const std::string& name,
+                                std::span<const Key> keys) {
+  write_synced(path_of(name), keys);
+  ++created_;
+  const SpillRef ref{name, 0, static_cast<std::int64_t>(keys.size_bytes())};
+  track(ref);
   return ref;
 }
 
-void SpillStore::flush() {
-  if (pending_.empty()) return;
-  const std::string name = group_name(next_group_++);
-  ++created_;
-  // Track first: the write consumes pending_'s lengths.
-  for (const iovec& part : pending_)
-    track(name, static_cast<std::int64_t>(part.iov_len));
-  write_synced(path_of(name), pending_);
-  pending_.clear();
-  pending_bytes_ = 0;
+std::string SpillStore::link_generation(std::string_view name) {
+  const std::string gen = generation_name(next_generation_++);
+  const std::string from = path_of(std::string(name));
+  if (::link(from.c_str(), path_of(gen).c_str()) != 0)
+    throw std::runtime_error("cannot link " + from + " to generation " +
+                             gen + ": " + std::strerror(errno));
+  return gen;
 }
 
-SpillRef SpillStore::write_file(const std::string& name,
-                                std::span<const Key> keys) {
-  iovec part = key_part(keys);
-  write_synced(path_of(name), std::span<iovec>(&part, 1));
-  ++created_;
-  const auto bytes = static_cast<std::int64_t>(keys.size_bytes());
-  track(name, bytes);
-  return {name, 0, bytes};
+std::string SpillStore::retire(std::string_view name) {
+  const auto it = files_.find(std::string(name));
+  if (it == files_.end()) return {};
+  std::string gen;
+  if (it->second.blobs > 0) {
+    gen = link_generation(name);
+    files_[gen] = it->second;
+    ++created_;
+  }
+  files_.erase(std::string(name));
+  return gen;
 }
 
-void SpillStore::track(const std::string& file, std::int64_t bytes) {
-  LiveFile& live = files_[file];
-  live.bytes += bytes;
+std::string SpillStore::retire_unadopted(std::string_view name) {
+  std::string gen = link_generation(name);
+  orphans_.insert(gen);
+  return gen;
+}
+
+void SpillStore::track(const SpillRef& ref) {
+  LiveFile& live = files_[ref.file];
+  live.bytes += ref.bytes;
   ++live.blobs;
-  live_ += bytes;
+  live_ += ref.bytes;
   high_ = std::max(high_, live_);
 }
 
-std::vector<Key> SpillStore::read(const SpillRef& ref) {
-  const std::string path = path_of(ref.file);
+std::vector<Key> read_spill_blob(const std::string& path,
+                                 const SpillRef& ref) {
   if (ref.bytes < 0 || ref.bytes % kKeyBytes != 0)
     throw std::runtime_error("spill blob in " + path + " is " +
                              std::to_string(ref.bytes) +
@@ -155,9 +161,15 @@ std::vector<Key> SpillStore::read(const SpillRef& ref) {
     done += n;
   }
   ::close(fd);
+  return keys;
+}
+
+std::vector<Key> SpillStore::read(const SpillRef& ref) {
+  std::vector<Key> keys = read_spill_blob(path_of(ref.file), ref);
   if (clock_ != nullptr && !keys.empty()) {
     std::uint64_t bit_hash = 0;
     if (clock_->draw_read_corrupt(&bit_hash)) {
+      auto* bytes = reinterpret_cast<char*>(keys.data());
       const std::size_t bit =
           bit_hash % (static_cast<std::size_t>(ref.bytes) * 8);
       bytes[bit / 8] ^= static_cast<char>(1u << (bit % 8));
@@ -176,7 +188,7 @@ void SpillStore::release(const SpillRef& ref) {
 
 void SpillStore::reap() {
   std::erase_if(files_, [this](const auto& entry) {
-    if (entry.second.blobs > 0) return false;
+    if (entry.second.blobs > 0 || entry.first == kJournalFile) return false;
     ::unlink(path_of(entry.first).c_str());
     return true;
   });
@@ -198,7 +210,7 @@ bool SpillStore::adopt(const SpillRef& ref) {
         std::to_string(ref.bytes) + " bytes at offset " +
         std::to_string(ref.offset));
   if (!files_.contains(ref.file)) ++created_;
-  track(ref.file, ref.bytes);
+  track(ref);
   return true;
 }
 

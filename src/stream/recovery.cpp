@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/certifier.hpp"
 #include "graph/labeled_factor.hpp"
 #include "product/product_graph.hpp"
 
@@ -73,6 +74,51 @@ void decode_stream_config(std::string_view payload, StreamConfig* config,
   r.finish();
 }
 
+namespace {
+
+/// The last closed group is the one write a crash may have caught
+/// before its fsync.  An append reaches the disk as a prefix, but pages
+/// of one unsynced write may land out of order, and a blob's keys carry
+/// no CRC: so a blob of that group failing its record's fingerprint
+/// means the group never fully reached the disk, and it is discarded
+/// as torn.  (In an earlier group the same damage is disk damage, left
+/// to the recovery ladder.)
+void discard_torn_final_group(const std::string& journal_path,
+                              JournalReplay* replay) {
+  const std::int64_t start = replay->last_group_offset;
+  const auto intact = [&](const SpillRef& blob, const FingerprintState& fp) {
+    if (blob.file != kJournalFile || blob.offset < start) return true;
+    try {
+      FingerprintAccumulator acc;
+      acc.absorb(read_spill_blob(journal_path, blob));
+      return acc.state() == fp;
+    } catch (const std::runtime_error&) {
+      return false;
+    }
+  };
+  const auto first = std::find_if(
+      replay->records.begin(), replay->records.end(),
+      [start](const JournalRecord& r) { return r.offset >= start; });
+  for (auto it = first; it != replay->records.end(); ++it) {
+    if (it->type == RecordType::kRunDispatched) {
+      const RunDispatchedRecord rec = RunDispatchedRecord::decode(it->payload);
+      if (intact(rec.blob(), rec.fp)) continue;
+    } else if (it->type == RecordType::kRunVerified) {
+      const RunVerifiedRecord rec = RunVerifiedRecord::decode(it->payload);
+      if (intact(rec.blob(), rec.fp)) continue;
+    } else {
+      continue;
+    }
+    replay->records.erase(first, replay->records.end());
+    replay->torn_bytes += replay->valid_bytes - start;
+    replay->valid_bytes = start;
+    replay->torn_tail = true;
+    return;
+  }
+}
+
+}  // namespace
+
 RecoveryManifest load_recovery_manifest(const std::string& journal_dir,
                                         StreamConfig* config, int* size,
                                         int* dims) {
@@ -80,12 +126,13 @@ RecoveryManifest load_recovery_manifest(const std::string& journal_dir,
   // config lives *inside* the config record, so the clock cannot exist
   // before the read.  Injected journal-read corruption is exercised
   // through replay_journal(path, clock) directly.
-  const JournalReplay replay =
-      replay_journal(journal_dir + "/wal.log", nullptr);
+  const std::string path = journal_dir + "/" + std::string(kJournalFile);
+  JournalReplay replay = replay_journal(path, nullptr);
+  discard_torn_final_group(path, &replay);
   if (replay.records.empty())
     throw std::runtime_error(
-        "recovery: journal " + journal_dir +
-        "/wal.log holds no committed records — nothing to recover");
+        "recovery: journal " + path +
+        " holds no committed records — nothing to recover");
   if (replay.records.front().type != RecordType::kConfig)
     throw std::runtime_error(
         "recovery: journal does not start with a config record (got " +

@@ -60,12 +60,15 @@ struct StreamReport {
 
   // Durability (docs/DURABILITY.md); all zero when journaling is off.
   std::int64_t journal_records = 0;  ///< records committed (incl. rewrites)
-  std::int64_t journal_bytes = 0;    ///< bytes appended to the journal
+  /// Record bytes written to the journal (incl. rewrites); the blob
+  /// frames a group carries are not counted, so the field means the
+  /// same whatever the spill layout.
+  std::int64_t journal_bytes = 0;
   std::int64_t journal_syncs = 0;    ///< fsyncs requested on the journal
   std::int64_t journal_short_writes = 0;   ///< injected short appends
   std::int64_t journal_dropped_syncs = 0;  ///< injected fsyncs that lied
   std::int64_t journal_compactions = 0;    ///< seal-triggered log rewrites
-  std::int64_t spill_files = 0;            ///< distinct spill files created
+  std::int64_t spill_files = 0;  ///< range files + retired generations
   std::int64_t spill_measured_high_bytes = 0;  ///< measured live-file high
   std::int64_t spill_reconcile_failures = 0;   ///< accounted != measured (gate 0)
   std::int64_t io_read_corruptions = 0;  ///< injected read-back bit flips

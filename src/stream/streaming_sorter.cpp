@@ -203,10 +203,13 @@ struct StreamingSorter::Impl {
   const RecoveryManifest* recovery = nullptr;
   std::vector<RangeSealedRecord> sealed_records;  ///< for compaction
   std::int64_t range_bytes_live = 0;  ///< sealed range files on disk
-  bool seal_pending = false;  ///< this event sealed: commit by compaction
+  bool seal_pending = false;  ///< this event sealed: compact after commit
   /// Slices dropped mid-event whose blobs are staged but not yet
   /// written; freed once the event's group is on disk.
-  std::vector<std::vector<Key>> held_until_flush;
+  std::vector<std::vector<Key>> held_until_commit;
+  /// Recovery: the generation the replayed journal was retired to,
+  /// which holds every blob its records name in kJournalFile.
+  std::string replayed_journal;
 
   [[nodiscard]] bool durable() const noexcept { return journal != nullptr; }
 
@@ -281,10 +284,9 @@ struct StreamingSorter::Impl {
       // Recovery must not truncate the old journal before the new one
       // is durable: the deferred writer leaves wal.log untouched until
       // the first rewrite() atomically replaces it.
-      journal = std::make_unique<JournalWriter>(cfg.journal_dir + "/wal.log",
-                                                io_clock.get(),
-                                                /*open_now=*/recovery ==
-                                                    nullptr);
+      journal = std::make_unique<JournalWriter>(
+          cfg.journal_dir + "/" + std::string(kJournalFile), io_clock.get(),
+          /*open_now=*/recovery == nullptr);
       journal->set_kill_after(cfg.kill_after_records);
       if (recovery == nullptr) {
         journal->append(RecordType::kConfig, config_payload());
@@ -335,10 +337,26 @@ struct StreamingSorter::Impl {
     return false;
   }
 
+  /// Stages `keys` as a blob of the event's commit group and tracks it
+  /// live; the keys are written from `keys` itself at commit.
+  SpillRef spill_blob(std::span<const Key> keys) {
+    SpillRef ref = journal->stage_blob(keys);
+    store->track(ref);
+    return ref;
+  }
+
+  /// A blob ref from the replayed journal: blobs it held itself now
+  /// live in the generation recovery retired it to.
+  [[nodiscard]] SpillRef replayed(SpillRef ref) const {
+    if (ref.file == kJournalFile) ref.file = replayed_journal;
+    return ref;
+  }
+
   /// Seals range r durably: the range file is written and fsync'd now,
   /// and the range's run blobs leave the live set (and the slice bytes
   /// the ledger), but the seal commits only with the compaction that
-  /// ends the event (commit_event), and the run files are reaped after.
+  /// ends the event (commit_event), and emptied generations are reaped
+  /// after.
   void seal_durable(int r, const std::vector<Key>& output,
                     const FingerprintState& range_fp) {
     RangeSealedRecord rec;
@@ -367,29 +385,38 @@ struct StreamingSorter::Impl {
     seal_pending = true;
   }
 
-  /// Commits the event that just ran as one group: its spill blobs go
-  /// to one fsync'd group file first, then its journal records in one
-  /// write and one fsync.  An event that sealed commits instead by
-  /// compaction — the seal and ledger records go into the rewritten
-  /// journal, whose rename is the commit point — and only then are the
-  /// sealed runs' files reaped.
+  /// Commits the event that just ran as one group — its spill blobs,
+  /// then its journal records — in one write and one fsync.  An event
+  /// that sealed then compacts: the journal is retired to a generation
+  /// holding its live blobs, the seal and ledger records go into the
+  /// rewritten journal, whose rename is the seal's commit point, and
+  /// only then are emptied generations reaped.
   void commit_event() {
-    store->flush();
-    held_until_flush.clear();
+    journal->commit();
+    held_until_commit.clear();
     if (seal_pending) {
       seal_pending = false;
+      retire_journal();
       std::vector<std::pair<RecordType, std::string>> records =
           live_records();
       records.emplace_back(RecordType::kLedgerDelta,
                            reconcile_ledger().encode());
       journal->rewrite(records);
       store->reap();
-    } else {
-      journal->commit();
     }
-    // Once flushed, the journal can name no group file an earlier
+    // Once flushed, the journal can name no generation an earlier
     // process left behind except those recovery adopted.
     if (flushed) store->reap_orphans();
+  }
+
+  /// Moves the journal's live blobs to a generation file before a
+  /// compaction replaces it, and points every run's refs there.
+  void retire_journal() {
+    const std::string generation = store->retire(kJournalFile);
+    if (generation.empty()) return;
+    for (Run& run : runs)
+      for (SpillRef* ref : {&run.slice_ref, &run.output_ref})
+        if (ref->file == kJournalFile) ref->file = generation;
   }
 
   /// Compares the byte-counter spill model against the measured live
@@ -469,6 +496,9 @@ struct StreamingSorter::Impl {
     const RecoveryManifest& m = *recovery;
     report.replayed_records = m.replayed_records;
     report.torn_tail_bytes = m.torn_bytes;
+    // The replayed journal's blobs must outlive its replacement: they
+    // stay in a generation file, adopted blob by blob below.
+    replayed_journal = store->retire_unadopted(kJournalFile);
     // Re-journal the recovered state first: wal.log is replaced
     // atomically, so a crash during recovery replays the same manifest.
     if (!m.flushed) {
@@ -542,19 +572,20 @@ struct StreamingSorter::Impl {
       run.range = rr.cut.range;
       run.pad = rr.cut.pad;
       run.acc = FingerprintAccumulator::from_state(rr.cut.fp);
-      run.slice_ref = rr.cut.blob();
+      run.slice_ref = replayed(rr.cut.blob());
       store->adopt(run.slice_ref);
       spill_add(run.slice_ref.bytes);
       bool adopted = false;
       if (rr.verified) {
+        const SpillRef ref = replayed(rr.verify.blob());
         std::vector<Key> output;
-        if (read_checked(rr.verify.blob(), rr.verify.fp, &output) &&
+        if (read_checked(ref, rr.verify.fp, &output) &&
             std::is_sorted(output.begin(), output.end()) &&
-            store->adopt(rr.verify.blob())) {
+            store->adopt(ref)) {
           spill_add(static_cast<std::int64_t>(output.size()) * kKeyBytes);
           run.done = true;
           run.output = std::move(output);
-          run.output_ref = rr.verify.blob();
+          run.output_ref = ref;
           adopted = true;
         }
       }
@@ -700,7 +731,7 @@ struct StreamingSorter::Impl {
 
     bool adopted = false;
     if (durable()) {
-      run.slice_ref = store->stage(run.slice);
+      run.slice_ref = spill_blob(run.slice);
       journal->stage(RecordType::kRunDispatched, cut_record(run).encode());
       adopted = adopt_verified_cut(run);
     }
@@ -729,17 +760,17 @@ struct StreamingSorter::Impl {
           " diverges from its journaled cut — the journal belongs to a "
           "different stream");
     if (!match->verified) return false;
+    const SpillRef ref = replayed(match->verify.blob());
     std::vector<Key> output;
-    if (!read_checked(match->verify.blob(), match->verify.fp, &output) ||
-        !std::is_sorted(output.begin(), output.end()) ||
-        !store->adopt(match->verify.blob()))
+    if (!read_checked(ref, match->verify.fp, &output) ||
+        !std::is_sorted(output.begin(), output.end()) || !store->adopt(ref))
       return false;  // damaged output: re-dispatch from the fresh slice
     spill_add(static_cast<std::int64_t>(output.size()) * kKeyBytes);
     run.done = true;
     run.output = std::move(output);
-    run.output_ref = match->verify.blob();
+    run.output_ref = ref;
     // The slice's staged blob is written at the end of the event.
-    held_until_flush.push_back(std::move(run.slice));
+    held_until_commit.push_back(std::move(run.slice));
     run.slice = {};
     ++report.recovered_runs;
     journal->stage(RecordType::kRunVerified, verify_record(run).encode());
@@ -878,11 +909,10 @@ struct StreamingSorter::Impl {
         spill_add(static_cast<std::int64_t>(out.size()) * kKeyBytes);
         run.output = std::move(out);
         if (durable()) {
-          // Write-ahead: the output blob commits with the event's group
-          // file, ahead of the verify record.  The slice blob (and its
-          // ledger bytes) is retained until seal so a lost output can
-          // still re-dispatch.
-          run.output_ref = store->stage(run.output);
+          // The output blob commits in the event's group, ahead of the
+          // verify record.  The slice blob (and its ledger bytes) is
+          // retained until seal so a lost output can still re-dispatch.
+          run.output_ref = spill_blob(run.output);
           journal->stage(RecordType::kRunVerified,
                          verify_record(run).encode());
         } else {

@@ -1,7 +1,8 @@
 // Durability layer (src/durability/, docs/DURABILITY.md): the
 // CRC-checksummed write-ahead journal and its replay integrity rules
 // (torn tail and torn group vs bit rot vs sequence violations), the
-// typed record payloads, the spill store's group files and its ledger
+// typed record payloads, spill blobs in the journal's groups, the
+// generations a compaction retires them to and the spill ledger's
 // reconciliation, one commit group per stream event, atomic whole-file
 // replacement, deterministic I/O fault injection —
 // and the headline contract: killing a durable StreamingSorter after
@@ -537,85 +538,129 @@ TEST(JournalWriter, ReadCorruptionIsCaughtByTheCrc) {
 
 // --- spill store ---------------------------------------------------------
 
+/// Little-endian int64 bytes of `keys`: the on-disk form of a blob.
+std::string key_bytes(const std::vector<Key>& keys) {
+  std::string out;
+  for (const Key key : keys)
+    for (int i = 0; i < 8; ++i)
+      out.push_back(static_cast<char>(
+          (static_cast<std::uint64_t>(key) >> (8 * i)) & 0xff));
+  return out;
+}
+
+/// Stages `keys` as a blob of the writer's open group, tracked live by
+/// `store`, the way the durable stream spills.
+SpillRef spill(JournalWriter& writer, SpillStore& store,
+               const std::vector<Key>& keys) {
+  const SpillRef ref = writer.stage_blob(keys);
+  store.track(ref);
+  return ref;
+}
+
 TEST(SpillStore, RoundTripsKeysAndMeasuresLiveBytes) {
   const std::string dir = scratch_dir("spill");
+  const std::string path = dir + "/wal.log";
+  JournalWriter writer(path, nullptr);
   SpillStore store(dir, nullptr);
   const std::vector<Key> keys = {5, -3, 0, 1 << 20, -(1LL << 40)};
   const std::vector<Key> more = {7, 8};
-  // Two blobs staged in one event land in one group file, back to back.
-  const SpillRef a = store.stage(keys);
-  const SpillRef b = store.stage(more);
-  EXPECT_EQ(a.file, b.file);
-  EXPECT_EQ(a.offset, 0);
+  // Two blobs staged in one group land in the journal back to back, each
+  // behind its frame header, ahead of the group's records.
+  const SpillRef a = spill(writer, store, keys);
+  const SpillRef b = spill(writer, store, more);
+  writer.stage(RecordType::kRunDispatched, "names a and b");
+  const auto header = static_cast<std::int64_t>(encode_blob_header(0).size());
+  EXPECT_EQ(a.file, "wal.log");
+  EXPECT_EQ(b.file, a.file);
+  EXPECT_EQ(a.offset, header);
   EXPECT_EQ(a.bytes, static_cast<std::int64_t>(keys.size() * sizeof(Key)));
-  EXPECT_EQ(b.offset, a.bytes);
-  EXPECT_EQ(store.live_bytes(), 0) << "nothing is live before flush()";
-  store.flush();
-  EXPECT_EQ(store.files_created(), 1);
+  EXPECT_EQ(b.offset, a.offset + a.bytes + header);
+  EXPECT_EQ(read_whole_file(path), "") << "nothing is written before commit";
+  writer.commit();
+  EXPECT_EQ(writer.syncs(), 1) << "blobs and records share one fsync";
+  EXPECT_EQ(store.files_created(), 0) << "the journal is not a spill file";
   EXPECT_EQ(store.live_bytes(), a.bytes + b.bytes);
   EXPECT_EQ(store.read(a), keys);
   EXPECT_EQ(store.read(b), more);
-  // The file bytes are the keys as little-endian int64, nothing else.
-  std::string expect;
-  for (const std::vector<Key>* blob : {&keys, &more})
-    for (const Key key : *blob)
-      for (int i = 0; i < 8; ++i)
-        expect.push_back(static_cast<char>(
-            (static_cast<std::uint64_t>(key) >> (8 * i)) & 0xff));
-  EXPECT_EQ(read_whole_file(store.path_of(a.file)), expect);
+  // A blob's bytes are the keys as little-endian int64, nothing else.
+  const std::string file = read_whole_file(path);
+  EXPECT_EQ(file.substr(0, static_cast<std::size_t>(header)),
+            encode_blob_header(static_cast<std::uint32_t>(a.bytes)));
+  EXPECT_EQ(file.substr(static_cast<std::size_t>(a.offset),
+                        static_cast<std::size_t>(a.bytes)),
+            key_bytes(keys));
+  EXPECT_EQ(file.substr(static_cast<std::size_t>(b.offset),
+                        static_cast<std::size_t>(b.bytes)),
+            key_bytes(more));
+  EXPECT_EQ(writer.bytes_written(),
+            static_cast<std::int64_t>(file.size()) - b.offset - b.bytes)
+      << "journal bytes count records only";
 
-  // A second event's group is a new file.
-  const SpillRef c = store.stage(more);
-  store.flush();
-  EXPECT_NE(c.file, a.file);
-  EXPECT_EQ(store.files_created(), 2);
-  EXPECT_EQ(store.measured_high(), a.bytes + 2 * b.bytes);
+  // A second group's blob follows the first group; a sealed range is a
+  // whole file of its own.
+  const SpillRef c = spill(writer, store, more);
+  writer.stage(RecordType::kRunVerified, "names c");
+  writer.commit();
+  EXPECT_GT(c.offset, static_cast<std::int64_t>(file.size()));
+  const SpillRef r = store.write_file(SpillStore::range_name(0), keys);
+  EXPECT_EQ(store.files_created(), 1);
+  EXPECT_EQ(read_whole_file(store.path_of(r.file)), key_bytes(keys));
+  EXPECT_EQ(store.measured_high(), 2 * a.bytes + 2 * b.bytes);
 
-  // Releasing a blob drops its bytes at once; the file goes only with
-  // its last blob, and only at reap().
+  // Releasing a blob drops its bytes at once; a file goes only with its
+  // last blob, only at reap(), and the journal itself never.
   store.release(a);
-  EXPECT_EQ(store.live_bytes(), 2 * b.bytes);
-  store.reap();
-  EXPECT_EQ(store.read(b), more) << "a file with a live blob stays";
+  EXPECT_EQ(store.live_bytes(), 2 * b.bytes + r.bytes);
   store.release(b);
-  EXPECT_EQ(store.read(b), more) << "a released file stays until reap()";
+  store.release(c);
   store.reap();
-  EXPECT_THROW((void)store.read(b), std::runtime_error);
-  EXPECT_EQ(store.read(c), more);
-  EXPECT_EQ(store.measured_high(), a.bytes + 2 * b.bytes)
+  EXPECT_EQ(store.read(c), more) << "reap() never unlinks the journal";
+  store.release(r);
+  EXPECT_EQ(store.read(r), keys) << "a released file stays until reap()";
+  store.reap();
+  EXPECT_THROW((void)store.read(r), std::runtime_error);
+  EXPECT_EQ(store.measured_high(), 2 * a.bytes + 2 * b.bytes)
       << "high-water never recedes";
   EXPECT_THROW((void)store.read(SpillRef{"absent.spill", 0, 8}),
                std::runtime_error);
-  EXPECT_THROW((void)store.read(SpillRef{c.file, 0, c.bytes + 8}),
-               std::runtime_error)
+  EXPECT_THROW(
+      (void)store.read(SpillRef{c.file, c.offset, c.bytes + 4096}),
+      std::runtime_error)
       << "a blob running past the end of its file is a short read";
 }
 
 TEST(SpillStore, AdoptChecksTheJournaledSize) {
   const std::string dir = scratch_dir("adopt");
-  SpillStore store(dir, nullptr);
   const std::vector<Key> keys = {1, 2, 3};
-  store.stage(keys);
-  const SpillRef ref = store.stage(keys);
-  store.flush();
+  JournalWriter writer(dir + "/wal.log", nullptr);
+  SpillStore store(dir, nullptr);
+  spill(writer, store, keys);
+  SpillRef ref = spill(writer, store, keys);
+  writer.stage(RecordType::kRunDispatched, "r");
+  writer.commit();
+  ref.file = store.retire(kJournalFile);
+  ASSERT_EQ(ref.file, "j0.spill");
+
   SpillStore fresh(dir, nullptr);
   EXPECT_TRUE(fresh.adopt(ref));
   EXPECT_EQ(fresh.live_bytes(), ref.bytes);
-  EXPECT_FALSE(fresh.adopt(SpillRef{"g99.spill", 0, 24}))
+  EXPECT_FALSE(fresh.adopt(SpillRef{"j99.spill", 0, 24}))
       << "an absent file is a recoverable condition, not an error";
   try {
-    (void)fresh.adopt(SpillRef{ref.file, ref.offset, ref.bytes + 8});
+    (void)fresh.adopt(SpillRef{ref.file, ref.offset, ref.bytes + 4096});
     FAIL() << "a blob past the end of its file must be refused";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("journal recorded"),
               std::string::npos)
         << e.what();
   }
-  // New groups never reuse an existing file name: a crashed run's
-  // files may still be named by its journal.
-  const SpillRef next = fresh.stage(keys);
-  fresh.flush();
-  EXPECT_NE(next.file, ref.file);
+  // New generations never reuse an existing file name: a crashed run's
+  // generations may still be named by its journal.
+  spill(writer, fresh, keys);
+  writer.stage(RecordType::kRunVerified, "v");
+  writer.commit();
+  const std::string next = fresh.retire(kJournalFile);
+  EXPECT_EQ(next, "j1.spill");
   fresh.reap_orphans();
   EXPECT_EQ(fresh.read(ref), keys) << "an adopted orphan is kept";
 }
@@ -626,15 +671,22 @@ TEST(SpillStore, UnadoptedOrphansAreReaped) {
   SpillRef kept;
   SpillRef lost;
   {
+    // Two compactions, each retiring a journal that holds one blob.
+    JournalWriter writer(dir + "/wal.log", nullptr);
     SpillStore store(dir, nullptr);
-    kept = store.stage(keys);
-    store.flush();
-    lost = store.stage(keys);
-    store.flush();
+    for (SpillRef* ref : {&kept, &lost}) {
+      *ref = spill(writer, store, keys);
+      writer.stage(RecordType::kRunDispatched, "r");
+      writer.commit();
+      ref->file = store.retire(kJournalFile);
+      writer.rewrite({{RecordType::kConfig, "cfg"}});
+    }
   }
-  write_whole_file(dir + "/wal.log", "not a spill file");
   SpillStore fresh(dir, nullptr);
   ASSERT_TRUE(fresh.adopt(kept));
+  // Recovery links the replayed journal too; a link nothing adopts is
+  // an orphan like any other.
+  EXPECT_EQ(fresh.retire_unadopted(kJournalFile), "j2.spill");
   fresh.reap_orphans();
   const std::vector<std::string> left = dir_entries(dir);
   EXPECT_EQ(left, (std::vector<std::string>{kept.file, "wal.log"}));
@@ -737,7 +789,7 @@ TEST(DurableStream, JournalingDoesNotChangeTheStreamsOutput) {
     EXPECT_NE(leaf.rfind("run", 0), 0u)
         << "sealing must reap every run spill file, found " << leaf;
     EXPECT_FALSE(leaf.ends_with(".spill"))
-        << "sealing must reap every group file, found " << leaf;
+        << "sealing must reap every generation, found " << leaf;
   }
   EXPECT_TRUE(saw_wal);
 }
@@ -863,45 +915,68 @@ std::string crash_at(const StreamConfig& base, std::int64_t kill,
   return crashing.journal_dir;
 }
 
+/// True when `ref` lies outside the last closed group of `replay`: in
+/// a generation file, or in an earlier group of the journal.  Damage
+/// there is disk damage; damage inside the last group is a torn write.
+bool before_last_group(const SpillRef& ref, const JournalReplay& replay) {
+  return ref.file != kJournalFile || ref.offset < replay.last_group_offset;
+}
+
+/// Overwrites the bytes of `ref` in `dir` with `fill`(old bytes).
+template <typename Fill>
+void damage_blob(const std::string& dir, const SpillRef& ref, Fill fill) {
+  const std::string path = dir + "/" + ref.file;
+  std::string bytes = read_whole_file(path);
+  ASSERT_LE(ref.offset + ref.bytes, static_cast<std::int64_t>(bytes.size()));
+  std::string blob = bytes.substr(static_cast<std::size_t>(ref.offset),
+                                  static_cast<std::size_t>(ref.bytes));
+  fill(blob);
+  bytes.replace(static_cast<std::size_t>(ref.offset), blob.size(), blob);
+  write_whole_file(path, bytes);
+}
+
+void zero_bytes(std::string& blob) { std::fill(blob.begin(), blob.end(), '\0'); }
+
 TEST(DurableStream, DamagedVerifiedOutputFallsBackToTheSlice) {
   StreamConfig cfg = small_config();
   cfg.journal_dir = scratch_dir("spill_loss_ref");
   const StreamOutcome reference = run_stream(cfg);
   const std::int64_t records = reference.report.journal_records;
 
-  // Find a kill point whose journal names a verified run output.
+  // Find a kill point whose journal names a verified run output outside
+  // its last group (inside it, damage is a torn write, tested below).
   for (std::int64_t kill = records; kill >= 1; --kill) {
     const std::string dir = crash_at(cfg, kill, "spill_loss");
+    const JournalReplay replay = replay_journal(dir + "/wal.log");
     std::optional<RunVerifiedRecord> verified;
-    for (const JournalRecord& rec : replay_journal(dir + "/wal.log").records)
-      if (rec.type == RecordType::kRunVerified)
-        verified = RunVerifiedRecord::decode(rec.payload);
+    for (const JournalRecord& rec : replay.records) {
+      if (rec.type != RecordType::kRunVerified) continue;
+      const RunVerifiedRecord v = RunVerifiedRecord::decode(rec.payload);
+      if (before_last_group(v.blob(), replay)) verified = v;
+    }
     if (!verified) continue;
-    const std::string out_file = verified->file;
+    const std::string label = verified->file + " @" +
+                              std::to_string(verified->offset) + " at kill " +
+                              std::to_string(kill);
 
     // Corrupt it: the journaled fingerprint catches it and the run
     // re-dispatches from its retained slice instead.
-    std::string bytes = read_whole_file(dir + "/" + out_file);
-    ASSERT_EQ(verified->offset, 0);
-    ASSERT_EQ(static_cast<std::int64_t>(bytes.size()), verified->file_bytes)
-        << "a completion's group file holds its run output alone";
-    bytes[bytes.size() / 2] =
-        static_cast<char>(bytes[bytes.size() / 2] ^ 0x10);
-    write_whole_file(dir + "/" + out_file, bytes);
-
+    damage_blob(dir, verified->blob(), [](std::string& blob) {
+      blob[blob.size() / 2] = static_cast<char>(blob[blob.size() / 2] ^ 0x10);
+    });
     ParallelExecutor executor(1);
     const StreamRecoveryResult recovered = recover_stream(dir, &executor);
     expect_same_stream(reference, recovered.report, recovered.emitted,
-                       "corrupted " + out_file + " at kill " +
-                           std::to_string(kill));
+                       "corrupted " + label);
 
-    // And deletion is the same story.
+    // And a lost blob — its keys zeroed, as pages that never reached
+    // the disk — is the same story.
     const std::string dir2 = crash_at(cfg, kill, "spill_loss2");
-    ASSERT_EQ(::unlink((dir2 + "/" + out_file).c_str()), 0);
+    damage_blob(dir2, verified->blob(), zero_bytes);
     ParallelExecutor executor2(1);
     const StreamRecoveryResult recovered2 = recover_stream(dir2, &executor2);
     expect_same_stream(reference, recovered2.report, recovered2.emitted,
-                       "deleted " + out_file);
+                       "zeroed " + label);
     return;
   }
   FAIL() << "no kill point left a verified run output on disk";
@@ -1059,19 +1134,21 @@ TEST(DurableStream, FaultFreeCommitCountsFollowTheGroupFormula) {
   // per completion; each seal commits by compaction instead.
   EXPECT_EQ(report.journal_syncs, 1 + report.batches + report.runs);
   EXPECT_EQ(report.journal_compactions, cfg.ranges);
-  // One spill file per event that spills: each arrival that cuts a run,
-  // each completion, and each seal of a non-empty range.  Every arrival
-  // but the first cuts: a range buffer gains about a third of a batch's
-  // 96 keys and cuts at 64 (the 2nd arrival cuts range 0, the 3rd
-  // ranges 1 and 2, the 4th range 0 again), and the 5th flushes all.
-  const std::int64_t cutting_arrivals = 4;
-  EXPECT_EQ(report.spill_files, cutting_arrivals + report.runs +
-                                    (cfg.ranges - report.empty_ranges));
+  // Blobs ride in the journal's groups, so the spill files are the
+  // range files of the non-empty ranges plus the generations the
+  // compactions retired the journal to: one per compaction whose
+  // outgoing journal still held a live blob.  Every run verifies before
+  // range 0's merge ends, so the first compaction retires a journal
+  // holding every live blob, and the later ones find none.
+  const std::int64_t generations = 1;
+  EXPECT_LE(generations, report.journal_compactions);
+  EXPECT_EQ(report.spill_files,
+            (cfg.ranges - report.empty_ranges) + generations);
   EXPECT_EQ(report.batches, 5);
   EXPECT_EQ(report.runs, 9);
   EXPECT_EQ(report.empty_ranges, 0);
   EXPECT_EQ(report.journal_syncs, 15);
-  EXPECT_EQ(report.spill_files, 16);
+  EXPECT_EQ(report.spill_files, 4);
 }
 
 /// Copies every file of `from` into a fresh scratch directory `name`.
@@ -1082,12 +1159,21 @@ std::string copy_dir(const std::string& from, const std::string& name) {
   return to;
 }
 
+/// The generation files (`j<gen>.spill`) in `dir`.
+std::vector<std::string> generations_in(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const std::string& leaf : dir_entries(dir))
+    if (leaf.ends_with(".spill")) out.push_back(leaf);
+  return out;
+}
+
 TEST(DurableStream, RecoveryFromEveryEarlierGroupReapsLaterGroupDebris) {
-  // A power cut can lose the last commit groups of the journal while
-  // their group files, fsync'd first, survive.  Truncating wal.log back
-  // to every earlier group boundary and leaving every spill file on
-  // disk models exactly that; recovery must ignore the debris (no
-  // record names it), never overwrite it, and reap it.
+  // A power cut can lose the last commit groups of the journal, blobs
+  // and all, while a generation file a later compaction linked
+  // survives.  Truncating wal.log back to every earlier group boundary,
+  // with a generation holding the untruncated journal beside it, models
+  // exactly that; recovery must ignore the debris (no record names it),
+  // never overwrite it (new generations number past it), and reap it.
   StreamConfig cfg = small_config();
   cfg.journal_dir = scratch_dir("debris_ref");
   const StreamOutcome reference = run_stream(cfg);
@@ -1099,6 +1185,8 @@ TEST(DurableStream, RecoveryFromEveryEarlierGroupReapsLaterGroupDebris) {
     for (const JournalRecord& rec : replay.records) {
       if (!rec.group_end) continue;
       const std::string dir = copy_dir(crashed, "debris");
+      write_whole_file(dir + "/j1000.spill",
+                       read_whole_file(dir + "/wal.log"));
       ASSERT_EQ(::truncate((dir + "/wal.log").c_str(), rec.end_offset), 0);
       ParallelExecutor executor(1);
       const StreamRecoveryResult recovered = recover_stream(dir, &executor);
@@ -1108,9 +1196,8 @@ TEST(DurableStream, RecoveryFromEveryEarlierGroupReapsLaterGroupDebris) {
       expect_same_stream(reference, recovered.report, recovered.emitted,
                          label);
       EXPECT_EQ(recovered.report.torn_tail_bytes, 0) << label;
-      for (const std::string& leaf : dir_entries(dir))
-        EXPECT_FALSE(leaf.ends_with(".spill"))
-            << label << ": group file " << leaf << " left after recovery";
+      EXPECT_EQ(generations_in(dir), std::vector<std::string>{})
+          << label << ": generation files left after recovery";
       ++truncations;
     }
   }
@@ -1118,12 +1205,14 @@ TEST(DurableStream, RecoveryFromEveryEarlierGroupReapsLaterGroupDebris) {
 }
 
 TEST(DurableStream, CrashBeforeTheCompactionRenameKeepsTheSealingRunsReadable) {
-  // A seal commits by compaction: the range file is fsync'd, then the
-  // rewritten journal is renamed over wal.log, and only then are the
-  // range's run files reaped.  Block the rename (a directory squats on
-  // the compaction's temp path, so the rewrite fails before it) and
-  // every blob the old journal names for the sealing range must still
-  // read back with its journaled fingerprint.
+  // A seal commits by compaction: the range file is fsync'd, the
+  // outgoing journal is hard-linked to a generation file, then the
+  // rewritten journal is renamed over wal.log, and only then are
+  // emptied generations reaped.  Block the rename (a directory squats
+  // on the compaction's temp path, so the rewrite fails after the link)
+  // and wal.log must still hold every blob its records name for the
+  // sealing range, readable with its journaled fingerprint; the link is
+  // an orphan that recovery reaps.
   StreamConfig plain = small_config();
   plain.journal_dir = scratch_dir("compaction_ref");
   const StreamOutcome reference = run_stream(plain);
@@ -1134,6 +1223,9 @@ TEST(DurableStream, CrashBeforeTheCompactionRenameKeepsTheSealingRunsReadable) {
   ASSERT_EQ(::mkdir(squat.c_str(), 0755), 0);
   EXPECT_THROW((void)run_stream(cfg), std::runtime_error);
   ASSERT_EQ(::rmdir(squat.c_str()), 0);
+  EXPECT_EQ(generations_in(cfg.journal_dir),
+            std::vector<std::string>{"j0.spill"})
+      << "the link precedes the failed rename";
 
   const JournalReplay replay = replay_journal(cfg.journal_dir + "/wal.log");
   std::vector<RunDispatchedRecord> cuts;
@@ -1149,6 +1241,7 @@ TEST(DurableStream, CrashBeforeTheCompactionRenameKeepsTheSealingRunsReadable) {
   SpillStore store(cfg.journal_dir, nullptr);
   const auto expect_readable = [&](const SpillRef& ref,
                                    const FingerprintState& fp) {
+    EXPECT_EQ(ref.file, "wal.log");
     FingerprintAccumulator acc;
     acc.absorb(store.read(ref));
     EXPECT_EQ(acc.state(), fp) << ref.file << " @" << ref.offset;
@@ -1172,6 +1265,260 @@ TEST(DurableStream, CrashBeforeTheCompactionRenameKeepsTheSealingRunsReadable) {
       recover_stream(cfg.journal_dir, &executor);
   expect_same_stream(reference, recovered.report, recovered.emitted,
                      "recovery after a failed compaction");
+  EXPECT_EQ(generations_in(cfg.journal_dir), std::vector<std::string>{})
+      << "the orphan link and every retired generation are reaped";
+}
+
+// --- blobs in the journal ------------------------------------------------
+
+/// The blobs the records of `replay` name, with their fingerprints.
+struct NamedBlob {
+  RecordType type;
+  std::int64_t run = 0;
+  SpillRef ref;
+  FingerprintState fp;
+};
+
+std::vector<NamedBlob> named_blobs(const JournalReplay& replay) {
+  std::vector<NamedBlob> out;
+  for (const JournalRecord& rec : replay.records) {
+    if (rec.type == RecordType::kRunDispatched) {
+      const RunDispatchedRecord cut = RunDispatchedRecord::decode(rec.payload);
+      out.push_back({rec.type, cut.run, cut.blob(), cut.fp});
+    } else if (rec.type == RecordType::kRunVerified) {
+      const RunVerifiedRecord v = RunVerifiedRecord::decode(rec.payload);
+      out.push_back({rec.type, v.run, v.blob(), v.fp});
+    }
+  }
+  return out;
+}
+
+bool flushed_journal(const JournalReplay& replay) {
+  return std::any_of(replay.records.begin(), replay.records.end(),
+                     [](const JournalRecord& rec) {
+                       return rec.type == RecordType::kIngestDone ||
+                              rec.type == RecordType::kSnapshot;
+                     });
+}
+
+std::int64_t records_before(const JournalReplay& replay,
+                            std::int64_t offset) {
+  return std::count_if(
+      replay.records.begin(), replay.records.end(),
+      [offset](const JournalRecord& rec) { return rec.offset < offset; });
+}
+
+TEST(Journal, BlobFramesTakeNoSequenceAndTearWithTheirGroup) {
+  std::string buffer = encode_record(1, RecordType::kConfig, "cfg");
+  const std::size_t group_start = buffer.size();
+  const std::string keys(64, 'k');
+  buffer += encode_blob_header(64) + keys;
+  const std::size_t records_start = buffer.size();
+  buffer += encode_record(2, RecordType::kRunDispatched, "r");
+  const JournalReplay replay = replay_journal_buffer(buffer);
+  ASSERT_EQ(replay.records.size(), 2u);
+  EXPECT_FALSE(replay.torn_tail);
+  EXPECT_EQ(replay.records[1].seq, 2u) << "a blob frame takes no sequence";
+  EXPECT_EQ(replay.records[1].offset,
+            static_cast<std::int64_t>(records_start));
+  EXPECT_EQ(replay.last_group_offset, static_cast<std::int64_t>(group_start));
+  // A cut anywhere in the group — header, keys or records — tears it.
+  for (std::size_t cut = group_start + 1; cut < buffer.size(); ++cut) {
+    const JournalReplay torn =
+        replay_journal_buffer(std::string_view(buffer).substr(0, cut));
+    ASSERT_EQ(torn.records.size(), 1u) << "cut at byte " << cut;
+    EXPECT_TRUE(torn.torn_tail) << "cut at byte " << cut;
+    EXPECT_EQ(torn.valid_bytes, static_cast<std::int64_t>(group_start));
+  }
+  // The keys carry no CRC (their record's fingerprint checks them), but
+  // a damaged header with data after it is rot.
+  std::string rotted_keys = buffer;
+  rotted_keys[records_start - 1] ^= 0x01;
+  EXPECT_EQ(replay_journal_buffer(rotted_keys).records.size(), 2u);
+  std::string rotted_header = buffer;
+  rotted_header[group_start + 4] ^= 0x01;
+  try {
+    (void)replay_journal_buffer(rotted_header);
+    FAIL() << "a damaged blob header mid-file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("blob frame header"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DurableStream, ZeroedBlobsInTheFinalGroupAreATornWrite) {
+  // Pages of the one unsynced write can reach the disk out of order, and
+  // blob keys carry no CRC.  A closed final group whose blob keys are
+  // zeroed is therefore a torn write: discarded, recovered bit-
+  // identically.  The same damage in an earlier group is disk damage: a
+  // verified output falls back to its slice, a slice is a named error.
+  StreamConfig cfg = small_config();
+  cfg.journal_dir = scratch_dir("zeroed_ref");
+  const StreamOutcome reference = run_stream(cfg);
+  const std::int64_t records = reference.report.journal_records;
+  bool final_group = false;
+  bool earlier_output = false;
+  bool earlier_slice = false;
+  for (std::int64_t kill = 1; kill <= records; ++kill) {
+    if (final_group && earlier_output && earlier_slice) break;
+    const std::string crashed = crash_at(cfg, kill, "zeroed_crash");
+    const JournalReplay replay = replay_journal(crashed + "/wal.log");
+    const std::vector<NamedBlob> blobs = named_blobs(replay);
+    const std::string label = "kill " + std::to_string(kill);
+
+    const auto in_final = [&](const NamedBlob& b) {
+      return !before_last_group(b.ref, replay);
+    };
+    if (!final_group && std::any_of(blobs.begin(), blobs.end(), in_final)) {
+      final_group = true;
+      const std::string dir = copy_dir(crashed, "zeroed_final");
+      for (const NamedBlob& b : blobs)
+        if (in_final(b)) damage_blob(dir, b.ref, zero_bytes);
+      StreamConfig decoded;
+      int size = 0;
+      int dims = 0;
+      const RecoveryManifest manifest =
+          load_recovery_manifest(dir, &decoded, &size, &dims);
+      EXPECT_TRUE(manifest.torn_tail) << label;
+      EXPECT_EQ(manifest.replayed_records,
+                records_before(replay, replay.last_group_offset))
+          << label << ": the final group is discarded whole";
+      ParallelExecutor executor(1);
+      const StreamRecoveryResult recovered = recover_stream(dir, &executor);
+      expect_same_stream(reference, recovered.report, recovered.emitted,
+                         label + ", final group zeroed");
+    }
+    if (!flushed_journal(replay)) continue;
+    for (const NamedBlob& b : blobs) {
+      if (in_final(b)) continue;
+      const bool verified = std::any_of(
+          blobs.begin(), blobs.end(), [&](const NamedBlob& o) {
+            return o.run == b.run && o.type == RecordType::kRunVerified;
+          });
+      if (b.type == RecordType::kRunVerified && !earlier_output) {
+        earlier_output = true;
+        const std::string dir = copy_dir(crashed, "zeroed_output");
+        damage_blob(dir, b.ref, zero_bytes);
+        ParallelExecutor executor(1);
+        const StreamRecoveryResult recovered = recover_stream(dir, &executor);
+        EXPECT_EQ(recovered.report.replayed_records,
+                  static_cast<std::int64_t>(replay.records.size()))
+            << label << ": an earlier group is not torn";
+        expect_same_stream(reference, recovered.report, recovered.emitted,
+                           label + ", earlier output zeroed");
+      } else if (b.type == RecordType::kRunDispatched && !verified &&
+                 !earlier_slice) {
+        earlier_slice = true;
+        const std::string dir = copy_dir(crashed, "zeroed_slice");
+        damage_blob(dir, b.ref, zero_bytes);
+        ParallelExecutor executor(1);
+        try {
+          (void)recover_stream(dir, &executor);
+          FAIL() << label << ": a damaged slice must refuse recovery";
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find("slice"), std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(final_group) << "no kill point ended in a group with blobs";
+  EXPECT_TRUE(earlier_output) << "no verified output outside a last group";
+  EXPECT_TRUE(earlier_slice) << "no unverified slice outside a last group";
+}
+
+/// A stream whose runs are 16 KiB blobs, so one group's blob frames
+/// span several 4 KiB pages.
+StreamConfig page_spanning_config() {
+  StreamConfig cfg = small_config();
+  cfg.batches = 3;
+  cfg.batch_keys = 4096;
+  cfg.ranges = 2;
+  cfg.block = 128;  // run_keys = 16 * 128 = 2048 keys
+  cfg.budget_bytes = 1 << 17;
+  return cfg;
+}
+
+TEST(DurableStream, EveryPageCutInsideTheLastGroupsBlobsIsATornGroup) {
+  StreamConfig cfg = page_spanning_config();
+  cfg.journal_dir = scratch_dir("pages_ref");
+  const StreamOutcome reference = run_stream(cfg);
+  ASSERT_TRUE(reference.report.conserved());
+  constexpr std::int64_t kPage = 4096;
+  std::int64_t cuts = 0;
+  for (std::int64_t kill = 1;
+       kill <= reference.report.journal_records && cuts == 0; ++kill) {
+    const std::string crashed = crash_at(cfg, kill, "pages_crash");
+    const JournalReplay replay = replay_journal(crashed + "/wal.log");
+    const std::int64_t start = replay.last_group_offset;
+    const auto first_record = std::find_if(
+        replay.records.begin(), replay.records.end(),
+        [start](const JournalRecord& r) { return r.offset >= start; });
+    ASSERT_NE(first_record, replay.records.end());
+    const std::int64_t blobs_end = first_record->offset;
+    const std::int64_t kept = records_before(replay, start);
+    for (std::int64_t at = (start / kPage + 1) * kPage; at < blobs_end;
+         at += kPage) {
+      const std::string dir = copy_dir(crashed, "pages_cut");
+      ASSERT_EQ(::truncate((dir + "/wal.log").c_str(), at), 0);
+      const std::string label = "kill " + std::to_string(kill) +
+                                ", cut at byte " + std::to_string(at);
+      const JournalReplay torn = replay_journal(dir + "/wal.log");
+      EXPECT_TRUE(torn.torn_tail) << label;
+      EXPECT_EQ(torn.valid_bytes, start) << label;
+      EXPECT_EQ(static_cast<std::int64_t>(torn.records.size()), kept)
+          << label;
+      ParallelExecutor executor(1);
+      const StreamRecoveryResult recovered = recover_stream(dir, &executor);
+      expect_same_stream(reference, recovered.report, recovered.emitted,
+                         label);
+      ++cuts;
+    }
+  }
+  EXPECT_GE(cuts, 2) << "no final group's blobs spanned two pages";
+}
+
+TEST(DurableStream, ACompactionCopiesNoBlobAndRetiresTheJournal) {
+  // Kill right after the first compaction: wal.log then holds exactly
+  // the compacted group.  Its size is its encoded records alone, every
+  // blob its records name reads back by fingerprint from the retired
+  // generation, and that file is unlinked once its last blob goes.
+  StreamConfig cfg = small_config();
+  cfg.journal_dir = scratch_dir("retire_ref");
+  const StreamOutcome reference = run_stream(cfg);
+  for (std::int64_t kill = 1; kill <= reference.report.journal_records;
+       ++kill) {
+    const std::string dir = crash_at(cfg, kill, "retire");
+    const JournalReplay replay = replay_journal(dir + "/wal.log");
+    if (replay.records.size() < 2 ||
+        replay.records[1].type != RecordType::kSnapshot ||
+        replay.last_group_offset != 0)
+      continue;
+    std::int64_t record_bytes = 0;
+    for (const JournalRecord& rec : replay.records)
+      record_bytes += rec.end_offset - rec.offset;
+    EXPECT_EQ(static_cast<std::int64_t>(read_whole_file(dir + "/wal.log")
+                                            .size()),
+              record_bytes)
+        << "a compaction writes no blob bytes";
+    const std::vector<NamedBlob> blobs = named_blobs(replay);
+    ASSERT_FALSE(blobs.empty());
+    for (const NamedBlob& b : blobs) {
+      EXPECT_EQ(b.ref.file, "j0.spill");
+      FingerprintAccumulator acc;
+      acc.absorb(read_spill_blob(dir + "/" + b.ref.file, b.ref));
+      EXPECT_EQ(acc.state(), b.fp) << "run " << b.run;
+    }
+    ParallelExecutor executor(1);
+    const StreamRecoveryResult recovered = recover_stream(dir, &executor);
+    expect_same_stream(reference, recovered.report, recovered.emitted,
+                       "recovery after the first compaction");
+    EXPECT_EQ(generations_in(dir), std::vector<std::string>{})
+        << "a generation is unlinked after its last release";
+    return;
+  }
+  FAIL() << "no kill point landed right after a compaction";
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(ReportGolden, JournaledStreamReportIsPinned) {
   EXPECT_GT(report.journal_dropped_syncs, 0);
   EXPECT_GT(report.spill_files, 0);
   expect_pinned(report.hash(), report.json(),
-                {0x0ac65c5bd0981fa1ULL, 0x111e91534e2e2b7fULL});
+                {0x88a667732299be22ULL, 0xdb347c041545ab6dULL});
 }
 
 // --- ServiceReport ---------------------------------------------------------
