@@ -17,6 +17,11 @@
 #        src/**/*_report.cpp: a report hash goes through the struct's
 #        declared field list (core/report_fields.hpp), so no field can
 #        drop out of the replay gate unseen;
+#      - no library sort or heap in src/core/host_merge.cpp
+#        (`std::sort`, `std::stable_sort`, `std::priority_queue`,
+#        `push_heap`, `pop_heap`): a counted host operation's count
+#        feeds the virtual clock, so the code that defines it must be
+#        in-tree, not a library's comparison pattern;
 #   2. clang-format --dry-run -Werror over the C++ sources;
 #   3. clang-tidy with the repo .clang-tidy over compile_commands.json;
 #   4. cppcheck with the documented suppression baseline.
@@ -79,6 +84,15 @@ if grep -n 'mix_i64(\|mix64(h,' $(find "$repo/src" -name '*_report.cpp' |
                                    sort); then
   note "lint: fold report fields through fields() and HashFold"
   note "lint: (core/report_fields.hpp), not by hand"
+  status=1
+fi
+
+note "lint: checking that the host merge counts its own comparisons"
+if grep -n \
+     'std::sort\|std::stable_sort\|std::priority_queue\|push_heap\|pop_heap' \
+     "$repo/src/core/host_merge.cpp"; then
+  note "lint: src/core/host_merge.cpp must not use a library sort or heap:"
+  note "lint: its comparison count is the virtual clock's, defined in-tree"
   status=1
 fi
 

@@ -28,12 +28,12 @@ SortBackend::SortBackend(const ProductGraph& pg, int id,
   }
 }
 
-AttemptResult SortBackend::run_attempt(const JobSpec& job, std::int64_t now,
+AttemptResult SortBackend::run_attempt(JobSpec job, std::int64_t now,
                                        const AttemptOptions& opts) {
-  if (job.block > 0) return run_block_attempt(job, now);
+  if (job.block > 0) return run_block_attempt(std::move(job), now);
   AttemptResult result;
   const PNode n = pg_->num_nodes();
-  std::vector<Key> keys = service_job_keys(n, job);
+  std::vector<Key> keys = service_job_keys(n, std::move(job));
   const std::uint64_t checksum = fingerprint_sequence(keys).checksum;
 
   Machine machine(*pg_, std::move(keys), executor_);
@@ -146,8 +146,7 @@ AttemptResult SortBackend::run_attempt(const JobSpec& job, std::int64_t now,
   return result;
 }
 
-AttemptResult SortBackend::run_block_attempt(const JobSpec& job,
-                                             std::int64_t now) {
+AttemptResult SortBackend::run_block_attempt(JobSpec job, std::int64_t now) {
   // Block-mode attempt (streaming runs, docs/STREAMING.md): sort
   // block * N^r keys with the Section 4 merge-split schedule, certify
   // the snake read-out end-to-end, and block_certify_and_repair a
@@ -159,10 +158,11 @@ AttemptResult SortBackend::run_block_attempt(const JobSpec& job,
   AttemptResult result;
   const PNode n = pg_->num_nodes();
   const PNode total = n * static_cast<PNode>(job.block);
-  std::vector<Key> keys = service_job_keys(total, job);
+  const int block = job.block;
+  std::vector<Key> keys = service_job_keys(total, std::move(job));
   const Certifier certifier(keys, executor_);
 
-  BlockMachine machine(*pg_, std::move(keys), job.block, executor_);
+  BlockMachine machine(*pg_, std::move(keys), block, executor_);
   result.faulted = faults_ != nullptr &&
                    (config_.fault_until < 0 || now < config_.fault_until);
   if (result.faulted) {

@@ -110,12 +110,13 @@ class SortBackend {
               const BreakerConfig& breaker, const SortPlan* plan = nullptr);
 
   /// Runs one sort attempt for `job` dispatched at virtual time `now`.
-  /// Never throws: unmodeled escalation dead-ends count as a failed
-  /// attempt at whatever virtual cost the machine consumed.
-  AttemptResult run_attempt(const JobSpec& job, std::int64_t now,
+  /// A payload the caller moves in becomes the machine's keys without a
+  /// copy.  Never throws: unmodeled escalation dead-ends count as a
+  /// failed attempt at whatever virtual cost the machine consumed.
+  AttemptResult run_attempt(JobSpec job, std::int64_t now,
                             const AttemptOptions& opts);
-  AttemptResult run_attempt(const JobSpec& job, std::int64_t now) {
-    return run_attempt(job, now, AttemptOptions{});
+  AttemptResult run_attempt(JobSpec job, std::int64_t now) {
+    return run_attempt(std::move(job), now, AttemptOptions{});
   }
 
   [[nodiscard]] const ProductGraph& graph() const noexcept { return *pg_; }
@@ -140,7 +141,7 @@ class SortBackend {
   /// Block-mode attempt (JobSpec::block > 0): BlockMachine + merge-split
   /// schedule + end-to-end certificate + block repair.  TMR, quarantine,
   /// and checkpointed recovery are unit-mode-only and not applied.
-  AttemptResult run_block_attempt(const JobSpec& job, std::int64_t now);
+  AttemptResult run_block_attempt(JobSpec job, std::int64_t now);
 
   const ProductGraph* pg_;
   int id_;

@@ -1,6 +1,7 @@
 #include "service/service_types.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "core/hashing.hpp"
 
@@ -34,11 +35,11 @@ ShedPolicy parse_shed_policy(const std::string& name) {
   throw std::invalid_argument("unknown shed policy: '" + name + "'");
 }
 
-std::vector<Key> service_job_keys(PNode count, const JobSpec& spec) {
+std::vector<Key> service_job_keys(PNode count, JobSpec spec) {
   if (!spec.payload.empty()) {
     if (static_cast<PNode>(spec.payload.size()) != count)
       throw std::invalid_argument("service_job_keys: payload size mismatch");
-    return spec.payload;
+    return std::move(spec.payload);
   }
   std::vector<Key> keys(static_cast<std::size_t>(count));
   const std::uint64_t base = mix64(spec.key_seed);

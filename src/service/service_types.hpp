@@ -149,8 +149,8 @@ struct AdaptiveCertServiceConfig {
 /// The job's input keys: a pure splitmix64 function of (key_seed,
 /// pattern, count), independent of every other job.  Patterns mirror
 /// the stress harness: 0 uniform, 1 binary, 2 few-distinct, 3 reversed,
-/// 4 small-period.
-[[nodiscard]] std::vector<Key> service_job_keys(PNode count,
-                                                const JobSpec& spec);
+/// 4 small-period.  A spec with a payload returns it instead, moved out
+/// when the caller passes the spec as an rvalue.
+[[nodiscard]] std::vector<Key> service_job_keys(PNode count, JobSpec spec);
 
 }  // namespace prodsort

@@ -148,7 +148,7 @@ struct StreamingSorter::Impl {
 
   struct PendingMerge {
     int range = 0;
-    std::vector<Key> output;
+    std::size_t base = 0;  ///< the merged range starts at (*emitted)[base]
     HostMergeStats stats;
     std::int64_t cursor_bytes = 0;
     std::int64_t started = 0;
@@ -357,7 +357,7 @@ struct StreamingSorter::Impl {
   /// the ledger), but the seal commits only with the compaction that
   /// ends the event (commit_event), and emptied generations are reaped
   /// after.
-  void seal_durable(int r, const std::vector<Key>& output,
+  void seal_durable(int r, std::span<const Key> output,
                     const FingerprintState& range_fp) {
     RangeSealedRecord rec;
     rec.range = r;
@@ -838,10 +838,13 @@ struct StreamingSorter::Impl {
     spec.id = run.id;
     spec.key_seed = mix64(cfg.seed, static_cast<std::uint64_t>(run.id));
     spec.block = cfg.block;
-    spec.payload = run.slice;  // re-padded on every (re-)dispatch
+    // The machine's keys, padding included, built from the retained
+    // slice in one copy on every (re-)dispatch; the backend takes them.
+    spec.payload.reserve(static_cast<std::size_t>(run_keys));
+    spec.payload.assign(run.slice.begin(), run.slice.end());
     spec.payload.resize(static_cast<std::size_t>(run_keys), kStreamSentinel);
 
-    AttemptResult result = be.run_attempt(spec, now);
+    AttemptResult result = be.run_attempt(std::move(spec), now);
     report.sdc_detected += result.sdc_detected ? 1 : 0;
     report.repair_passes += result.repair_passes;
 
@@ -991,9 +994,9 @@ struct StreamingSorter::Impl {
     merge_busy = true;
     const int attempt = ++merge_attempts[static_cast<std::size_t>(r)];
 
-    std::vector<std::vector<Key>> inputs;
+    std::vector<std::span<const Key>> inputs;
     for (const Run& run : runs)
-      if (run.range == r) inputs.push_back(run.output);
+      if (run.range == r) inputs.emplace_back(run.output);
 
     PendingMerge pm;
     pm.range = r;
@@ -1002,8 +1005,12 @@ struct StreamingSorter::Impl {
     // egress needs: emitted keys stream to the consumer as produced.
     pm.cursor_bytes = static_cast<std::int64_t>(inputs.size()) * 2 * kKeyBytes;
     if (!ram.try_reserve(pm.cursor_bytes)) pm.cursor_bytes = 0;
-    pm.output = measured_multiway_merge(inputs, pm.stats);
-    const std::int64_t total = static_cast<std::int64_t>(pm.output.size());
+    // One merge is in flight at a time and nothing else appends to
+    // `emitted` until it is done, so the range is merged straight onto
+    // its tail; a tear or a failed seal certificate truncates it away.
+    pm.base = emitted->size();
+    measured_multiway_merge(inputs, pm.stats, *emitted);
+    const auto total = static_cast<std::int64_t>(emitted->size() - pm.base);
     const std::int64_t steps =
         pm.stats.steps() +
         certificate_steps(total, std::max<std::int64_t>(0, total - 1), true);
@@ -1023,8 +1030,9 @@ struct StreamingSorter::Impl {
 
   void on_merge_done(const Event& e, std::int64_t now) {
     merge_busy = false;
-    PendingMerge pm = std::move(*pending);
-    pending.reset();
+    // `pending` stays set until the range's keys on emitted's tail are
+    // sealed or truncated away.
+    const PendingMerge pm = *pending;
     ram.release(pm.cursor_bytes);
     report.merge_steps += now - pm.started;
 
@@ -1036,6 +1044,8 @@ struct StreamingSorter::Impl {
       ++report.merge_rollbacks;
       report.merge_comparisons += pm.stats.comparisons / 2;
       report.merge_moves += pm.stats.moves / 2;
+      emitted->resize(pm.base);
+      pending.reset();
       if (merge_attempts[static_cast<std::size_t>(pm.range)] >=
           cfg.retry_limit) {
         failed = true;
@@ -1054,48 +1064,42 @@ struct StreamingSorter::Impl {
     FingerprintAccumulator range_acc;
     for (const Run& run : runs)
       if (run.range == pm.range) range_acc.absorb(run.acc);
+    const std::span<const Key> output =
+        std::span<const Key>(*emitted).subspan(pm.base);
     const Certifier certifier(range_acc.finalize(), executor);
-    const EndToEndCertificate cert = certifier.certify(pm.output);
+    const EndToEndCertificate cert = certifier.certify(output);
     bool ok = cert.pass();
-    if (ok && has_last_sealed && !pm.output.empty())
-      ok = pm.output.front() >= last_sealed;
+    if (ok && has_last_sealed && !output.empty())
+      ok = output.front() >= last_sealed;
     if (!ok) {
       ++report.cert_escapes;
       failed = true;
+      emitted->resize(pm.base);
+      pending.reset();
       return;
     }
 
     sealed_acc.absorb(range_acc);
-    report.keys_emitted += static_cast<std::int64_t>(pm.output.size());
-    if (!pm.output.empty()) {
-      last_sealed = pm.output.back();
+    report.keys_emitted += static_cast<std::int64_t>(output.size());
+    if (!output.empty()) {
+      last_sealed = output.back();
       has_last_sealed = true;
     }
-    if (durable()) seal_durable(pm.range, pm.output, range_acc.state());
+    if (durable()) seal_durable(pm.range, output, range_acc.state());
+    pending.reset();
     for (Run& run : runs) {
       if (run.range != pm.range || run.output.empty()) continue;
       spill_release(static_cast<std::int64_t>(run.output.size()) * kKeyBytes);
       run.output.clear();
       run.output.shrink_to_fit();
     }
-    emitted->insert(emitted->end(), pm.output.begin(), pm.output.end());
     ++report.ranges_sealed;
     ++next_seal;
     report.horizon = std::max(report.horizon, now);
     try_start_merge(now);
   }
 
-  StreamReport run() {
-    if (flushed) {
-      // Recovered post-flush: no batch ever re-arrives; one poke at
-      // t=0 kicks dispatch of the reloaded runs and the egress chain.
-      push({0, kRequeue, 0, -1, 0});
-    } else {
-      for (int b = 0; b < cfg.batches; ++b)
-        push({static_cast<std::int64_t>(b) * cfg.batch_interval, kArrival, 0,
-              b, 0});
-    }
-
+  void drain_events() {
     while (!events.empty()) {
       const Event e = events.top();
       events.pop();
@@ -1122,6 +1126,28 @@ struct StreamingSorter::Impl {
       }
       if (flushed) try_start_merge(now);
       if (durable()) commit_event();
+    }
+  }
+
+  StreamReport run() {
+    if (flushed) {
+      // Recovered post-flush: no batch ever re-arrives; one poke at
+      // t=0 kicks dispatch of the reloaded runs and the egress chain.
+      push({0, kRequeue, 0, -1, 0});
+    } else {
+      for (int b = 0; b < cfg.batches; ++b)
+        push({static_cast<std::int64_t>(b) * cfg.batch_interval, kArrival, 0,
+              b, 0});
+    }
+
+    try {
+      drain_events();
+    } catch (...) {
+      // A pending merge's keys sit on emitted's tail unsealed; a stream
+      // that dies (a journal kill, an I/O error) keeps only its sealed
+      // ranges there.
+      if (pending) emitted->resize(pending->base);
+      throw;
     }
 
     report.seed = cfg.seed;

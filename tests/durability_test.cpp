@@ -1269,6 +1269,60 @@ TEST(DurableStream, CrashBeforeTheCompactionRenameKeepsTheSealingRunsReadable) {
       << "the orphan link and every retired generation are reaped";
 }
 
+TEST(DurableStream, CrashBeforeALaterCompactionRenameKeepsItsGenerations) {
+  // The test above blocks the stream's first compaction, when no older
+  // generation exists to empty.  Here a recovered stream, whose
+  // journal names every live blob in generation files, is blocked at
+  // its first compaction: the last range's seal, which releases every
+  // blob those generations still hold.  They may be reaped only after
+  // the rewritten journal is renamed in; until then wal.log names them,
+  // and recovery must still read them.
+  StreamConfig cfg = small_config();
+  cfg.journal_dir = scratch_dir("late_compaction_ref");
+  const StreamOutcome reference = run_stream(cfg);
+  const std::int64_t records = reference.report.journal_records;
+
+  int blocked = 0;
+  for (std::int64_t kill = 1; kill <= records; ++kill) {
+    StreamConfig crashing = cfg;
+    crashing.journal_dir = scratch_dir("late_compaction");
+    crashing.kill_after_records = kill;
+    try {
+      (void)run_stream(crashing);
+      continue;  // past the stream's natural record count
+    } catch (const DurabilityKill&) {
+    }
+    StreamConfig journaled;
+    int size = 0;
+    int dims = 0;
+    const RecoveryManifest manifest =
+        load_recovery_manifest(crashing.journal_dir, &journaled, &size, &dims);
+    if (static_cast<int>(manifest.sealed.size()) != cfg.ranges - 1) continue;
+    ++blocked;
+    const std::string label = "kill after record " + std::to_string(kill);
+    journaled.kill_after_records = 0;
+    const std::string squat = crashing.journal_dir + "/wal.log.tmp";
+    {
+      const LabeledFactor factor = labeled_cycle(size);
+      const ProductGraph pg(factor, dims);
+      ParallelExecutor executor(1);
+      StreamingSorter sorter(pg, journaled, &executor, &manifest);
+      ASSERT_EQ(::mkdir(squat.c_str(), 0755), 0) << label;
+      EXPECT_THROW((void)sorter.run(), std::runtime_error) << label;
+    }
+    ASSERT_EQ(::rmdir(squat.c_str()), 0) << label;
+    EXPECT_FALSE(generations_in(crashing.journal_dir).empty())
+        << label << ": the generations wal.log names outlive the failed rename";
+
+    ParallelExecutor executor(1);
+    const StreamRecoveryResult recovered =
+        recover_stream(crashing.journal_dir, &executor);
+    expect_same_stream(reference, recovered.report, recovered.emitted,
+                       "recovery after a failed late compaction, " + label);
+  }
+  EXPECT_GT(blocked, 0) << "no kill point left exactly one range unsealed";
+}
+
 // --- blobs in the journal ------------------------------------------------
 
 /// The blobs the records of `replay` name, with their fingerprints.

@@ -207,7 +207,7 @@ TEST(ReportGolden, InMemoryStreamReportIsPinned) {
   expect_stream_asymmetries(report);
   EXPECT_EQ(report.journal_records, 0);
   expect_pinned(report.hash(), report.json(),
-                {0x916d8ded710edd1bULL, 0x616941304b680f20ULL});
+                {0x302866efac326d4eULL, 0x7ea110b70740acc9ULL});
 }
 
 TEST(ReportGolden, JournaledStreamReportIsPinned) {
@@ -223,7 +223,7 @@ TEST(ReportGolden, JournaledStreamReportIsPinned) {
   EXPECT_GT(report.journal_dropped_syncs, 0);
   EXPECT_GT(report.spill_files, 0);
   expect_pinned(report.hash(), report.json(),
-                {0x88a667732299be22ULL, 0xdb347c041545ab6dULL});
+                {0x21e9745a5ec69056ULL, 0x35af56e2a4fbe15bULL});
 }
 
 // --- ServiceReport ---------------------------------------------------------

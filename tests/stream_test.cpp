@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -195,6 +197,14 @@ TEST(FingerprintAccumulator, OrderInvariant) {
 
 // --- measured host merge ------------------------------------------------
 
+// host_merge.hpp's count of a loser-tree merge of k non-empty runs
+// holding n keys: (k - 1) + (n - 1) * ceil(log2 k), 0 when k = 0.
+std::int64_t tree_comparisons(std::int64_t k, std::int64_t n) {
+  if (k == 0) return 0;
+  return (k - 1) +
+         (n - 1) * std::bit_width(static_cast<std::uint64_t>(k - 1));
+}
+
 TEST(HostMerge, MergesUnequalRunsAndMeasures) {
   const std::vector<std::vector<Key>> runs = {
       {1, 4, 9, 12}, {2, 3}, {}, {5, 6, 7, 8, 10, 11}};
@@ -203,7 +213,8 @@ TEST(HostMerge, MergesUnequalRunsAndMeasures) {
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
   EXPECT_EQ(out.size(), 12u);
   EXPECT_EQ(stats.moves, 12);
-  EXPECT_EQ(stats.comparisons, 14) << "pinned: see PinnedCountsOnFixedMerges";
+  // k = 3 non-empty runs, n = 12 keys: 2 to build, 11 replays of 2.
+  EXPECT_EQ(stats.comparisons, 2 + 11 * 2);
   EXPECT_EQ(stats.runs, 3);
   EXPECT_EQ(stats.steps(),
             (stats.comparisons + stats.moves + kHostMergeLanes - 1) /
@@ -211,10 +222,9 @@ TEST(HostMerge, MergesUnequalRunsAndMeasures) {
       << "virtual-time charge is ceil(ops / lanes)";
 }
 
-// The counted work of fixed merges, pinned.  The counts follow the
-// heap library's pop_heap/push_heap comparison pattern (the run-index
-// tie-break fixes the merge order, not the count), so a change of
-// merge implementation shows here before it moves any report.
+// The counted work of fixed merges, each derived by hand from the
+// formula in host_merge.hpp: (k - 1) to build, then (n - 1) replays of
+// ceil(log2 k) comparisons, whatever the key values.
 struct PinnedMerge {
   std::int64_t comparisons;
   std::int64_t moves;
@@ -235,19 +245,22 @@ void expect_merge(const std::vector<std::vector<Key>>& runs,
 }
 
 TEST(HostMerge, PinnedCountsOnFixedMerges) {
-  expect_merge({{1, 2, 2, 5}, {2, 2, 3}, {2, 5, 5}, {2}}, {27, 11, 4},
-               "ties across runs");
-  expect_merge({{}, {3, 4}, {}, {1, 7}, {}}, {3, 4, 2}, "empty runs");
+  expect_merge({{1, 2, 2, 5}, {2, 2, 3}, {2, 5, 5}, {2}},
+               {3 + 10 * 2, 11, 4}, "ties across runs");
+  expect_merge({{}, {3, 4}, {}, {1, 7}, {}}, {1 + 3 * 1, 4, 2},
+               "empty runs");
   expect_merge({{}, {}}, {0, 0, 0}, "only empty runs");
   expect_merge({}, {0, 0, 0}, "no runs");
-  expect_merge({{1, 2, 3, 4, 5}}, {0, 5, 1}, "one run");
+  expect_merge({{1, 2, 3, 4, 5}}, {0 + 4 * 0, 5, 1}, "one run");
 
   // k runs of 1-7 keys each, values in [0, 29) with repeats.
   const PinnedMerge by_k[] = {
-      {1, 7, 2},     {11, 11, 3},   {24, 13, 4},   {60, 20, 5},
-      {88, 25, 6},   {99, 28, 7},   {111, 29, 8},  {146, 35, 9},
-      {182, 39, 10}, {177, 41, 11}, {221, 48, 12}, {244, 53, 13},
-      {259, 56, 14}, {260, 57, 15}, {299, 63, 16}, {340, 67, 17}};
+      {1 + 6 * 1, 7, 2},     {2 + 10 * 2, 11, 3},   {3 + 12 * 2, 13, 4},
+      {4 + 19 * 3, 20, 5},   {5 + 24 * 3, 25, 6},   {6 + 27 * 3, 28, 7},
+      {7 + 28 * 3, 29, 8},   {8 + 34 * 4, 35, 9},   {9 + 38 * 4, 39, 10},
+      {10 + 40 * 4, 41, 11}, {11 + 47 * 4, 48, 12}, {12 + 52 * 4, 53, 13},
+      {13 + 55 * 4, 56, 14}, {14 + 56 * 4, 57, 15}, {15 + 62 * 4, 63, 16},
+      {16 + 66 * 5, 67, 17}};
   for (int k = 2; k <= 17; ++k) {
     std::vector<std::vector<Key>> runs(static_cast<std::size_t>(k));
     for (int r = 0; r < k; ++r) {
@@ -258,6 +271,79 @@ TEST(HostMerge, PinnedCountsOnFixedMerges) {
     }
     expect_merge(runs, by_k[k - 2], std::to_string(k) + " runs");
   }
+}
+
+TEST(HostMerge, RandomMergesMatchStdSortAndTheFormula) {
+  // 0-17 runs of 0-40 keys over a small alphabet (ties everywhere,
+  // empty runs common), plus a stretch with the keys at the type's
+  // ends.
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  for (std::uint64_t trial = 0; trial < 600; ++trial) {
+    const std::uint64_t h = mix64(0x4e7, trial);
+    const auto k = static_cast<std::size_t>(h % 18);
+    std::vector<std::vector<Key>> runs(k);
+    std::int64_t live = 0;
+    std::vector<Key> expected;
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::uint64_t hr = mix64(h, r);
+      const auto len = static_cast<std::size_t>(hr % 41) * ((hr >> 8) % 3);
+      for (std::size_t i = 0; i < len; ++i) {
+        const auto v = static_cast<Key>(mix64(hr, i) % 9);
+        Key key = v;
+        if (trial % 3 == 0) key = v < 4 ? kMax : kMin + v;
+        if (trial % 3 == 1) key = kMax - v % 2;
+        runs[r].push_back(key);
+      }
+      std::sort(runs[r].begin(), runs[r].end());
+      if (!runs[r].empty()) ++live;
+      expected.insert(expected.end(), runs[r].begin(), runs[r].end());
+    }
+    std::sort(expected.begin(), expected.end());
+    const auto n = static_cast<std::int64_t>(expected.size());
+    HostMergeStats stats;
+    const std::string what = "trial " + std::to_string(trial);
+    EXPECT_EQ(measured_multiway_merge(runs, stats), expected) << what;
+    EXPECT_EQ(stats.comparisons, tree_comparisons(live, n)) << what;
+    EXPECT_EQ(stats.moves, n) << what;
+    EXPECT_EQ(stats.runs, live) << what;
+  }
+}
+
+TEST(HostMerge, SentinelNeverBeatsARealExtremeKey) {
+  // An exhausted run reads as a Key-max sentinel; a real Key-max key
+  // must still leave before it, whichever run it sits in and however
+  // early the sentinel's own run ran dry.
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  const std::vector<std::vector<Key>> runs = {
+      {kMin}, {kMin, kMax, kMax}, {}, {kMax}, {0}, {kMin, kMin}, {kMax}};
+  HostMergeStats stats;
+  const std::vector<Key> out = measured_multiway_merge(runs, stats);
+  EXPECT_EQ(out, (std::vector<Key>{kMin, kMin, kMin, kMin, 0, kMax, kMax,
+                                   kMax, kMax}));
+  EXPECT_EQ(stats.comparisons, 5 + 8 * 3);  // k = 6, n = 9
+}
+
+TEST(HostMerge, SpanMergeAppendsAndLeavesOutUntouchedOnThrow) {
+  const std::vector<Key> a = {1, 5, 9};
+  const std::vector<Key> b = {2, 2, 10};
+  const std::vector<std::span<const Key>> runs = {a, {}, b};
+  std::vector<Key> out = {-7, -3};
+  HostMergeStats stats;
+  measured_multiway_merge(runs, stats, out);
+  EXPECT_EQ(out, (std::vector<Key>{-7, -3, 1, 2, 2, 5, 9, 10}))
+      << "the merge appends; what out held stays";
+  EXPECT_EQ(stats.comparisons, 1 + 5 * 1);
+
+  const std::vector<Key> unsorted = {4, 3};
+  const std::vector<std::span<const Key>> bad = {a, unsorted};
+  const HostMergeStats before = stats;
+  EXPECT_THROW(measured_multiway_merge(bad, stats, out),
+               std::invalid_argument);
+  EXPECT_EQ(out.size(), 8u);
+  EXPECT_EQ(stats.comparisons, before.comparisons);
+  EXPECT_EQ(stats.runs, before.runs);
 }
 
 TEST(HostMerge, LanesMatchCertificateLanes) {
@@ -274,6 +360,18 @@ TEST(HostMerge, ThrowsOnUnsortedRun) {
                std::invalid_argument);
 }
 
+/// measured_host_sort's count: a tournament of m one-key runs per run
+/// of m keys, then the merge of the runs when there are two or more.
+std::int64_t host_sort_comparisons(std::int64_t n, std::int64_t run_keys) {
+  std::int64_t total = 0;
+  std::int64_t runs = 0;
+  for (std::int64_t lo = 0; lo < n; lo += run_keys, ++runs) {
+    const std::int64_t m = std::min(run_keys, n - lo);
+    total += tree_comparisons(m, m);
+  }
+  return total + (runs > 1 ? tree_comparisons(runs, n) : 0);
+}
+
 TEST(HostMerge, MeasuredHostSortMatchesStdSort) {
   std::vector<Key> keys;
   for (int i = 0; i < 333; ++i)
@@ -283,14 +381,106 @@ TEST(HostMerge, MeasuredHostSortMatchesStdSort) {
   std::sort(expected.begin(), expected.end());
   HostMergeStats stats;
   EXPECT_EQ(measured_host_sort(keys, 64, stats), expected);
-  EXPECT_GT(stats.comparisons, 0);
-  EXPECT_GT(stats.moves, 0);
+  // Five runs of 64 keys (63 + 63 * 6 each), one of 13 (12 + 12 * 4),
+  // then six runs merged (5 + 332 * 3).
+  EXPECT_EQ(stats.comparisons, 5 * (63 + 63 * 6) + (12 + 12 * 4) +
+                                   (5 + 332 * 3));
+  EXPECT_EQ(stats.moves, 333 + 333) << "each run's keys, then the merge's";
   EXPECT_EQ(stats.runs, (333 + 63) / 64);
   HostMergeStats single;
   EXPECT_EQ(measured_host_sort(keys, 1000, single), expected)
       << "run_keys beyond the input degenerates to one sorted run";
+  EXPECT_EQ(single.comparisons, 332 + 332 * 9);
+  EXPECT_EQ(single.moves, 333);
+  EXPECT_EQ(single.runs, 1);
+  HostMergeStats none;
+  EXPECT_TRUE(measured_host_sort({}, 64, none).empty());
+  EXPECT_EQ(none.comparisons + none.moves + none.runs, 0);
   EXPECT_THROW((void)measured_host_sort(keys, 0, stats),
                std::invalid_argument);
+}
+
+// The input shapes of RegionsMT's sort tests (src/test_sort.c,
+// src/test/sort.c), with its quicksort cutoff taken as 16: block-wise
+// descending sawtooth, the cutoff-straddling organ pipe (also at the
+// key type's ends), few distinct values, and its interleaved halves.
+std::vector<std::vector<Key>> regions_shapes() {
+  constexpr std::int64_t kCutoff = 16;
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  std::vector<std::vector<Key>> shapes;
+  for (int context = 1; context <= 10; context += 3) {
+    const std::int64_t cnt = (std::int64_t{1} << context) - 1;
+    std::vector<Key> saw;
+    for (std::int64_t i = 0; i < cnt; ++i)
+      saw.push_back(kCutoff * (i / kCutoff) - i % kCutoff);
+    shapes.push_back(saw);
+
+    const std::int64_t ucnt = context * context + 13;
+    std::vector<Key> few;
+    for (std::int64_t i = 0; i < (std::int64_t{1} << context) + ucnt; ++i)
+      few.push_back((i + 13) % ucnt);
+    shapes.push_back(few);
+
+    std::vector<Key> interleaved(static_cast<std::size_t>(cnt));
+    std::int64_t even = cnt;
+    if ((even & 1) != 0) {
+      interleaved[static_cast<std::size_t>(even - 1)] = even;
+      --even;
+    }
+    const std::int64_t half = even / 2;
+    for (std::int64_t i = 0; i < half; ++i) {
+      interleaved[static_cast<std::size_t>(i)] =
+          (i & 1) != 0 ? half + i + (half & 1) : i + 1;
+      interleaved[static_cast<std::size_t>(half + i)] = (i + 1) << 1;
+    }
+    shapes.push_back(interleaved);
+  }
+  const std::int64_t cnt = ((kCutoff + 1) << 1) + 1;
+  const std::int64_t half = cnt >> 1;
+  std::vector<Key> pipe;
+  std::vector<Key> pipe_ends;
+  for (std::int64_t i = 0; i < half; ++i) {
+    pipe.push_back(-(i + 1));
+    pipe_ends.push_back(std::numeric_limits<Key>::min() + half - i - 1);
+  }
+  pipe.push_back(0);
+  pipe_ends.push_back(0);
+  for (std::int64_t i = 0; i < half; ++i) {
+    pipe.push_back(half - i + 1);
+    pipe_ends.push_back(kMax - i);
+  }
+  shapes.push_back(pipe);
+  shapes.push_back(pipe_ends);
+  return shapes;
+}
+
+TEST(HostMerge, RegionsShapesSortAndMergeWithTheFormulaCounts) {
+  for (const std::vector<Key>& shape : regions_shapes()) {
+    std::vector<Key> expected = shape;
+    std::sort(expected.begin(), expected.end());
+    const auto n = static_cast<std::int64_t>(shape.size());
+    for (const std::int64_t run_keys : {1, 7, 16, 64}) {
+      const std::string what = std::to_string(n) + " keys, runs of " +
+                               std::to_string(run_keys);
+      HostMergeStats stats;
+      EXPECT_EQ(measured_host_sort(shape, run_keys, stats), expected) << what;
+      EXPECT_EQ(stats.comparisons, host_sort_comparisons(n, run_keys))
+          << what;
+
+      // The shape cut into runs, each sorted, merged back.
+      std::vector<std::vector<Key>> runs;
+      for (std::int64_t lo = 0; lo < n; lo += run_keys) {
+        runs.emplace_back(shape.begin() + lo,
+                          shape.begin() + std::min(n, lo + run_keys));
+        std::sort(runs.back().begin(), runs.back().end());
+      }
+      HostMergeStats merge;
+      EXPECT_EQ(measured_multiway_merge(runs, merge), expected) << what;
+      EXPECT_EQ(merge.comparisons,
+                tree_comparisons(static_cast<std::int64_t>(runs.size()), n))
+          << what;
+    }
+  }
 }
 
 // --- memory budget ------------------------------------------------------
