@@ -3,9 +3,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/s2/oracle_s2.hpp"
+#include "core/s2/snake_oet_s2.hpp"
+#include "core/sort_plan.hpp"
+#include "network/fault_model.hpp"
 #include "network/machine.hpp"
 #include "product/snake_order.hpp"
 
@@ -83,6 +87,45 @@ void BM_OracleS2Phase(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pg.num_nodes());
 }
 BENCHMARK(BM_OracleS2Phase)->Arg(4)->Arg(8);
+
+// The service's 64-key sort: the recorded cycle(4)^3 SnakeOETS2 plan
+// replayed over 4,096 distinct random inputs, so the exchange outcomes
+// are as unpredictable as on live jobs.  Arg 0 attaches no fault model,
+// 1 a ce=0.002 drop coin, 2 the same coin under TMR voting.
+void BM_PlanReplay64(benchmark::State& state) {
+  const ProductGraph pg(labeled_cycle(4), 3);
+  const auto n = static_cast<std::size_t>(pg.num_nodes());
+  constexpr std::size_t kInputs = 4096;
+  std::vector<Key> inputs(kInputs * n);
+  std::mt19937_64 rng(1);
+  for (Key& k : inputs) k = static_cast<Key>(rng());
+  const SnakeOETS2 oet;
+  SortOptions options;
+  options.s2 = &oet;
+  Machine m(pg, std::vector<Key>(n, 0));
+  const auto plan = SortPlan::record(m, options);
+  m.set_plan(plan.get());
+  FaultConfig config;
+  config.seed = 1;
+  config.ce_drop_rate = 0.002;
+  FaultModel fm(config);
+  if (state.range(0) > 0) m.set_fault_model(&fm);
+  m.set_tmr(state.range(0) == 2);
+  std::size_t input = 0;
+  for (auto _ : state) {
+    std::copy_n(inputs.begin() + static_cast<std::ptrdiff_t>(input * n), n,
+                m.mutable_keys().begin());
+    m.reset_fault_clock();
+    benchmark::DoNotOptimize(sort_product_network(m, options));
+    benchmark::DoNotOptimize(m.keys().data());
+    benchmark::ClobberMemory();
+    input = (input + 1) % kInputs;
+  }
+  state.SetItemsProcessed(state.iterations() * pg.num_nodes());
+  constexpr const char* kLabels[] = {"plain", "ce=0.002", "ce=0.002 tmr"};
+  state.SetLabel(kLabels[state.range(0)]);
+}
+BENCHMARK(BM_PlanReplay64)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

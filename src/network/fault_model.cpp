@@ -284,12 +284,13 @@ Key FaultModel::corrupted_value(std::int64_t step, std::int64_t pair,
   return key ^ (Key{1} << (h % 48));
 }
 
-StepComparatorFaults FaultModel::comparator_faults(std::int64_t phase) const {
-  StepComparatorFaults view;
-  for (const ComparatorFault& f : config_.comparator_schedule)
-    if (phase >= f.from_phase && (f.until_phase == -1 || phase < f.until_phase))
-      view.active.push_back(f);
-  return view;
+StepComparatorFaults FaultModel::comparator_faults(
+    std::int64_t phase) const noexcept {
+  const std::span<const ComparatorFault> schedule = config_.comparator_schedule;
+  for (std::size_t i = 0; i < schedule.size(); ++i)
+    if (StepComparatorFaults::covers(schedule[i], phase))
+      return {schedule.subspan(i), phase};
+  return {};
 }
 
 Key FaultModel::comparator_garbage(PNode node, std::int64_t phase,
@@ -395,7 +396,10 @@ std::string FaultModel::schedule_string() const {
       const ComparatorFault& f = config_.comparator_schedule[i];
       if (i != 0) out += '+';
       out += std::to_string(f.node) + "@" + std::to_string(f.from_phase);
-      if (f.until_phase != -1) out += "~" + std::to_string(f.until_phase);
+      if (f.until_phase != -1) {
+        out += '~';
+        out += std::to_string(f.until_phase);
+      }
       out += comparator_kind_char(f.kind);
       if (f.burst > 1) {
         out += 'x';

@@ -52,6 +52,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -180,16 +181,30 @@ struct StepCoins {
   StepCoin corrupt;
 };
 
-/// The silent comparator faults active at one fault-clock step: the
-/// schedule entries whose [from_phase, until_phase) window covers it, in
-/// schedule order.  Empty when no window covers the step.
+/// The silent comparator faults active at one fault-clock step: a
+/// non-owning view of the schedule, filtered in at() to the entries
+/// whose [from_phase, until_phase) window covers `step`.  The view
+/// starts at the first covering entry, so it is empty exactly when no
+/// window covers the step.  A plain value that owns nothing: building
+/// it per step allocates nothing.  It borrows the schedule of the
+/// FaultModel that built it.
 struct StepComparatorFaults {
-  std::vector<ComparatorFault> active;
+  std::span<const ComparatorFault> schedule;
+  std::int64_t step = 0;
+
+  /// True when `f`'s window covers fault-clock `step`.
+  [[nodiscard]] static bool covers(const ComparatorFault& f,
+                                   std::int64_t step) noexcept {
+    return step >= f.from_phase &&
+           (f.until_phase == -1 || step < f.until_phase);
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return schedule.empty(); }
 
   /// The fault at `node` (the earliest covering entry), or nullptr.
   [[nodiscard]] const ComparatorFault* at(PNode node) const noexcept {
-    for (const ComparatorFault& f : active)
-      if (f.node == node) return &f;
+    for (const ComparatorFault& f : schedule)
+      if (f.node == node && covers(f, step)) return &f;
     return nullptr;
   }
 
@@ -197,7 +212,7 @@ struct StepComparatorFaults {
   /// both are faulty — or nullptr.
   [[nodiscard]] const ComparatorFault* hit(PNode low,
                                            PNode high) const noexcept {
-    if (active.empty()) return nullptr;
+    if (empty()) return nullptr;
     const ComparatorFault* f = at(low);
     return f != nullptr ? f : at(high);
   }
@@ -284,7 +299,7 @@ class FaultModel {
 
   /// The comparator faults active during fault-clock `phase`.
   [[nodiscard]] StepComparatorFaults comparator_faults(
-      std::int64_t phase) const;
+      std::int64_t phase) const noexcept;
 
   /// The deterministic garbage an arbitrary-output comparator emits —
   /// derived from (seed, node, phase, pair) so the value is stable

@@ -61,14 +61,24 @@ PairTally compare_exchange_pairs(std::span<const CEPair> pairs,
   return total;
 }
 
+/// The one compare-exchange: min to `low`, max to `high`; returns
+/// whether they swapped (a tie does not).  It selects instead of
+/// branching, so the pair loop compiles to conditional moves and costs
+/// the same whatever share of pairs exchange.
+bool exchange(Key& low, Key& high) {
+  const Key a = low;
+  const Key b = high;
+  const bool swap = a > b;
+  low = swap ? b : a;
+  high = swap ? a : b;
+  return swap;
+}
+
 /// The fault-free exchange: min to the low node.
 struct PlainPolicy {
   void operator()(std::int64_t, const CEPair&, Key& low, Key& high,
                   PairTally& tally) const {
-    if (low > high) {
-      std::swap(low, high);
-      ++tally.swaps;
-    }
+    tally.swaps += exchange(low, high);
   }
 };
 
@@ -88,7 +98,7 @@ struct StepFaults {
 
   [[nodiscard]] bool can_fire() const {
     return coins.drop.rate > 0 || coins.corrupt.rate > 0 ||
-           !comparators.active.empty();
+           !comparators.empty();
   }
 
   /// Pair i run by the silently-broken comparator `f`; returns whether
@@ -100,12 +110,9 @@ struct StepFaults {
       case ComparatorFaultKind::kStuckPassThrough:
         return false;  // the exchange silently never happens
       case ComparatorFaultKind::kInverted:
-        if (low >= high) return false;
-        std::swap(low, high);  // max and min come out swapped
-        return true;
+        return exchange(high, low);  // max and min come out swapped
       case ComparatorFaultKind::kArbitrary: {
-        const bool swapped = low > high;
-        if (swapped) std::swap(low, high);
+        const bool swapped = exchange(low, high);
         (f.node == p.low ? low : high) =
             fm->comparator_garbage(f.node, step, i);
         return swapped;
@@ -131,10 +138,7 @@ struct FaultyPolicy {
       ++tally.drops;
       return;
     }
-    if (low > high) {
-      std::swap(low, high);
-      ++tally.swaps;
-    }
+    tally.swaps += exchange(low, high);
     if (toss(faults.coins.corrupt, i, tally)) {
       low = faults.fm->corrupted_value(faults.step, i, low);
       ++tally.corruptions;
@@ -175,7 +179,7 @@ struct TmrPolicy {
         ++tally.drops;
         perturbed[r] = true;  // message lost: outputs = inputs
       } else {
-        if (lo > hi) std::swap(lo, hi);
+        (void)exchange(lo, hi);
         if (toss(faults.coins.corrupt, ev, tally)) {
           lo = faults.fm->corrupted_value(faults.step, ev, lo);
           ++tally.corruptions;

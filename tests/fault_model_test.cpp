@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 #include <random>
+#include <type_traits>
 
 #include "core/hashing.hpp"
 #include "core/product_sort.hpp"
@@ -582,9 +583,29 @@ TEST(FaultDecisionEquivalence, StepComparatorViewMatchesScheduleLookup) {
       {.node = 6, .from_phase = 25, .until_phase = -1,
        .kind = Kind::kInverted},
   };
+  // A long tail of short, overlapping windows on nodes 8..15: the view
+  // has no inline capacity to outgrow.
+  std::mt19937_64 rng(5);
+  for (int e = 0; e < 200; ++e) {
+    const auto from = static_cast<std::int64_t>(rng() % 40);
+    config.comparator_schedule.push_back(
+        {.node = static_cast<PNode>(8 + rng() % 8),
+         .from_phase = from,
+         .until_phase = from + 1 + static_cast<std::int64_t>(rng() % 6),
+         .kind = static_cast<Kind>(rng() % 3)});
+  }
   const FaultModel fm(config);
-  constexpr PNode kNodes = 8;
-  for (std::int64_t phase = 0; phase < 40; ++phase) {
+  // The view borrows the schedule; it can own no heap buffer.
+  static_assert(std::is_trivially_copyable_v<StepComparatorFaults>);
+  // The earliest covering entry wins, and the pair's low endpoint wins.
+  const std::vector<ComparatorFault>& schedule =
+      fm.config().comparator_schedule;
+  EXPECT_EQ(fm.comparator_faults(7).at(2), &schedule[0]);
+  EXPECT_EQ(fm.comparator_faults(3).at(2), &schedule[1]);
+  EXPECT_EQ(fm.comparator_faults(30).hit(5, 6), &schedule[5]);
+  EXPECT_EQ(fm.comparator_faults(30).hit(6, 5), &schedule[6]);
+  constexpr PNode kNodes = 16;
+  for (std::int64_t phase = 0; phase < 50; ++phase) {
     const StepComparatorFaults view = fm.comparator_faults(phase);
     bool any = false;
     for (PNode node = 0; node < kNodes; ++node) {
@@ -609,9 +630,9 @@ TEST(FaultDecisionEquivalence, StepComparatorViewMatchesScheduleLookup) {
         EXPECT_EQ(hit->burst, expected->burst);
       }
     }
-    EXPECT_EQ(view.active.empty(), !any) << "phase " << phase;
+    EXPECT_EQ(view.empty(), !any) << "phase " << phase;
   }
-  EXPECT_TRUE(FaultModel{FaultConfig{}}.comparator_faults(0).active.empty());
+  EXPECT_TRUE(FaultModel{FaultConfig{}}.comparator_faults(0).empty());
 }
 
 // FaultCounters::decisions is the exact work count of the per-pair fault

@@ -6,15 +6,21 @@
 // to a per-pair fault decision, to the comparator-fault rules (earliest
 // schedule entry wins, lower endpoint wins) or to the cost charges moves
 // a hash here.  FaultCounters::decisions is work accounting, not
-// behaviour, so it stays out of the hash.
+// behaviour, so it stays out of the hash; one TMR row pins it on its
+// own, so every replica's coin stays hashed.  Further rows sort keys
+// full of ties and keys at the ends of Key's range.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <random>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/block_sort.hpp"
@@ -59,6 +65,26 @@ std::vector<Key> random_keys(std::size_t count, unsigned seed) {
   std::mt19937_64 rng(seed);
   std::vector<Key> keys(count);
   for (Key& k : keys) k = static_cast<Key>(rng() % 1000);
+  return keys;
+}
+
+/// Keys drawn from {0, 1, 2}: most pairs tie.
+std::vector<Key> tie_keys(std::size_t count, unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Key> keys(count);
+  for (Key& k : keys) k = static_cast<Key>(rng() % 3);
+  return keys;
+}
+
+/// Keys drawn from both ends of Key's range and around zero.
+std::vector<Key> extreme_keys(std::size_t count, unsigned seed) {
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  constexpr std::array<Key, 7> kPool = {kMin, kMin + 1, -1, 0, 1, kMax - 1,
+                                        kMax};
+  std::mt19937_64 rng(seed);
+  std::vector<Key> keys(count);
+  for (Key& k : keys) k = kPool[rng() % kPool.size()];
   return keys;
 }
 
@@ -131,10 +157,38 @@ std::vector<Row> machine_rows() {
   return rows;
 }
 
-std::uint64_t run_machine(const Row& row, bool tmr, ParallelExecutor* pool) {
+/// The plain, drop-coin and three comparator-fault rows of
+/// machine_rows(), re-pinned for other keys: `pins` holds their
+/// {plain, TMR} hashes in that order.
+std::vector<Row> edge_rows(
+    const std::array<std::array<std::uint64_t, 2>, 5>& pins) {
+  constexpr std::array<std::string_view, 5> kNames = {
+      "plain", "ce=1e-2", "stuck", "inverted", "arbitrary"};
+  const std::vector<Row> all = machine_rows();
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < kNames.size(); ++i) {
+    Row row = *std::find_if(all.begin(), all.end(), [&](const Row& r) {
+      return r.name == kNames[i];
+    });
+    row.plain_hash = pins[i][0];
+    row.tmr_hash = pins[i][1];
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+struct Outcome {
+  std::uint64_t hash = 0;
+  std::int64_t exchanges = 0;
+  std::int64_t decisions = 0;
+};
+
+constexpr std::size_t kNodes = 64;  // cycle(4)^3
+
+Outcome run_machine(const Row& row, bool tmr, ParallelExecutor* pool,
+                    std::vector<Key> keys) {
   const ProductGraph pg(labeled_cycle(4), 3);
-  Machine m(pg, random_keys(static_cast<std::size_t>(pg.num_nodes()), 21),
-            pool);
+  Machine m(pg, std::move(keys), pool);
   std::optional<FaultModel> fm;
   if (row.config) {
     fm.emplace(*row.config);
@@ -151,19 +205,78 @@ std::uint64_t run_machine(const Row& row, bool tmr, ParallelExecutor* pool) {
   } catch (const CrashInterrupt&) {
     interrupted = true;
   }
-  return hash_outcome(m.keys(), m.cost(), fm ? fm->counters() : FaultCounters{},
-                      interrupted);
+  const FaultCounters counters = fm ? fm->counters() : FaultCounters{};
+  return {hash_outcome(m.keys(), m.cost(), counters, interrupted),
+          m.cost().exchanges, counters.decisions};
+}
+
+/// Runs every row with and without TMR on `keys`, serially and on 4
+/// threads, against its pins.
+void expect_rows(const std::vector<Row>& rows, const std::vector<Key>& keys,
+                 const char* set) {
+  ParallelExecutor pool(4);
+  for (const Row& row : rows) {
+    for (const bool tmr : {false, true}) {
+      const std::uint64_t want = tmr ? row.tmr_hash : row.plain_hash;
+      const std::uint64_t serial = run_machine(row, tmr, nullptr, keys).hash;
+      EXPECT_EQ(serial, want)
+          << set << " " << row.name << (tmr ? " tmr" : "");
+      EXPECT_EQ(run_machine(row, tmr, &pool, keys).hash, serial)
+          << set << " " << row.name << (tmr ? " tmr" : "") << " 4 threads";
+    }
+  }
 }
 
 TEST(MachineFaultGoldenTest, MachineRowsMatchPinnedHashes) {
+  expect_rows(machine_rows(), random_keys(kNodes, 21), "random");
+}
+
+TEST(MachineFaultGoldenTest, TieRowsMatchPinnedHashes) {
+  expect_rows(
+      edge_rows({{{6677201555234003232ULL, 13989810681777318953ULL},
+                  {2983737922154210466ULL, 143239282092766258ULL},
+                  {11291074485196904482ULL, 8278661817786861449ULL},
+                  {3661199240726746023ULL, 13267578155101197221ULL},
+                  {8722551925455339311ULL, 12083922176817604396ULL}}}),
+      tie_keys(kNodes, 23), "ties");
+}
+
+TEST(MachineFaultGoldenTest, ExtremeKeyRowsMatchPinnedHashes) {
+  expect_rows(
+      edge_rows({{{6067110545437764718ULL, 17194841128961486156ULL},
+                  {14045858112156503380ULL, 5532718879601364104ULL},
+                  {1840125691814692616ULL, 12654819638902828992ULL},
+                  {12426357193235335247ULL, 854122426678749519ULL},
+                  {13621878983425458393ULL, 9950763162168732274ULL}}}),
+      extreme_keys(kNodes, 24), "extremes");
+}
+
+// Every TMR replica tosses its own drop coin, so the TMR drop-coin row
+// hashes three coins per pair on every step.
+TEST(MachineFaultGoldenTest, TmrRowHashesEveryReplica) {
+  const Row ce = edge_rows({})[1];
   ParallelExecutor pool(4);
-  for (const Row& row : machine_rows()) {
-    for (const bool tmr : {false, true}) {
-      const std::uint64_t want = tmr ? row.tmr_hash : row.plain_hash;
-      const std::uint64_t serial = run_machine(row, tmr, nullptr);
-      EXPECT_EQ(serial, want) << row.name << (tmr ? " tmr" : "");
-      EXPECT_EQ(run_machine(row, tmr, &pool), serial)
-          << row.name << (tmr ? " tmr" : "") << " 4 threads";
+  const Outcome serial = run_machine(ce, true, nullptr, tie_keys(kNodes, 23));
+  EXPECT_EQ(serial.decisions, 8208);  // 3 coins x 2736 pairs
+  EXPECT_EQ(run_machine(ce, true, &pool, tie_keys(kNodes, 23)).decisions,
+            serial.decisions);
+}
+
+// A tie is no exchange: a sort of equal keys counts none, with or
+// without TMR and under every fault that leaves the keys intact.
+TEST(MachineFaultGoldenTest, EqualKeysCountNoExchange) {
+  for (const Key k : {std::numeric_limits<Key>::min(), Key{0},
+                      std::numeric_limits<Key>::max()}) {
+    for (const Row& row : edge_rows({})) {
+      for (const bool tmr : {false, true}) {
+        // Unmasked arbitrary output writes garbage keys, which then
+        // really are out of order.
+        if (!tmr && std::string_view(row.name) == "arbitrary") continue;
+        const Outcome out =
+            run_machine(row, tmr, nullptr, std::vector<Key>(kNodes, k));
+        EXPECT_EQ(out.exchanges, 0)
+            << k << " " << row.name << (tmr ? " tmr" : "");
+      }
     }
   }
 }

@@ -177,7 +177,9 @@ TEST(PoolRouterTest, FailoverBeatsNoFailoverDuringAnOutage) {
     EXPECT_TRUE(report.pools[0].has_domain_faults);
     on_time[i] = report.completed_on_time;
     refusals[i] = report.pools[0].outage_refusals;
-    if (failover) EXPECT_GT(report.failovers, 0);
+    if (failover) {
+      EXPECT_GT(report.failovers, 0);
+    }
     ++i;
   }
   EXPECT_GT(refusals[0], 0);  // the dark domain did refuse placements
