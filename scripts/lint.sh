@@ -3,7 +3,7 @@
 #
 #   1. repo-local discipline greps (always available):
 #      - every Machine::mutable_keys() / BlockMachine::mutable_block() /
-#        ScheduleIR::mutable_phases() call site outside the machine
+#        ScheduleIR::add_phase() call site outside the machine
 #        primitives and src/staticcheck must carry an
 #        AUDITOR-EXEMPT(<reason>) comment on the call line or within the
 #        five preceding lines — writes that bypass the audited
@@ -45,7 +45,7 @@ cpp_sources() {
 
 # ---- 1. discipline greps ------------------------------------------------
 
-note "lint: checking mutable_keys/mutable_block/mutable_phases exemptions"
+note "lint: checking mutable_keys/mutable_block/add_phase exemptions"
 bad=0
 for f in $(find "$repo/src" -name '*.cpp' -o -name '*.hpp' | sort); do
   case "$f" in
@@ -53,14 +53,14 @@ for f in $(find "$repo/src" -name '*.cpp' -o -name '*.hpp' | sort); do
     # the schedule IR (recording and pruning are their job).
     */network/machine.*|*/network/block_machine.*|*/staticcheck/*) continue ;;
   esac
-  lines=$(grep -n 'mutable_keys()\|mutable_block(\|mutable_phases(' "$f" |
+  lines=$(grep -n 'mutable_keys()\|mutable_block(\|add_phase(' "$f" |
           cut -d: -f1)
   [ -z "$lines" ] && continue
   for line in $lines; do
     start=$((line - 5))
     [ "$start" -lt 1 ] && start=1
     if ! sed -n "${start},${line}p" "$f" | grep -q 'AUDITOR-EXEMPT'; then
-      note "lint: $f:$line: mutable_keys/mutable_block/mutable_phases call" \
+      note "lint: $f:$line: mutable_keys/mutable_block/add_phase call" \
            "bypasses the audited path without an AUDITOR-EXEMPT(<reason>)" \
            "comment"
       bad=1

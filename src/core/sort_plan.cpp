@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "product/snake_order.hpp"
-#include "staticcheck/schedule_ir.hpp"
 
 namespace prodsort {
 
@@ -70,20 +69,11 @@ std::unique_ptr<const SortPlan> SortPlan::record(Machine& machine,
   if (recorder.overflowed()) return nullptr;
 
   std::unique_ptr<SortPlan> plan(new SortPlan(pg, *options.s2));
-  const ScheduleIR ir = recorder.take();
+  plan->schedule_ = recorder.take();
   plan->groups_ = std::move(trace);
   plan->group_end_.assign(plan->groups_.size(), 0);
-  plan->steps_.reserve(ir.phases().size());
-  plan->pairs_.reserve(static_cast<std::size_t>(ir.total_pairs()));
-  for (std::size_t s = 0; s < ir.phases().size(); ++s) {
-    const SchedulePhase& phase = ir.phases()[s];
-    plan->steps_.push_back(
-        {plan->pairs_.size(), phase.pairs.size(), phase.hop_distance});
-    plan->pairs_.insert(plan->pairs_.end(), phase.pairs.begin(),
-                        phase.pairs.end());
+  for (std::size_t s = 0; s < groups.group_of_step.size(); ++s)
     plan->group_end_[groups.group_of_step[s]] = s + 1;
-    plan->exec_steps_ += phase.hop_distance;
-  }
   // A group that issued no step ends where its predecessor did.
   for (std::size_t g = 1; g < plan->group_end_.size(); ++g)
     plan->group_end_[g] =
@@ -113,8 +103,10 @@ SortReport SortPlan::replay(Machine& machine,
     else
       cost.charge_routing_phase(group.weight);
     if (options.trace != nullptr) options.trace->push_back(group);
-    for (; s < group_end_[g]; ++s)
-      machine.compare_exchange_step(step_pairs(steps_[s]), steps_[s].hop);
+    for (; s < group_end_[g]; ++s) {
+      const SchedulePhase step = schedule_.phase(s);
+      machine.compare_exchange_step(step.pairs, step.hop_distance);
+    }
   }
 
   SortReport report;
@@ -123,17 +115,17 @@ SortReport SortPlan::replay(Machine& machine,
   return report;
 }
 
-std::size_t SortPlan::bytes() const noexcept {
-  return groups_.size() * sizeof(PhaseRecord) +
-         group_end_.size() * sizeof(std::size_t) +
-         steps_.size() * sizeof(Step) + pairs_.size() * sizeof(CEPair) +
-         snake_.size() * sizeof(PNode);
+std::int64_t SortPlan::exec_steps() const {
+  std::int64_t steps = 0;
+  for (const SchedulePhase step : schedule_.phases())
+    steps += step.hop_distance;
+  return steps;
 }
 
-std::uint64_t SortPlan::canonical_hash() const {
-  CanonicalScheduleHash h(pg_->num_nodes(), /*block_size=*/1);
-  for (const Step& step : steps_) h.phase(step.hop, step_pairs(step));
-  return h.value();
+std::size_t SortPlan::bytes() const noexcept {
+  return groups_.size() * sizeof(PhaseRecord) +
+         group_end_.size() * sizeof(std::size_t) + schedule_.bytes() +
+         snake_.size() * sizeof(PNode);
 }
 
 }  // namespace prodsort

@@ -6,11 +6,11 @@
 // Section 4's algorithm is data-oblivious: for a fixed topology and a
 // data-oblivious S2 sorter (S2Sorter::data_oblivious), Theorem 1's
 // (r-1)^2 S2 phases and (r-1)(r-2) transposition phases are the same
-// compare-exchange schedule for every input.  A plan holds that
-// schedule flat:
+// compare-exchange schedule for every input.  A plan holds:
 //
 //   * the PhaseRecord charge groups, in order;
-//   * one CEPair array, with (offset, count, hop) per step;
+//   * the recorded ScheduleIR (staticcheck/schedule_ir.hpp), one phase
+//     per compare-exchange step;
 //   * the full-view snake order (rank -> node).
 //
 // It is recorded through the PhaseObserver seam (a ScheduleRecorder)
@@ -25,8 +25,7 @@
 // generation, so the fault clock, crashes and rollback, checkpoints,
 // TMR, observers, the Debug disjointness sweep and every report hash
 // are unchanged; only building views, Gray tuples and snake ranks is
-// skipped.  Schiller's agglomeration law (PAPERS.md, arXiv 1701.00635)
-// motivates the one flat pair list per schedule.
+// skipped.
 
 #include <cstddef>
 #include <cstdint>
@@ -35,22 +34,16 @@
 #include <vector>
 
 #include "core/product_sort.hpp"
+#include "staticcheck/schedule_ir.hpp"
 
 namespace prodsort {
 
 class SortPlan {
  public:
   /// Size cap per plan.  Above it, record() returns no plan and callers
-  /// keep generating.  The 64-node cycle(4)^3 plan is about 31.5 KB.
+  /// keep generating.  The 64-node cycle(4)^3 shearsort plan is
+  /// 48,176 B (2,736 pairs in 114 steps).
   static constexpr std::size_t kMaxBytes = std::size_t{1} << 20;
-
-  /// One synchronous compare-exchange step: pairs [offset, offset+count)
-  /// of the flat array, charged `hop` factor-graph hops.
-  struct Step {
-    std::size_t offset = 0;
-    std::size_t count = 0;
-    int hop = 1;
-  };
 
   /// Runs sort_product_network(machine, options) exactly once and
   /// records it.  Returns the plan, or nullptr (the sort still ran) when
@@ -80,9 +73,9 @@ class SortPlan {
   [[nodiscard]] std::span<const PhaseRecord> groups() const noexcept {
     return groups_;
   }
-  [[nodiscard]] std::span<const Step> steps() const noexcept { return steps_; }
-  [[nodiscard]] std::span<const CEPair> step_pairs(const Step& step) const {
-    return std::span<const CEPair>(pairs_).subspan(step.offset, step.count);
+  /// The recorded compare-exchange steps, one phase per step.
+  [[nodiscard]] const ScheduleIR& schedule() const noexcept {
+    return schedule_;
   }
   /// Rank -> node along the full view's snake.
   [[nodiscard]] std::span<const PNode> snake_order() const noexcept {
@@ -90,14 +83,13 @@ class SortPlan {
   }
 
   /// Fault-free executed step time of one replay: the sum of step hops.
-  [[nodiscard]] std::int64_t exec_steps() const noexcept {
-    return exec_steps_;
-  }
+  [[nodiscard]] std::int64_t exec_steps() const;
   /// Bytes held by the plan's arrays (what kMaxBytes caps).
   [[nodiscard]] std::size_t bytes() const noexcept;
-  /// The ScheduleIR canonical hash of the recorded steps
-  /// (CanonicalScheduleHash), equal to record_product_schedule's.
-  [[nodiscard]] std::uint64_t canonical_hash() const;
+  /// The schedule's canonical hash, equal to record_product_schedule's.
+  [[nodiscard]] std::uint64_t canonical_hash() const {
+    return schedule_.canonical_hash();
+  }
 
  private:
   SortPlan(const ProductGraph& pg, const S2Sorter& s2) : pg_(&pg), s2_(&s2) {}
@@ -106,10 +98,8 @@ class SortPlan {
   const S2Sorter* s2_;
   std::vector<PhaseRecord> groups_;
   std::vector<std::size_t> group_end_;  ///< one past each group's last step
-  std::vector<Step> steps_;
-  std::vector<CEPair> pairs_;
+  ScheduleIR schedule_;
   std::vector<PNode> snake_;
-  std::int64_t exec_steps_ = 0;
 };
 
 }  // namespace prodsort

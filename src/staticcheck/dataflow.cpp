@@ -131,7 +131,7 @@ DataflowReport analyze_dataflow(const LoweredSchedule& lowered,
   // Projected prune saving: hops of phases that end up empty.
   {
     std::size_t k = 0;
-    for (const SchedulePhase& phase : ir.phases()) {
+    for (const SchedulePhase phase : ir.phases()) {
       std::size_t live = 0;
       for (std::size_t i = 0; i < phase.pairs.size(); ++i, ++k)
         live += report.dead[k] == 0;
@@ -146,8 +146,8 @@ DataflowReport analyze_dataflow(const LoweredSchedule& lowered,
                                     -1);
     for (std::int64_t p = 0;
          p + 1 < static_cast<std::int64_t>(ir.phases().size()); ++p) {
-      const SchedulePhase& a = ir.phases()[static_cast<std::size_t>(p)];
-      const SchedulePhase& b = ir.phases()[static_cast<std::size_t>(p + 1)];
+      const SchedulePhase a = ir.phase(static_cast<std::size_t>(p));
+      const SchedulePhase b = ir.phase(static_cast<std::size_t>(p + 1));
       for (const CEPair& pair : a.pairs) {
         stamp[static_cast<std::size_t>(pair.low)] = p;
         stamp[static_cast<std::size_t>(pair.high)] = p;
@@ -201,13 +201,15 @@ ScheduleIR prune_schedule(const ScheduleIR& ir,
   out.block_size = ir.block_size;
 
   std::size_t k = 0;
-  for (const SchedulePhase& phase : ir.phases()) {
-    SchedulePhase kept = phase;
-    kept.pairs.clear();
+  std::vector<CEPair> live;
+  for (SchedulePhase phase : ir.phases()) {
+    live.clear();
     for (const CEPair& pair : phase.pairs) {
-      if (dead[k++] == 0) kept.pairs.push_back(pair);
+      if (dead[k++] == 0) live.push_back(pair);
     }
-    if (!kept.pairs.empty()) out.mutable_phases().push_back(std::move(kept));
+    if (live.empty()) continue;
+    phase.pairs = live;
+    out.add_phase(phase);
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "staticcheck/schedule_ir.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -9,45 +10,33 @@
 
 namespace prodsort {
 
-std::int64_t ScheduleIR::total_pairs() const {
-  std::int64_t total = 0;
-  for (const SchedulePhase& phase : phases_)
-    total += static_cast<std::int64_t>(phase.pairs.size());
-  return total;
+void ScheduleIR::add_phase(const SchedulePhase& phase) {
+  steps_.push_back({pairs_.size(), phase.pairs.size(), phase.hop_distance,
+                    phase.dim, phase.faulty, phase.tmr});
+  pairs_.insert(pairs_.end(), phase.pairs.begin(), phase.pairs.end());
 }
 
 bool ScheduleIR::any_faulty() const {
-  for (const SchedulePhase& phase : phases_)
-    if (phase.faulty) return true;
-  return false;
+  return std::ranges::any_of(steps_, &Step::faulty);
 }
 
 bool ScheduleIR::any_tmr() const {
-  for (const SchedulePhase& phase : phases_)
-    if (phase.tmr) return true;
-  return false;
-}
-
-CanonicalScheduleHash::CanonicalScheduleHash(PNode num_nodes, int block_size)
-    : h_(mix64(mix64(0x7374617469634952ULL,  // "staticIR"
-                     static_cast<std::uint64_t>(num_nodes)),
-               static_cast<std::uint64_t>(block_size))) {}
-
-void CanonicalScheduleHash::phase(int hop_distance,
-                                  std::span<const CEPair> pairs) {
-  h_ = mix64(h_, static_cast<std::uint64_t>(hop_distance));
-  h_ = mix64(h_, pairs.size());
-  for (const CEPair& p : pairs) {
-    h_ = mix64(h_, static_cast<std::uint64_t>(p.low));
-    h_ = mix64(h_, static_cast<std::uint64_t>(p.high));
-  }
+  return std::ranges::any_of(steps_, &Step::tmr);
 }
 
 std::uint64_t ScheduleIR::canonical_hash() const {
-  CanonicalScheduleHash h(num_nodes, block_size);
-  for (const SchedulePhase& phase : phases_)
-    h.phase(phase.hop_distance, phase.pairs);
-  return h.value();
+  std::uint64_t h = mix64(mix64(0x7374617469634952ULL,  // "staticIR"
+                                static_cast<std::uint64_t>(num_nodes)),
+                          static_cast<std::uint64_t>(block_size));
+  for (const SchedulePhase phase : phases()) {
+    h = mix64(h, static_cast<std::uint64_t>(phase.hop_distance));
+    h = mix64(h, phase.pairs.size());
+    for (const CEPair& p : phase.pairs) {
+      h = mix64(h, static_cast<std::uint64_t>(p.low));
+      h = mix64(h, static_cast<std::uint64_t>(p.high));
+    }
+  }
+  return h;
 }
 
 ScheduleRecorder::ScheduleRecorder(const ProductGraph& pg, PhaseObserver* next,
@@ -69,19 +58,12 @@ void ScheduleRecorder::before_phase(std::span<const Key> keys,
                                     bool faulty) {
   if (next_ != nullptr)
     next_->before_phase(keys, pairs, hop_distance, block_size, faulty);
-  if (overflowed_ || pairs.size() > max_pairs_ - pairs_) {
+  if (overflowed_ ||
+      pairs.size() > max_pairs_ - static_cast<std::size_t>(ir_.total_pairs())) {
     overflowed_ = true;
     tmr_pending_ = false;
     return;
   }
-  pairs_ += pairs.size();
-
-  SchedulePhase phase;
-  phase.pairs.assign(pairs.begin(), pairs.end());
-  phase.hop_distance = hop_distance;
-  phase.faulty = faulty;
-  phase.tmr = tmr_pending_;
-  tmr_pending_ = false;
 
   // Dimension tag: the one dimension every pair differs in, else 0.
   const int dims = pg_->dims();
@@ -101,10 +83,10 @@ void ScheduleRecorder::before_phase(std::span<const Key> keys,
     }
     tag = dim;
   }
-  phase.dim = tag;
 
   ir_.block_size = block_size;
-  ir_.mutable_phases().push_back(std::move(phase));
+  ir_.add_phase({pairs, hop_distance, tag, faulty, tmr_pending_});
+  tmr_pending_ = false;
 }
 
 void ScheduleRecorder::after_phase(std::span<const Key> keys) {
@@ -114,7 +96,6 @@ void ScheduleRecorder::after_phase(std::span<const Key> keys) {
 ScheduleIR ScheduleRecorder::take() {
   ScheduleIR out = std::move(ir_);
   ir_ = ScheduleIR{};
-  pairs_ = 0;
   overflowed_ = false;
   ir_.num_nodes = pg_->num_nodes();
   ir_.radix = pg_->radix();
@@ -177,7 +158,7 @@ ScheduleIR record_block_schedule(const ProductGraph& pg,
 void apply_schedule(Machine& machine, const ScheduleIR& ir) {
   if (machine.graph().num_nodes() != ir.num_nodes)
     throw std::invalid_argument("apply_schedule: machine/schedule size mismatch");
-  for (const SchedulePhase& phase : ir.phases())
+  for (const SchedulePhase phase : ir.phases())
     machine.compare_exchange_step(phase.pairs, phase.hop_distance);
 }
 

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <ranges>
 #include <span>
 #include <string>
 #include <vector>
@@ -39,9 +40,12 @@ namespace prodsort {
 class BlockS2Sorter;
 class S2Sorter;
 
-/// One synchronous phase of a recorded schedule.
+/// One synchronous phase of a recorded schedule, as read from (and
+/// written to) a ScheduleIR: a view of the phase's pairs plus its step
+/// fields.  A view read from an IR is valid until that IR is next
+/// written, moved or destroyed.
 struct SchedulePhase {
-  std::vector<CEPair> pairs;
+  std::span<const CEPair> pairs;
   int hop_distance = 1;  ///< charged factor-graph hop bound
   /// Dimension tag: the single product dimension (1-based) every pair
   /// of the phase differs in; 0 for an empty phase or when pairs span
@@ -51,23 +55,11 @@ struct SchedulePhase {
   bool tmr = false;     ///< executed under TMR voting
 };
 
-/// The canonical content hash of a schedule, fed phase by phase: a
-/// mix64 chain over (num_nodes, block_size, per phase: hop, pair count,
-/// every pair's endpoints).  ScheduleIR and SortPlan
-/// (core/sort_plan.hpp) both hash through it, so a plan and the IR of
-/// the same run agree by construction.
-class CanonicalScheduleHash {
- public:
-  CanonicalScheduleHash(PNode num_nodes, int block_size);
-  void phase(int hop_distance, std::span<const CEPair> pairs);
-  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
-
- private:
-  std::uint64_t h_;
-};
-
-/// A recorded compare-exchange schedule.  Labels (`topology`, `sorter`)
-/// are diagnostic only; identity is the canonical content hash.
+/// A recorded compare-exchange schedule, stored flat: one pair array
+/// and one step table of (offset, count, hop, dimension tag, flags).
+/// Labels (`topology`, `sorter`) are diagnostic only; identity is the
+/// canonical content hash.  Schiller's agglomeration law (PAPERS.md,
+/// arXiv 1701.00635) motivates the one flat pair list per schedule.
 class ScheduleIR {
  public:
   std::string topology;  ///< e.g. "path-4^3"
@@ -77,30 +69,55 @@ class ScheduleIR {
   int dims = 0;
   int block_size = 1;
 
-  [[nodiscard]] const std::vector<SchedulePhase>& phases() const noexcept {
-    return phases_;
+  /// Phase `i` as a view.
+  [[nodiscard]] SchedulePhase phase(std::size_t i) const {
+    const Step& step = steps_[i];
+    return {std::span<const CEPair>(pairs_.data() + step.offset, step.count),
+            step.hop, step.dim, step.faulty, step.tmr};
   }
 
-  /// Mutable phase access, for the recorder and optimizer passes only.
-  /// Editing a schedule invalidates any proof addressed to the original
-  /// canonical hash, so call sites outside src/staticcheck must carry
-  /// an AUDITOR-EXEMPT(<reason>) comment (enforced by scripts/lint.sh,
-  /// same discipline as Machine::mutable_keys).
-  [[nodiscard]] std::vector<SchedulePhase>& mutable_phases() noexcept {
-    return phases_;
+  /// Every phase in order, as views (a sized random-access range).
+  [[nodiscard]] auto phases() const {
+    return std::views::iota(std::size_t{0}, steps_.size()) |
+           std::views::transform([this](std::size_t i) { return phase(i); });
   }
 
-  [[nodiscard]] std::int64_t total_pairs() const;
+  /// Appends a phase, copying its pairs; the only writer.  `phase.pairs`
+  /// must not view this IR.  Editing a schedule invalidates any proof
+  /// addressed to the original canonical hash, so call sites outside
+  /// src/staticcheck must carry an AUDITOR-EXEMPT(<reason>) comment
+  /// (enforced by scripts/lint.sh, same discipline as
+  /// Machine::mutable_keys).
+  void add_phase(const SchedulePhase& phase);
+
+  [[nodiscard]] std::int64_t total_pairs() const noexcept {
+    return static_cast<std::int64_t>(pairs_.size());
+  }
   [[nodiscard]] bool any_faulty() const;
   [[nodiscard]] bool any_tmr() const;
+  /// Bytes held by the pair array and the step table.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return pairs_.size() * sizeof(CEPair) + steps_.size() * sizeof(Step);
+  }
 
-  /// Canonical content hash (CanonicalScheduleHash).  Labels and
-  /// dimension tags are derived data and excluded.  Two schedules with
-  /// equal hashes are treated as one analysis unit.
+  /// Canonical content hash: a mix64 chain over (num_nodes, block_size,
+  /// per phase: hop, pair count, every pair's endpoints).  Labels,
+  /// dimension tags and flags are derived data and excluded.  Two
+  /// schedules with equal hashes are treated as one analysis unit.
   [[nodiscard]] std::uint64_t canonical_hash() const;
 
  private:
-  std::vector<SchedulePhase> phases_;
+  struct Step {
+    std::size_t offset = 0;  ///< first pair in pairs_
+    std::size_t count = 0;
+    int hop = 1;
+    int dim = 0;
+    bool faulty = false;
+    bool tmr = false;
+  };
+
+  std::vector<Step> steps_;
+  std::vector<CEPair> pairs_;
 };
 
 /// PhaseObserver that records every phase into a ScheduleIR.  Passive:
@@ -127,10 +144,6 @@ class ScheduleRecorder final : public PhaseObserver {
                     int hop_distance, int block_size, bool faulty) override;
   void after_phase(std::span<const Key> keys) override;
 
-  [[nodiscard]] std::int64_t phases_recorded() const noexcept {
-    return static_cast<std::int64_t>(ir_.phases().size());
-  }
-
   /// True once a phase was dropped for exceeding `max_pairs`.
   [[nodiscard]] bool overflowed() const noexcept { return overflowed_; }
 
@@ -143,7 +156,6 @@ class ScheduleRecorder final : public PhaseObserver {
   PhaseObserver* next_;
   ScheduleIR ir_;
   std::size_t max_pairs_;
-  std::size_t pairs_ = 0;
   bool overflowed_ = false;
   bool tmr_pending_ = false;
 };

@@ -53,7 +53,7 @@ StaticProof prove_schedule(const ProductGraph& pg, const ScheduleIR& ir,
                                         -1);
 
   for (std::int64_t phase = 0; phase < proof.phases; ++phase) {
-    const SchedulePhase& sp = ir.phases()[static_cast<std::size_t>(phase)];
+    const SchedulePhase sp = ir.phase(static_cast<std::size_t>(phase));
     for (std::int64_t i = 0;
          i < static_cast<std::int64_t>(sp.pairs.size()); ++i) {
       const CEPair& p = sp.pairs[static_cast<std::size_t>(i)];

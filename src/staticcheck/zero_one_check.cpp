@@ -26,8 +26,7 @@ LoweredSchedule lower_to_comparators(const ProductGraph& pg,
   out.phase_of.reserve(out.comparators.capacity());
   for (std::int64_t phase = 0;
        phase < static_cast<std::int64_t>(ir.phases().size()); ++phase) {
-    for (const CEPair& p :
-         ir.phases()[static_cast<std::size_t>(phase)].pairs) {
+    for (const CEPair& p : ir.phase(static_cast<std::size_t>(phase)).pairs) {
       if (p.low < 0 || p.low >= ir.num_nodes || p.high < 0 ||
           p.high >= ir.num_nodes)
         throw std::invalid_argument(

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -89,18 +91,25 @@ TEST(ScheduleGoldenTest, UnitSortersMatchPinnedHashes) {
   }
 }
 
-// The SortPlan a router records for a unit row carries exactly the
-// pinned schedule; a row whose pairs exceed the plan cap gets no plan.
-std::uint64_t plan_hash(const ProductGraph& pg, const S2Sorter& s2) {
+std::unique_ptr<const SortPlan> record_plan(const ProductGraph& pg,
+                                            const S2Sorter& s2) {
   std::vector<Key> keys(static_cast<std::size_t>(pg.num_nodes()));
   std::iota(keys.begin(), keys.end(), Key{0});
   Machine machine(pg, std::move(keys));
-  const auto plan = SortPlan::record(machine, {.s2 = &s2});
-  if (plan != nullptr) return plan->canonical_hash();
+  return SortPlan::record(machine, {.s2 = &s2});
+}
+
+// The SortPlan a router records for a unit row carries exactly the
+// pinned schedule.  A row gets a plan exactly when its pairs fit under
+// the plan cap, so a change to SortPlan::bytes() cannot drop a plan
+// unseen.
+std::uint64_t plan_hash(const ProductGraph& pg, const S2Sorter& s2) {
+  const auto plan = record_plan(pg, s2);
   const ScheduleIR ir = record_product_schedule(pg, s2);
-  EXPECT_GT(static_cast<std::size_t>(ir.total_pairs()) * sizeof(CEPair),
-            SortPlan::kMaxBytes);
-  return ir.canonical_hash();
+  EXPECT_EQ(plan != nullptr,
+            static_cast<std::size_t>(ir.total_pairs()) * sizeof(CEPair) <=
+                SortPlan::kMaxBytes);
+  return plan != nullptr ? plan->canonical_hash() : ir.canonical_hash();
 }
 
 TEST(ScheduleGoldenTest, UnitSortPlansMatchPinnedHashes) {
@@ -112,6 +121,40 @@ TEST(ScheduleGoldenTest, UnitSortPlansMatchPinnedHashes) {
     const ProductGraph pg(topo.factor(), topo.dims);
     EXPECT_EQ(plan_hash(pg, shearsort), kUnit.shearsort[t]);
     EXPECT_EQ(plan_hash(pg, snake_oet), kUnit.snake_oet[t]);
+  }
+}
+
+// The canonical hash leaves out dimension tags and flags, so the plan's
+// schedule is also compared with a fresh recording field by field.
+TEST(ScheduleGoldenTest, UnitSortPlansKeepTheRecordedScheduleStepForStep) {
+  const ShearsortS2 shearsort;
+  const SnakeOETS2 snake_oet;
+  for (const Topology& topo : kTopologies) {
+    const ProductGraph pg(topo.factor(), topo.dims);
+    for (const S2Sorter* s2 : {static_cast<const S2Sorter*>(&shearsort),
+                               static_cast<const S2Sorter*>(&snake_oet)}) {
+      SCOPED_TRACE(std::string(topo.name) + " " + s2->name());
+      const auto plan = record_plan(pg, *s2);
+      if (plan == nullptr) continue;  // over the cap, checked above
+      const ScheduleIR& planned = plan->schedule();
+      const ScheduleIR recorded = record_product_schedule(pg, *s2);
+      EXPECT_EQ(planned.num_nodes, recorded.num_nodes);
+      EXPECT_EQ(planned.block_size, recorded.block_size);
+      ASSERT_EQ(planned.phases().size(), recorded.phases().size());
+      for (std::size_t s = 0; s < recorded.phases().size(); ++s) {
+        const SchedulePhase a = planned.phase(s);
+        const SchedulePhase b = recorded.phase(s);
+        EXPECT_TRUE(std::ranges::equal(
+            a.pairs, b.pairs, [](const CEPair& x, const CEPair& y) {
+              return x.low == y.low && x.high == y.high;
+            }))
+            << "step " << s;
+        EXPECT_EQ(a.hop_distance, b.hop_distance) << "step " << s;
+        EXPECT_EQ(a.dim, b.dim) << "step " << s;
+        EXPECT_EQ(a.faulty, b.faulty) << "step " << s;
+        EXPECT_EQ(a.tmr, b.tmr) << "step " << s;
+      }
+    }
   }
 }
 

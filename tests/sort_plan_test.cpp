@@ -126,8 +126,8 @@ FaultConfig fault_config(Setting setting, const ProductGraph& pg,
            .kind = ComparatorFaultKind::kInverted});
       break;
     case Setting::kCrashRollback:
-      for (std::size_t s = 2; s < plan.steps().size(); ++s) {
-        const PNode node = idle_node(pg, plan.step_pairs(plan.steps()[s]));
+      for (std::size_t s = 2; s < plan.schedule().phases().size(); ++s) {
+        const PNode node = idle_node(pg, plan.schedule().phase(s).pairs);
         if (node >= 0) {
           config.crash_schedule.push_back(
               {.node = node, .phase = static_cast<std::int64_t>(s)});

@@ -106,9 +106,16 @@ TEST(ScheduleRecorderTest, CanonicalHashIgnoresLabels) {
   b.topology = "renamed";
   b.sorter = "other";
   EXPECT_EQ(a.canonical_hash(), b.canonical_hash());
-  // ...but not the pairs.
-  b.mutable_phases().front().pairs.front().low ^= 1;
-  EXPECT_NE(a.canonical_hash(), b.canonical_hash());
+  // ...but not the pairs: rebuild `a` with its first endpoint flipped.
+  ScheduleIR c;
+  c.num_nodes = a.num_nodes;
+  SchedulePhase first = a.phase(0);
+  std::vector<CEPair> flipped(first.pairs.begin(), first.pairs.end());
+  flipped.front().low ^= 1;
+  first.pairs = flipped;
+  c.add_phase(first);
+  for (std::size_t i = 1; i < a.phases().size(); ++i) c.add_phase(a.phase(i));
+  EXPECT_NE(a.canonical_hash(), c.canonical_hash());
 }
 
 TEST(ScheduleRecorderTest, GraphFingerprintSeparatesFactors) {
@@ -161,9 +168,8 @@ TEST(StaticProverTest, OverlappingPairCounterexample) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
-  phase.pairs = {{0, 1}, {1, 2}};  // node 1 in two pairs
-  ir.mutable_phases().push_back(phase);
+  const CEPair pairs[] = {{0, 1}, {1, 2}};  // node 1 in two pairs
+  ir.add_phase({.pairs = pairs});
 
   const StaticProof proof = prove_schedule(pg, ir);
   EXPECT_FALSE(proof.disjointness.proven);
@@ -182,9 +188,8 @@ TEST(StaticProverTest, DegeneratePairCounterexample) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
-  phase.pairs = {{4, 4}};
-  ir.mutable_phases().push_back(phase);
+  const CEPair pairs[] = {{4, 4}};
+  ir.add_phase({.pairs = pairs});
 
   const StaticProof proof = prove_schedule(pg, ir);
   EXPECT_FALSE(proof.disjointness.proven);
@@ -195,13 +200,15 @@ TEST(StaticProverTest, DegeneratePairCounterexample) {
 
 TEST(StaticProverTest, CrossDimensionCounterexample) {
   const ProductGraph pg(labeled_path(3), 2);
-  ScheduleIR ir;
-  ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
   // Nodes 0 = (0,0) and 4 = (1,1) differ in both dimensions.
-  phase.pairs = {{0, 4}};
-  phase.hop_distance = 2;
-  ir.mutable_phases().push_back(phase);
+  const CEPair pairs[] = {{0, 4}};
+  const auto schedule = [&](int hop_distance) {
+    ScheduleIR ir;
+    ir.num_nodes = pg.num_nodes();
+    ir.add_phase({.pairs = pairs, .hop_distance = hop_distance});
+    return ir;
+  };
+  const ScheduleIR ir = schedule(2);
 
   StaticProof proof = prove_schedule(pg, ir);
   EXPECT_FALSE(proof.locality.proven);
@@ -218,8 +225,7 @@ TEST(StaticProverTest, CrossDimensionCounterexample) {
   EXPECT_TRUE(proof.locality.proven);
 
   // ...but an undercharged cross-dimension hop is still caught.
-  ir.mutable_phases().front().hop_distance = 1;
-  proof = prove_schedule(pg, ir, options);
+  proof = prove_schedule(pg, schedule(1), options);
   EXPECT_FALSE(proof.locality.proven);
   EXPECT_EQ(proof.locality.counterexamples.front().kind,
             ViolationKind::kUnderchargedHop);
@@ -229,11 +235,9 @@ TEST(StaticProverTest, UnderchargedHopCounterexample) {
   const ProductGraph pg(labeled_path(4), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
   // Nodes 0 = (0,0) and 3 = (3,0): distance 3 along dimension 1.
-  phase.pairs = {{0, 3}};
-  phase.hop_distance = 2;
-  ir.mutable_phases().push_back(phase);
+  const CEPair pairs[] = {{0, 3}};
+  ir.add_phase({.pairs = pairs, .hop_distance = 2});
 
   const StaticProof proof = prove_schedule(pg, ir);
   EXPECT_FALSE(proof.locality.proven);
@@ -248,9 +252,8 @@ TEST(StaticProverTest, CounterexampleCapKeepsCounting) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
-  for (int i = 0; i < 8; ++i) phase.pairs.push_back({0, 1});
-  ir.mutable_phases().push_back(phase);
+  const std::vector<CEPair> pairs(8, CEPair{0, 1});
+  ir.add_phase({.pairs = pairs});
 
   StaticProverOptions options;
   options.max_counterexamples = 2;
@@ -268,7 +271,7 @@ TEST(StaticProverTest, DegenerateSchedules) {
 
   ScheduleIR empty_phase;
   empty_phase.num_nodes = pg.num_nodes();
-  empty_phase.mutable_phases().push_back(SchedulePhase{});
+  empty_phase.add_phase(SchedulePhase{});
   const StaticProof proof = prove_schedule(pg, empty_phase);
   EXPECT_TRUE(proof.all_proven());
   EXPECT_EQ(proof.phases, 1);
@@ -278,17 +281,15 @@ TEST(StaticProverTest, DegenerateSchedules) {
   const ProductGraph line(labeled_path(2), 1);
   ScheduleIR single;
   single.num_nodes = line.num_nodes();
-  SchedulePhase phase;
-  phase.pairs = {{0, 1}};
-  single.mutable_phases().push_back(phase);
+  const CEPair edge[] = {{0, 1}};
+  single.add_phase({.pairs = edge});
   EXPECT_TRUE(prove_schedule(line, single).all_proven());
 
   // Out-of-range endpoints are a hard error, not a counterexample.
   ScheduleIR bad;
   bad.num_nodes = pg.num_nodes();
-  SchedulePhase bad_phase;
-  bad_phase.pairs = {{0, 99}};
-  bad.mutable_phases().push_back(bad_phase);
+  const CEPair out_of_range[] = {{0, 99}};
+  bad.add_phase({.pairs = out_of_range});
   EXPECT_THROW((void)prove_schedule(pg, bad), std::logic_error);
   EXPECT_THROW((void)prove_schedule(ProductGraph(labeled_path(4), 2), empty),
                std::invalid_argument);
@@ -302,9 +303,7 @@ TEST(StaticProverTest, AgreesWithStepAuditorOnBrokenSchedule) {
 
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
-  phase.pairs = pairs;
-  ir.mutable_phases().push_back(phase);
+  ir.add_phase({.pairs = pairs});
   const StaticProof proof = prove_schedule(pg, ir);
 
   AuditorConfig config;
@@ -328,9 +327,8 @@ TEST(ZeroOneCheckTest, LowersOverSnakeRanks) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase phase;
-  phase.pairs = {{0, 1}};
-  ir.mutable_phases().push_back(phase);
+  const CEPair pairs[] = {{0, 1}};
+  ir.add_phase({.pairs = pairs});
 
   const LoweredSchedule lowered = lower_to_comparators(pg, ir);
   EXPECT_EQ(lowered.width, 9);
@@ -366,9 +364,11 @@ TEST(ZeroOneCheckTest, BrokenScheduleYieldsMinimizedWitness) {
   // must survive unsorted, and the greedy minimization strips 1s while
   // the input keeps failing.
   const ProductGraph pg(labeled_path(3), 2);
-  ScheduleIR ir = record_product_schedule(pg, SnakeOETS2{});
-  ASSERT_GT(ir.phases().size(), 1u);
-  ir.mutable_phases().resize(1);
+  const ScheduleIR full = record_product_schedule(pg, SnakeOETS2{});
+  ASSERT_GT(full.phases().size(), 1u);
+  ScheduleIR ir;
+  ir.num_nodes = full.num_nodes;
+  ir.add_phase(full.phase(0));
 
   const LoweredSchedule lowered = lower_to_comparators(pg, ir);
   const auto ones = [](const std::vector<Key>& v) {
@@ -455,10 +455,9 @@ TEST(DataflowTest, RelationDomainKillsRepeatedComparators) {
   const ProductGraph pg(labeled_path(2), 1);
   ScheduleIR ir;
   ir.num_nodes = 2;
-  SchedulePhase phase;
-  phase.pairs = {{0, 1}};
-  ir.mutable_phases().push_back(phase);
-  ir.mutable_phases().push_back(phase);  // identical pair again: dead
+  const CEPair pairs[] = {{0, 1}};
+  ir.add_phase({.pairs = pairs});
+  ir.add_phase({.pairs = pairs});  // identical pair again: dead
 
   const LoweredSchedule lowered = lower_to_comparators(pg, ir);
   const DataflowReport report = analyze_dataflow(lowered, ir);
@@ -478,7 +477,10 @@ TEST(DataflowTest, AppendedRedundantPassIsDeadAndPrunable) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir = record_product_schedule(pg, ShearsortS2{});
   const std::size_t original_phases = ir.phases().size();
-  ir.mutable_phases().push_back(ir.phases().back());
+  SchedulePhase last = ir.phases().back();
+  const std::vector<CEPair> last_pairs(last.pairs.begin(), last.pairs.end());
+  last.pairs = last_pairs;  // add_phase must not read the IR it grows
+  ir.add_phase(last);
 
   const LoweredSchedule lowered = lower_to_comparators(pg, ir);
   const DataflowReport report = analyze_dataflow(lowered, ir);
@@ -537,14 +539,12 @@ TEST(DataflowTest, FusionFindsDisjointAdjacentPhases) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase a, b, c;
-  a.pairs = {{0, 1}};
-  b.pairs = {{2, 5}};  // disjoint from a: fusable boundary
-  c.pairs = {{0, 1}};  // overlaps b?  no — but a+b already consumed
-  a.hop_distance = b.hop_distance = c.hop_distance = 1;
-  ir.mutable_phases().push_back(a);
-  ir.mutable_phases().push_back(b);
-  ir.mutable_phases().push_back(c);
+  const CEPair a[] = {{0, 1}};
+  const CEPair b[] = {{2, 5}};  // disjoint from a: fusable boundary
+  const CEPair c[] = {{0, 1}};  // overlaps b?  no — but a+b already consumed
+  ir.add_phase({.pairs = a, .hop_distance = 1});
+  ir.add_phase({.pairs = b, .hop_distance = 1});
+  ir.add_phase({.pairs = c, .hop_distance = 1});
 
   const DataflowReport report =
       analyze_dataflow(lower_to_comparators(pg, ir), ir);
@@ -560,12 +560,11 @@ TEST(DataflowTest, CriticalPathAndSlack) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  SchedulePhase a, b, c;
-  a.pairs = {{0, 1}};
-  b.pairs = {{1, 2}};
-  ir.mutable_phases().push_back(a);
-  ir.mutable_phases().push_back(b);
-  ir.mutable_phases().push_back(c);  // empty trailing phase
+  const CEPair a[] = {{0, 1}};
+  const CEPair b[] = {{1, 2}};
+  ir.add_phase({.pairs = a});
+  ir.add_phase({.pairs = b});
+  ir.add_phase({});  // empty trailing phase
 
   const DataflowReport report =
       analyze_dataflow(lower_to_comparators(pg, ir), ir);

@@ -38,6 +38,7 @@
 #include <string>
 
 #include "analysis/packet_audit.hpp"
+#include "any_width_network.hpp"
 #include "analysis/step_auditor.hpp"
 #include "core/hashing.hpp"
 #include "staticcheck/schedule_ir.hpp"
@@ -131,13 +132,6 @@ std::vector<Key> random_keys(PNode count, std::mt19937_64& rng) {
   std::vector<Key> keys(static_cast<std::size_t>(count));
   for (Key& k : keys) k = static_cast<Key>(rng() % 1000003);
   return keys;
-}
-
-// A width-n sorting network for NetworkS2: Batcher when n is a power of
-// two, odd-even transposition otherwise.
-ComparatorNetwork any_width_network(int n) {
-  if ((n & (n - 1)) == 0) return odd_even_merge_sort_network(n);
-  return odd_even_transposition_network(n);
 }
 
 // ---------------------------------------------------------------- machine

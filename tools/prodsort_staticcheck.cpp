@@ -46,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "any_width_network.hpp"
 #include "baselines/bitonic_network.hpp"
 #include "core/block_sort.hpp"
 #include "core/hashing.hpp"
@@ -57,7 +58,6 @@
 #include "graph/labeled_factor.hpp"
 #include "product/gray_code.hpp"
 #include "repro_line.hpp"
-#include "sortnet/batcher.hpp"
 #include "staticcheck/dataflow.hpp"
 #include "staticcheck/schedule_ir.hpp"
 #include "staticcheck/static_prover.hpp"
@@ -74,12 +74,6 @@ struct Options {
   int max_exhaustive = 22;     ///< exhaustive 0-1 up to this many wires
   const char* json_path = nullptr;
 };
-
-// A width-n sorting network for NetworkS2 (same choice as prodsort_audit).
-ComparatorNetwork any_width_network(int n) {
-  if ((n & (n - 1)) == 0) return odd_even_merge_sort_network(n);
-  return odd_even_transposition_network(n);
-}
 
 // Analysis of one unique schedule, cached by canonical hash.
 struct Analysis {
