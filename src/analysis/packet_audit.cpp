@@ -55,13 +55,8 @@ PacketAuditReport audit_product_permutation_stats(const ProductGraph& pg,
                                                   const PacketStats& stats) {
   const NodeId n = pg.radix();
   // All-pairs factor distances once; products reuse them per dimension.
-  std::vector<int> factor_distance(static_cast<std::size_t>(n) *
-                                   static_cast<std::size_t>(n));
-  for (NodeId a = 0; a < n; ++a) {
-    const std::vector<int> row = bfs_distances(pg.factor().graph, a);
-    std::copy(row.begin(), row.end(),
-              factor_distance.begin() + static_cast<std::size_t>(a) * n);
-  }
+  const std::vector<int> factor_distance =
+      all_pairs_distances(pg.factor().graph);
 
   int max_distance = 0;
   std::int64_t sum_distance = 0;

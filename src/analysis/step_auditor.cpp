@@ -4,151 +4,25 @@
 #include <stdexcept>
 
 #include "core/hashing.hpp"
-#include "graph/graph_algos.hpp"
 
 namespace prodsort {
 
-namespace {
-
-std::string pair_prefix(std::int64_t phase, std::int64_t pair_index) {
-  return "phase " + std::to_string(phase) + " pair " +
-         std::to_string(pair_index) + ": ";
-}
-
-}  // namespace
-
-std::string to_string(ViolationKind kind) {
-  switch (kind) {
-    case ViolationKind::kDegeneratePair: return "degenerate-pair";
-    case ViolationKind::kOverlappingPair: return "overlapping-pair";
-    case ViolationKind::kWrongDimension: return "wrong-dimension";
-    case ViolationKind::kUnderchargedHop: return "undercharged-hop";
-    case ViolationKind::kMemoryDiscipline: return "memory-discipline";
-    case ViolationKind::kLockstepDivergence: return "lockstep-divergence";
-  }
-  return "unknown";
-}
-
 StepAuditor::StepAuditor(const ProductGraph& pg, AuditorConfig config)
-    : pg_(&pg), config_(config) {
-  const NodeId n = pg.radix();
-  factor_distance_.resize(static_cast<std::size_t>(n) *
-                          static_cast<std::size_t>(n));
-  for (NodeId a = 0; a < n; ++a) {
-    const std::vector<int> row = bfs_distances(pg.factor().graph, a);
-    std::copy(row.begin(), row.end(),
-              factor_distance_.begin() + static_cast<std::size_t>(a) * n);
-  }
-  touch_stamp_.assign(static_cast<std::size_t>(pg.num_nodes()), -1);
-  touch_count_.assign(static_cast<std::size_t>(pg.num_nodes()), 0);
-}
+    : config_(config),
+      discipline_(pg, config.allow_cross_dimension, "StepAuditor") {}
 
 void StepAuditor::reset() {
   stats_ = AuditorStats{};
   violations_.clear();
   violation_count_ = 0;
-  std::fill(touch_stamp_.begin(), touch_stamp_.end(), -1);
   replay_pending_ = false;
 }
 
 void StepAuditor::report(Violation violation) {
   ++violation_count_;
-  if (violations_.size() < config_.max_recorded)
-    violations_.push_back(violation);
+  if (violations_.size() < kMaxRecorded) violations_.push_back(violation);
   if (config_.throw_on_violation)
     throw std::logic_error("StepAuditor: " + violation.message);
-}
-
-void StepAuditor::check_pairs(std::span<const CEPair> pairs,
-                              int hop_distance) {
-  const std::int64_t phase = stats_.phases - 1;
-  const PNode num_nodes = pg_->num_nodes();
-  const NodeId n = pg_->radix();
-  const int dims = pg_->dims();
-
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(pairs.size()); ++i) {
-    const CEPair& p = pairs[static_cast<std::size_t>(i)];
-    if (p.low < 0 || p.low >= num_nodes || p.high < 0 || p.high >= num_nodes)
-      throw std::logic_error("StepAuditor: " + pair_prefix(phase, i) +
-                             "pair endpoint out of range");
-
-    // (a)/(c): disjointness and the Section-4 two-value memory bound.
-    // Both audit the same structural fact — a processor resident in two
-    // exchanges of one phase — so an overlap is reported under the
-    // disjointness check when enabled and as a memory violation
-    // otherwise.
-    const bool degenerate = p.low == p.high;
-    if (degenerate && config_.check_disjoint) {
-      report({ViolationKind::kDegeneratePair, phase, i, p.low, 1, 0,
-              pair_prefix(phase, i) + "degenerate pair (node " +
-                  std::to_string(p.low) + " compared with itself)"});
-    }
-    for (const PNode node : {p.low, p.high}) {
-      auto& stamp = touch_stamp_[static_cast<std::size_t>(node)];
-      auto& count = touch_count_[static_cast<std::size_t>(node)];
-      if (stamp != phase) {
-        stamp = phase;
-        count = 0;
-      }
-      ++count;
-      const int resident = 1 + count;  // own value + one per partner
-      stats_.max_resident_values =
-          std::max(stats_.max_resident_values, resident);
-      if (count >= 2) {
-        if (config_.check_disjoint && !degenerate) {
-          report({ViolationKind::kOverlappingPair, phase, i, node, 1, count,
-                  pair_prefix(phase, i) + "node " + std::to_string(node) +
-                      " already paired this phase (pairs must be disjoint)"});
-        } else if (config_.check_memory && !config_.check_disjoint) {
-          report({ViolationKind::kMemoryDiscipline, phase, i, node, 2,
-                  resident,
-                  pair_prefix(phase, i) + "node " + std::to_string(node) +
-                      " would hold " + std::to_string(resident) +
-                      " values (Section 4 allows at most 2)"});
-        }
-      }
-      if (degenerate) break;  // count the self-pair once per endpoint pass
-    }
-
-    // (b): locality and cost honesty.
-    if (config_.check_locality && !degenerate) {
-      int differing = 0;
-      int dim = 0;
-      int true_distance = 0;  // product distance over differing dimensions
-      NodeId da = 0, db = 0;
-      for (int d = 1; d <= dims; ++d) {
-        const NodeId a = pg_->digit(p.low, d);
-        const NodeId b = pg_->digit(p.high, d);
-        if (a != b) {
-          ++differing;
-          dim = d;
-          da = a;
-          db = b;
-          true_distance += factor_distance_[static_cast<std::size_t>(a) * n + b];
-        }
-      }
-      if (differing != 1 && !config_.allow_cross_dimension) {
-        report({ViolationKind::kWrongDimension, phase, i, p.low, 1, differing,
-                pair_prefix(phase, i) + "nodes " + std::to_string(p.low) +
-                    " and " + std::to_string(p.high) + " differ in " +
-                    std::to_string(differing) +
-                    " product dimensions (must be exactly 1)"});
-      } else if (hop_distance < true_distance) {
-        const std::string where =
-            differing == 1 ? " between digits " + std::to_string(da) + " and " +
-                                 std::to_string(db) + " (dimension " +
-                                 std::to_string(dim) + ")"
-                           : " across " + std::to_string(differing) +
-                                 " dimensions";
-        report({ViolationKind::kUnderchargedHop, phase, i, p.low,
-                true_distance, hop_distance,
-                pair_prefix(phase, i) + "charged hop " +
-                    std::to_string(hop_distance) + " < " +
-                    (differing == 1 ? "factor" : "product") + " distance " +
-                    std::to_string(true_distance) + where});
-      }
-    }
-  }
 }
 
 void StepAuditor::before_phase(std::span<const Key> keys,
@@ -168,7 +42,14 @@ void StepAuditor::before_phase(std::span<const Key> keys,
     pending_block_size_ = block_size;
   }
 
-  check_pairs(pairs, hop_distance);
+  // A memory finding names the processor its overlapping-pair finding
+  // already reports, so only the disjointness and locality ones count.
+  discipline_.check(stats_.phases - 1, pairs, hop_distance,
+                    stats_.max_resident_values,
+                    [this](PhaseProperty property, Violation violation) {
+                      if (property != PhaseProperty::kMemory)
+                        report(std::move(violation));
+                    });
 }
 
 void StepAuditor::after_phase(std::span<const Key> keys) {

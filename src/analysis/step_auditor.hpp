@@ -7,25 +7,19 @@
 // convention.  The auditor attaches to Machine / BlockMachine through
 // the PhaseObserver seam and verifies, per synchronous phase:
 //
-//  (a) pair disjointness — no processor appears in two pairs and no
-//      pair is degenerate; parallel application is deterministic only
-//      under this premise (supersedes Machine::set_check_disjoint);
-//  (b) locality / cost honesty — both endpoints of every CEPair differ
-//      in exactly one product dimension, and the charged hop_distance
-//      is >= the true factor-graph distance between the differing
-//      digits.  Catches "teleporting" comparisons that silently
-//      undercharge CostModel::exec_steps;
-//  (c) memory discipline — "each processor needs enough memory to hold
-//      at most two values being compared" (Section 4): no processor may
-//      be resident in more than one exchange per phase (at most its own
-//      value plus one partner value, blocks counting as one value);
+//  (a)-(c) the Section-4 pair disciplines of PhaseDiscipline
+//      (analysis/phase_discipline.hpp): pair disjointness (this
+//      supersedes Machine::set_check_disjoint), locality / cost honesty,
+//      and the two-value memory bound.  A processor resident in two
+//      exchanges is reported once, as an overlapping pair; the memory
+//      bound shows in AuditorStats::max_resident_values;
 //  (d) lockstep race detection — with check_lockstep set, each audited
 //      phase is re-run single-threaded from a pre-phase snapshot, both
 //      key arrays are hashed, and any divergence (a lost or torn update
 //      under ParallelExecutor) is flagged with the phase id and a
 //      write-set overlap report.
 //
-// A violation is recorded (up to max_recorded) and, with
+// A violation is recorded (up to kMaxRecorded) and, with
 // throw_on_violation set, raised as std::logic_error before the phase
 // mutates any key (lockstep divergence, detected after the fact, is
 // raised after).  See docs/ANALYSIS.md for usage and report format.
@@ -35,35 +29,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/phase_discipline.hpp"
 #include "network/phase_observer.hpp"
-#include "product/product_graph.hpp"
 
 namespace prodsort {
 
-enum class ViolationKind {
-  kDegeneratePair,     ///< low == high: a processor compared with itself
-  kOverlappingPair,    ///< a processor appears in more than one pair
-  kWrongDimension,     ///< endpoints differ in != 1 product dimension
-  kUnderchargedHop,    ///< charged hop < factor-graph partner distance
-  kMemoryDiscipline,   ///< a processor would hold > 2 values in a phase
-  kLockstepDivergence, ///< parallel result != serial replay of the phase
-};
-
-[[nodiscard]] std::string to_string(ViolationKind kind);
-
-struct Violation {
-  ViolationKind kind = ViolationKind::kDegeneratePair;
-  std::int64_t phase = 0;       ///< auditor phase id (0-based)
-  std::int64_t pair_index = -1; ///< offending pair, -1 if phase-level
-  PNode node = -1;              ///< offending processor, -1 if none
-  int expected = 0;             ///< invariant bound (true distance, ...)
-  int observed = 0;             ///< observed value (charged hop, ...)
-  std::string message;          ///< one-line human-readable report
-};
-
 struct AuditorConfig {
-  bool check_disjoint = true;
-  bool check_locality = true;
   /// Section 4 discipline: partners differ in exactly one dimension.
   /// NetworkS2 legitimately routes comparator partners across both view
   /// dimensions charging their exact product distance; set this to audit
@@ -71,13 +42,11 @@ struct AuditorConfig {
   /// hop must cover the full product distance (sum of per-dimension
   /// factor distances), keeping the cost-honesty half of the check.
   bool allow_cross_dimension = false;
-  bool check_memory = true;
   /// Expensive (snapshot + serial replay per phase); off by default.
   bool check_lockstep = false;
   /// Raise std::logic_error on the first violation.  When false the
   /// auditor only records, for sweep tools and negative tests.
   bool throw_on_violation = true;
-  std::size_t max_recorded = 64;  ///< violations kept in memory
 };
 
 struct AuditorStats {
@@ -108,6 +77,10 @@ class StepAuditor final : public PhaseObserver {
   /// The graph must be the one the audited machine runs on (factor
   /// distances are precomputed from it) and must outlive the auditor.
   explicit StepAuditor(const ProductGraph& pg, AuditorConfig config = {});
+  explicit StepAuditor(const ProductGraph&& pg, AuditorConfig config = {}) =
+      delete;
+
+  static constexpr std::size_t kMaxRecorded = 64;  ///< violations kept
 
   /// The auditor owns per-phase pair validation while attached (the
   /// machine skips its plain disjointness sweep).
@@ -123,7 +96,7 @@ class StepAuditor final : public PhaseObserver {
   }
   [[nodiscard]] const AuditorStats& stats() const noexcept { return stats_; }
 
-  /// Recorded violations (the first `max_recorded`); `violation_count`
+  /// Recorded violations (the first `kMaxRecorded`); `violation_count`
   /// keeps counting past the recording cap.
   [[nodiscard]] std::span<const Violation> violations() const noexcept {
     return violations_;
@@ -149,18 +122,14 @@ class StepAuditor final : public PhaseObserver {
       int block_size, std::span<const Key> after) const;
 
  private:
-  void check_pairs(std::span<const CEPair> pairs, int hop_distance);
   void report(Violation violation);
 
-  const ProductGraph* pg_;
   AuditorConfig config_;
   AuditorStats stats_;
   std::vector<Violation> violations_;
   std::int64_t violation_count_ = 0;
 
-  std::vector<int> factor_distance_;  ///< N x N all-pairs matrix
-  std::vector<std::int64_t> touch_stamp_;  ///< phase id per node
-  std::vector<int> touch_count_;           ///< pair memberships per node
+  PhaseDiscipline discipline_;
 
   // Pending lockstep replay for the phase between before/after calls.
   std::vector<Key> snapshot_;

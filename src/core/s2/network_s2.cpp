@@ -7,19 +7,6 @@
 
 namespace prodsort {
 
-namespace {
-
-// All-pairs factor distances (factors are small).
-std::vector<std::vector<int>> factor_distances(const Graph& g) {
-  std::vector<std::vector<int>> dist;
-  dist.reserve(static_cast<std::size_t>(g.num_nodes()));
-  for (NodeId v = 0; v < g.num_nodes(); ++v)
-    dist.push_back(bfs_distances(g, v));
-  return dist;
-}
-
-}  // namespace
-
 NetworkS2::NetworkS2(ComparatorNetwork network) : network_(std::move(network)) {
   if (network_.width() < 1)
     throw std::invalid_argument("empty comparator network");
@@ -31,7 +18,8 @@ double NetworkS2::phase_cost(const LabeledFactor& factor) const {
   const ProductGraph pg(factor, 2);
   if (pg.num_nodes() != network_.width())
     throw std::invalid_argument("network width != N^2");
-  const auto dist = factor_distances(factor.graph);
+  const NodeId n = factor.size();
+  const std::vector<int> dist = all_pairs_distances(factor.graph);
   double total = 0;
   for (const auto& layer : network_.layers()) {
     int worst = 1;
@@ -40,8 +28,8 @@ double NetworkS2::phase_cost(const LabeledFactor& factor) const {
       const PNode b = node_at_snake_rank(pg, c.high);
       int d = 0;
       for (int dim = 1; dim <= 2; ++dim)
-        d += dist[static_cast<std::size_t>(pg.digit(a, dim))]
-                 [static_cast<std::size_t>(pg.digit(b, dim))];
+        d += dist[static_cast<std::size_t>(pg.digit(a, dim)) * n +
+                  pg.digit(b, dim)];
       worst = std::max(worst, d);
     }
     total += worst;
@@ -56,7 +44,8 @@ void NetworkS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
   if (static_cast<PNode>(network_.width()) !=
       static_cast<PNode>(pg.radix()) * pg.radix())
     throw std::invalid_argument("network width != N^2");
-  const auto dist = factor_distances(pg.factor().graph);
+  const NodeId n = pg.radix();
+  const std::vector<int> dist = all_pairs_distances(pg.factor().graph);
 
   // Precompute the snake-rank -> node map of every view once.
   std::vector<std::vector<PNode>> nodes(views.size());
@@ -79,8 +68,8 @@ void NetworkS2::sort_views(Machine& machine, std::span<const ViewSpec> views,
       const PNode b0 = nodes[0][static_cast<std::size_t>(c.high)];
       int d = 0;
       for (const int dim : {views[0].lo, views[0].hi})
-        d += dist[static_cast<std::size_t>(pg.digit(a0, dim))]
-                 [static_cast<std::size_t>(pg.digit(b0, dim))];
+        d += dist[static_cast<std::size_t>(pg.digit(a0, dim)) * n +
+                  pg.digit(b0, dim)];
       worst = std::max(worst, d);
       for (std::size_t vi = 0; vi < views.size(); ++vi) {
         const PNode a = nodes[vi][static_cast<std::size_t>(c.low)];

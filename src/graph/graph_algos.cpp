@@ -24,6 +24,17 @@ std::vector<int> bfs_distances(const Graph& g, NodeId source) {
   return dist;
 }
 
+std::vector<int> all_pairs_distances(const Graph& g) {
+  std::vector<int> table;
+  table.reserve(static_cast<std::size_t>(g.num_nodes()) *
+                static_cast<std::size_t>(g.num_nodes()));
+  for (NodeId a = 0; a < g.num_nodes(); ++a) {
+    const std::vector<int> row = bfs_distances(g, a);
+    table.insert(table.end(), row.begin(), row.end());
+  }
+  return table;
+}
+
 bool is_connected(const Graph& g) {
   if (g.num_nodes() == 0) return true;
   const auto dist = bfs_distances(g, 0);

@@ -13,6 +13,10 @@ namespace prodsort {
 /// BFS distances from `source`; unreachable nodes get -1.
 [[nodiscard]] std::vector<int> bfs_distances(const Graph& g, NodeId source);
 
+/// All-pairs BFS distances, row-major: entry a * n + b is the distance
+/// from a to b (-1 if unreachable).
+[[nodiscard]] std::vector<int> all_pairs_distances(const Graph& g);
+
 [[nodiscard]] bool is_connected(const Graph& g);
 
 /// Longest shortest path; throws std::invalid_argument if disconnected.

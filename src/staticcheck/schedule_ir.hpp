@@ -135,6 +135,10 @@ class ScheduleRecorder final : public PhaseObserver {
   explicit ScheduleRecorder(
       const ProductGraph& pg, PhaseObserver* next = nullptr,
       std::size_t max_pairs = std::numeric_limits<std::size_t>::max());
+  explicit ScheduleRecorder(
+      const ProductGraph&& pg, PhaseObserver* next = nullptr,
+      std::size_t max_pairs = std::numeric_limits<std::size_t>::max()) =
+      delete;
 
   [[nodiscard]] bool supersedes_validation() const override {
     return next_ != nullptr && next_->supersedes_validation();

@@ -1,31 +1,23 @@
 #pragma once
 
-// Static prover: establishes, once per ScheduleIR, the phase
+// Static prover: establishes, once per ScheduleIR, the Section-4 phase
 // disciplines StepAuditor (analysis/step_auditor.hpp) re-checks
-// dynamically on every run.  The schedule is finite data, so a full
-// scan IS a proof — the checks are exhaustive over every phase and
-// pair, not sampled:
+// dynamically on every run — disjointness, locality (hop honesty) and
+// the two-value memory bound.  Both run the same per-pair checks,
+// PhaseDiscipline (analysis/phase_discipline.hpp), so static and
+// dynamic reports read identically.  The schedule is finite data, so a
+// full scan IS a proof: the checks are exhaustive over every phase and
+// pair, not sampled.
 //
-//   disjointness — no processor in two pairs of one phase, no pair
-//                  degenerate (parallel determinism premise);
-//   locality     — every pair differs in exactly one product dimension
-//                  (or, with allow_cross_dimension, any number) and the
-//                  charged hop covers the true factor/product distance
-//                  (hop honesty: CostModel::exec_steps is never
-//                  undercharged);
-//   memory       — Section 4's two-value bound: no processor resident
-//                  in more than one exchange per phase.
-//
-// A refuted property carries minimal counterexamples (first offending
-// phases/pairs, reusing the analysis layer's Violation format so static
-// and dynamic reports read identically).  A schedule whose proof is
+// A refuted property carries minimal counterexamples (its first
+// kMaxCounterexamples offending pairs).  A schedule whose proof is
 // clean can run with Machine::set_statically_audited(true), skipping
 // the Debug-default per-phase disjointness sweep.
 
 #include <cstdint>
 #include <vector>
 
-#include "analysis/step_auditor.hpp"  // Violation, ViolationKind
+#include "analysis/phase_discipline.hpp"
 #include "staticcheck/schedule_ir.hpp"
 
 namespace prodsort {
@@ -34,8 +26,10 @@ struct StaticProverOptions {
   /// NetworkS2 legitimately routes partners across both view dimensions
   /// charging the full product distance; mirror of the StepAuditor flag.
   bool allow_cross_dimension = false;
-  std::size_t max_counterexamples = 16;  ///< kept per property
 };
+
+/// Counterexamples kept per property; violation_count keeps counting.
+inline constexpr std::size_t kMaxCounterexamples = 16;
 
 /// One property's verdict: proven means the exhaustive schedule scan
 /// found zero violations (a proof, not a sample).

@@ -76,6 +76,9 @@ std::vector<std::vector<OutageWindow>> parse_domain_outages(
     if (domain < 0 || domain >= domains)
       throw std::invalid_argument("malformed outage token '" + token +
                                   "': domain out of range");
+    if (from < 0)
+      throw std::invalid_argument("malformed outage token '" + token +
+                                  "': negative from");
     if (until <= from)
       throw std::invalid_argument("malformed outage token '" + token +
                                   "': until <= from");
@@ -235,6 +238,9 @@ struct StreamingSorter::Impl {
     if (cfg.domains < 1) throw std::invalid_argument("stream: domains < 1");
     if (cfg.retry_limit < 1)
       throw std::invalid_argument("stream: retry_limit < 1");
+    if (cfg.backoff_base < 1 || cfg.backoff_cap < cfg.backoff_base)
+      throw std::invalid_argument(
+          "stream: backoff must satisfy 1 <= base <= cap");
     if (cfg.tear_rate < 0 || cfg.tear_rate >= 1)
       throw std::invalid_argument("stream: tear_rate outside [0, 1)");
     if (cfg.crash_rate < 0 || cfg.crash_rate >= 1)

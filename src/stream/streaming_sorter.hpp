@@ -109,7 +109,7 @@ struct StreamConfig {
 /// Parses the per-domain outage schedule ("D@FROM~UNTIL" joined by
 /// '+') into one window list per domain.  Throws std::invalid_argument
 /// naming the malformed token on junk, a domain outside [0, domains),
-/// or until <= from.
+/// a negative from, or until <= from.
 [[nodiscard]] std::vector<std::vector<OutageWindow>> parse_domain_outages(
     const std::string& schedule, int domains);
 

@@ -94,7 +94,8 @@ TEST(ScheduleRecorderTest, ChainsToNextObserver) {
 }
 
 TEST(ScheduleRecorderTest, PassiveRecorderDoesNotSupersedeValidation) {
-  ScheduleRecorder recorder(ProductGraph(labeled_path(3), 2));
+  const ProductGraph pg(labeled_path(3), 2);
+  ScheduleRecorder recorder(pg);
   EXPECT_FALSE(recorder.supersedes_validation());
 }
 
@@ -252,14 +253,16 @@ TEST(StaticProverTest, CounterexampleCapKeepsCounting) {
   const ProductGraph pg(labeled_path(3), 2);
   ScheduleIR ir;
   ir.num_nodes = pg.num_nodes();
-  const std::vector<CEPair> pairs(8, CEPair{0, 1});
+  // 20 copies of one pair: every copy after the first overlaps at both
+  // endpoints, so 38 findings per property against a cap of 16.
+  const std::vector<CEPair> pairs(20, CEPair{0, 1});
   ir.add_phase({.pairs = pairs});
 
-  StaticProverOptions options;
-  options.max_counterexamples = 2;
-  const StaticProof proof = prove_schedule(pg, ir, options);
-  EXPECT_EQ(proof.disjointness.counterexamples.size(), 2u);
-  EXPECT_GT(proof.disjointness.violation_count, 2);
+  const StaticProof proof = prove_schedule(pg, ir);
+  EXPECT_EQ(proof.disjointness.counterexamples.size(), kMaxCounterexamples);
+  EXPECT_EQ(proof.disjointness.violation_count, 38);
+  EXPECT_EQ(proof.memory.counterexamples.size(), kMaxCounterexamples);
+  EXPECT_EQ(proof.memory.violation_count, 38);
 }
 
 TEST(StaticProverTest, DegenerateSchedules) {

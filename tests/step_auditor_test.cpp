@@ -114,20 +114,6 @@ TEST(StepAuditorTest, CrossDimensionModeStillEnforcesCostHonesty) {
   EXPECT_EQ(only_kind(auditor), ViolationKind::kUnderchargedHop);
 }
 
-TEST(StepAuditorTest, FlagsMemoryDisciplineWhenDisjointnessOff) {
-  const ProductGraph pg = grid3();
-  AuditorConfig config;
-  config.throw_on_violation = false;
-  config.check_disjoint = false;  // memory check reports the overlap
-  StepAuditor auditor(pg, config);
-  Machine m(pg, iota_keys(pg.num_nodes()));
-  m.set_observer(&auditor);
-  const CEPair pairs[] = {{0, 1}, {1, 2}};
-  m.compare_exchange_step(pairs);
-  EXPECT_EQ(only_kind(auditor), ViolationKind::kMemoryDiscipline);
-  EXPECT_GE(auditor.stats().max_resident_values, 3);
-}
-
 TEST(StepAuditorTest, ThrowsOnViolationByDefault) {
   const ProductGraph pg = grid3();
   StepAuditor auditor(pg);  // throw_on_violation defaults to true
@@ -265,8 +251,6 @@ TEST(StepAuditorTest, BlockSortRunsCleanUnderFullAudit) {
 TEST(StepAuditorTest, ObserverSupersedesMachineDisjointCheck) {
   const ProductGraph pg = grid3();
   AuditorConfig config;
-  config.check_disjoint = false;
-  config.check_memory = false;
   config.throw_on_violation = false;
   StepAuditor auditor(pg, config);
   Machine m(pg, iota_keys(pg.num_nodes()));
@@ -274,6 +258,8 @@ TEST(StepAuditorTest, ObserverSupersedesMachineDisjointCheck) {
   m.set_observer(&auditor);    // ...but the observer owns the check now
   const CEPair pairs[] = {{0, 1}, {1, 2}};
   EXPECT_NO_THROW(m.compare_exchange_step(pairs));
+  // The overlap is the auditor's finding, recorded instead of thrown.
+  EXPECT_EQ(only_kind(auditor), ViolationKind::kOverlappingPair);
 }
 
 TEST(StepAuditorTest, SkipsLockstepReplayOnFaultyPhases) {

@@ -699,6 +699,12 @@ TEST(StreamingSorter, RejectsConfigsItCannotHonor) {
   cfg = small_config();
   cfg.tear_rate = 1.0;
   EXPECT_THROW(StreamingSorter(pg, cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.backoff_base = 0;  // 0 << k stays 0: no backoff at all
+  EXPECT_THROW(StreamingSorter(pg, cfg), std::invalid_argument);
+  cfg = small_config();
+  cfg.backoff_cap = cfg.backoff_base - 1;  // ceiling below the first delay
+  EXPECT_THROW(StreamingSorter(pg, cfg), std::invalid_argument);
   const ProductGraph line(factor, 1);
   EXPECT_THROW(StreamingSorter(line, small_config()), std::invalid_argument);
 }
@@ -720,7 +726,7 @@ TEST(DomainOutages, ParsesAndFormatsRoundTrip) {
 
 TEST(DomainOutages, RejectsMalformedTokensByName) {
   for (const char* bad : {"junk", "0@5", "0@5~", "0@5~5", "0@8~5", "2@1~2",
-                          "-1@1~2", "0@x~2", "0@1~2+garbage"}) {
+                          "-1@1~2", "0@x~2", "0@1~2+garbage", "0@-5~9"}) {
     try {
       (void)parse_domain_outages(bad, 2);
       FAIL() << "accepted malformed schedule: " << bad;

@@ -1,8 +1,9 @@
 # Runs a tool and compares its standard output with a checked-in golden
 # file, after deleting every line that starts with DROP (a line that
-# measures wall time and so varies from run to run).
+# measures wall time and so varies from run to run).  DROP is optional:
+# without it the whole output is compared.
 #
-#   cmake -DCOMMAND="<exe>;<arg>;..." -DDROP=<prefix> -DGOLDEN=<file>
+#   cmake -DCOMMAND="<exe>;<arg>;..." [-DDROP=<prefix>] -DGOLDEN=<file>
 #         -DACTUAL=<file> -P compare_output.cmake
 #
 # Fails when the tool exits nonzero or any kept line differs.  The kept
@@ -12,7 +13,9 @@
 execute_process(COMMAND ${COMMAND}
                 OUTPUT_VARIABLE output
                 RESULT_VARIABLE status)
-string(REGEX REPLACE "(^|\n)${DROP}[^\n]*\n" "\\1" output "${output}")
+if(DROP)
+  string(REGEX REPLACE "(^|\n)${DROP}[^\n]*\n" "\\1" output "${output}")
+endif()
 file(WRITE "${ACTUAL}" "${output}")
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${COMMAND} exited with status ${status}")
