@@ -22,6 +22,9 @@
 #        `push_heap`, `pop_heap`): a counted host operation's count
 #        feeds the virtual clock, so the code that defines it must be
 #        in-tree, not a library's comparison pattern;
+#      - no heap (`std::priority_queue`, `push_heap`, `pop_heap`) in
+#        src/ outside src/service/event_queue.hpp: every discrete-event
+#        loop takes its (time, kind, seq) order from the one EventQueue;
 #   2. clang-format --dry-run -Werror over the C++ sources;
 #   3. clang-tidy with the repo .clang-tidy over compile_commands.json;
 #   4. cppcheck with the documented suppression baseline.
@@ -93,6 +96,15 @@ if grep -n \
      "$repo/src/core/host_merge.cpp"; then
   note "lint: src/core/host_merge.cpp must not use a library sort or heap:"
   note "lint: its comparison count is the virtual clock's, defined in-tree"
+  status=1
+fi
+
+note "lint: checking that the event loops share one event queue"
+if grep -rn 'std::priority_queue\|push_heap\|pop_heap' "$repo/src" \
+     --include='*.cpp' --include='*.hpp' |
+     grep -v "^$repo/src/service/event_queue.hpp:"; then
+  note "lint: an event loop in src/ must order its events with EventQueue"
+  note "lint: (src/service/event_queue.hpp), not with a heap of its own"
   status=1
 fi
 

@@ -1,9 +1,12 @@
 #include "network/fault_model.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/hashing.hpp"
@@ -120,6 +123,24 @@ std::uint64_t parse_seed(const char* field, const std::string& value) {
   });
 }
 
+// A whole base-10 integer: no blanks, no '+', no suffix.
+bool parse_i64(std::string_view text, std::int64_t& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc{} && ptr == end;
+}
+
+// One outage window, "FROM~UNTIL" with 0 <= FROM < UNTIL: the window
+// grammar of a fault schedule's outages= list and of a domain outage
+// token alike.
+bool parse_window(std::string_view text, OutageWindow& w) {
+  const std::size_t tilde = text.find('~');
+  return tilde != std::string_view::npos &&
+         parse_i64(text.substr(0, tilde), w.from) &&
+         parse_i64(text.substr(tilde + 1), w.until) && w.from >= 0 &&
+         w.until > w.from;
+}
+
 }  // namespace
 
 CrashInterrupt::CrashInterrupt(PNode node, std::int64_t phase, bool permanent)
@@ -163,15 +184,65 @@ FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
   crash_fired_.assign(config_.crash_schedule.size(), 0);
 }
 
+std::int64_t outage_until(std::span<const OutageWindow> windows,
+                          std::int64_t now) noexcept {
+  std::int64_t until = now;
+  for (const OutageWindow& w : windows)
+    if (w.from <= now && now < w.until) until = std::max(until, w.until);
+  return until;
+}
+
+std::vector<std::vector<OutageWindow>> parse_domain_outages(
+    const std::string& schedule, int domains) {
+  if (domains < 1)
+    throw std::invalid_argument("parse_domain_outages: domains < 1");
+  std::vector<std::vector<OutageWindow>> windows(
+      static_cast<std::size_t>(domains));
+  if (schedule.empty()) return windows;
+  for (std::size_t pos = 0; pos <= schedule.size();) {
+    const std::size_t next = std::min(schedule.find('+', pos), schedule.size());
+    const std::string token = schedule.substr(pos, next - pos);
+    pos = next + 1;
+    const std::string_view text(token);
+    const std::size_t at = text.find('@');
+    std::int64_t domain = 0;
+    OutageWindow w;
+    if (at == std::string_view::npos ||
+        !parse_i64(text.substr(0, at), domain) ||
+        !parse_window(text.substr(at + 1), w))
+      throw std::invalid_argument("malformed outage token '" + token +
+                                  "': want D@FROM~UNTIL, 0 <= FROM < UNTIL");
+    if (domain < 0 || domain >= domains)
+      throw std::invalid_argument("malformed outage token '" + token +
+                                  "': domain out of range");
+    windows[static_cast<std::size_t>(domain)].push_back(w);
+  }
+  return windows;
+}
+
+std::string format_domain_outages(
+    const std::vector<std::vector<OutageWindow>>& windows) {
+  std::string out;
+  for (std::size_t d = 0; d < windows.size(); ++d) {
+    for (const OutageWindow& w : windows[d]) {
+      if (!out.empty()) out += '+';
+      char buf[96];
+      std::snprintf(buf, sizeof buf, "%zu@%" PRId64 "~%" PRId64, d, w.from,
+                    w.until);
+      out += buf;
+    }
+  }
+  return out;
+}
+
 bool FaultModel::outage_active(std::int64_t now) const noexcept {
-  return outage_until(now) != 0;  // every window ends after time 0
+  return prodsort::outage_until(config_.outage_schedule, now) > now;
 }
 
 std::int64_t FaultModel::outage_until(std::int64_t now) const noexcept {
-  std::int64_t until = 0;
-  for (const OutageWindow& w : config_.outage_schedule)
-    if (now >= w.from && now < w.until) until = std::max(until, w.until);
-  return until;
+  const std::int64_t until =
+      prodsort::outage_until(config_.outage_schedule, now);
+  return until > now ? until : 0;
 }
 
 void FaultModel::expand_bursts(PNode num_nodes) {
@@ -544,15 +615,10 @@ FaultConfig FaultModel::parse_schedule_string(const std::string& schedule) {
         const std::string entry = value.substr(
             at, plus == std::string::npos ? std::string::npos : plus - at);
         at = plus == std::string::npos ? value.size() : plus + 1;
-        const std::size_t tilde = entry.find('~');
-        if (tilde == std::string::npos) bad_token("outages", entry);
+        // A negative start or a zero/negative-width window is a
+        // corrupted token, not a shorter outage.
         OutageWindow w;
-        w.from = parse_count("outages", entry.substr(0, tilde));
-        w.until = parse_count("outages", entry.substr(tilde + 1));
-        // Same semantic checks as the constructor: a negative start or a
-        // zero/negative-width window is a corrupted token, not a shorter
-        // outage.
-        if (w.from < 0 || w.until <= w.from) bad_token("outages", entry);
+        if (!parse_window(entry, w)) bad_token("outages", entry);
         config.outage_schedule.push_back(w);
       }
     } else if (key == "bursts") {

@@ -116,6 +116,24 @@ struct OutageWindow {
   friend bool operator==(const OutageWindow&, const OutageWindow&) = default;
 };
 
+/// The latest `until` among the windows covering `now`, or `now` itself
+/// when none does: an outage is active at `now` iff the result exceeds
+/// `now`.
+[[nodiscard]] std::int64_t outage_until(std::span<const OutageWindow> windows,
+                                        std::int64_t now) noexcept;
+
+/// Parses a per-domain outage schedule ("D@FROM~UNTIL" joined by '+')
+/// into one window list per domain.  Throws std::invalid_argument
+/// naming the malformed token on junk, a domain outside [0, domains),
+/// a negative from, or until <= from.
+[[nodiscard]] std::vector<std::vector<OutageWindow>> parse_domain_outages(
+    const std::string& schedule, int domains);
+
+/// Inverse of parse_domain_outages (empty string for no windows);
+/// parse(format(x)) == x, the round-trip the fuzz tests pin.
+[[nodiscard]] std::string format_domain_outages(
+    const std::vector<std::vector<OutageWindow>>& windows);
+
 /// One correlated crash burst: `count` distinct seed-hashed processors
 /// all fail-stop at fault-clock phase `phase`.  The victims are chosen
 /// by expand_bursts() — a pure function of (seed, burst index), so every

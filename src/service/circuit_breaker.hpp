@@ -14,7 +14,9 @@
 // clears the consecutive-failure count.  All state changes are counted
 // so the ServiceReport can expose breaker churn per backend.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 namespace prodsort {
@@ -69,5 +71,31 @@ class CircuitBreaker {
   std::int64_t transitions_ = 0;
   std::int64_t times_opened_ = 0;
 };
+
+/// The idle-backend pick of every event loop: a backend whose breaker
+/// is not closed goes first (a half-open probe unblocks the backend
+/// for everyone), then a closed one.  Each pass scans the `count`
+/// slots round from `start`.  `breaker_of(slot)` returns the slot's
+/// breaker, or null while the slot is busy; `blocked(slot)` refuses a
+/// slot before its breaker is asked, since allows() moves an open
+/// breaker whose cooldown has elapsed to half-open.  Returns the slot
+/// picked, or -1.
+template <class BreakerOf, class Blocked>
+[[nodiscard]] int pick_backend(std::size_t count, std::size_t start,
+                               std::int64_t now, BreakerOf&& breaker_of,
+                               Blocked&& blocked) {
+  for (const bool half_open_pass : {true, false}) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t slot = (start + k) % count;
+      CircuitBreaker* breaker = breaker_of(slot);
+      if (breaker == nullptr) continue;
+      if ((breaker->state() != BreakerState::kClosed) != half_open_pass)
+        continue;
+      if (blocked(slot) || !breaker->allows(now)) continue;
+      return static_cast<int>(slot);
+    }
+  }
+  return -1;
+}
 
 }  // namespace prodsort

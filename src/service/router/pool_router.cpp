@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +10,7 @@
 #include "core/hashing.hpp"
 #include "core/sort_plan.hpp"
 #include "service/admission_queue.hpp"
+#include "service/event_queue.hpp"
 
 namespace prodsort {
 
@@ -31,22 +30,11 @@ double unit_draw(std::uint64_t seed, std::uint64_t stream, std::uint64_t id) {
   return hash_to_unit(mix64(mix64(seed, stream), id));
 }
 
+// Event ids are jobs (-1 for a probe tick); a completion's aux is its
+// backend, kFallbackBackend for the host.
+enum Kind { kArrival = 0, kCompletion = 1, kRequeue = 2, kProbeTick = 3 };
+
 }  // namespace
-
-struct PoolRouter::Event {
-  enum Kind { kArrival = 0, kCompletion = 1, kRequeue = 2, kProbeTick = 3 };
-  std::int64_t time = 0;
-  int kind = kArrival;
-  std::int64_t seq = 0;
-  std::int64_t job = -1;
-  int backend = -1;  ///< completion only; kFallbackBackend = host
-
-  friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.seq > b.seq;
-  }
-};
 
 PoolRouter::PoolRouter(const ProductGraph& pg, RouterConfig config,
                        std::vector<PoolSpec> pools, const S2Sorter* s2,
@@ -66,9 +54,7 @@ PoolRouter::PoolRouter(const ProductGraph& pg, RouterConfig config,
     throw std::invalid_argument("pool router job count must be >= 0");
   if (config_.retry_budget < 0)
     throw std::invalid_argument("pool router retry budget must be >= 0");
-  if (config_.backoff_base < 1 || config_.backoff_cap < config_.backoff_base)
-    throw std::invalid_argument(
-        "pool router backoff must satisfy 1 <= base <= cap");
+  check_backoff(config_.backoff_base, config_.backoff_cap, "pool router");
   if (!(config_.ewma_alpha > 0) || config_.ewma_alpha > 1)
     throw std::invalid_argument("pool router ewma_alpha must be in (0, 1]");
 
@@ -169,12 +155,7 @@ RouterReport PoolRouter::run() {
   double total_weight = 0;
   for (const Tenant& t : tenants) total_weight += t.spec.weight;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::int64_t seq = 0;
-  const auto push = [&](Event e) {
-    e.seq = seq++;
-    events.push(e);
-  };
+  EventQueue events;
 
   // --- open-loop arrival schedule (pure function of the seed) ----------
   const double pool_rate =
@@ -219,7 +200,7 @@ RouterReport PoolRouter::run() {
     report.jobs[static_cast<std::size_t>(id)].checksum =
         fingerprint_sequence(service_job_keys(pg_->num_nodes(), spec))
             .checksum;
-    push({spec.arrival, Event::kArrival, 0, id, -1});
+    events.push(spec.arrival, kArrival, id, -1);
   }
 
   // --- event loop -------------------------------------------------------
@@ -269,33 +250,26 @@ RouterReport PoolRouter::run() {
   /// True while the pool's fault domain is dark; queues the outage-end
   /// wake-up once per window so dispatch resumes the instant it lifts.
   const auto pool_in_outage = [&](Pool& p, std::int64_t now) -> bool {
-    if (!p.domain || !p.domain->outage_active(now)) return false;
-    const std::int64_t until = p.domain->outage_until(now);
+    const std::int64_t until = p.domain ? p.domain->outage_until(now) : 0;
+    if (until == 0) return false;
     if (p.outage_tick != until) {
       p.outage_tick = until;
-      push({until, Event::kProbeTick, 0, -1, -1});
+      events.push(until, kProbeTick, -1, -1);
     }
     return true;
   };
 
-  /// Free member of `p` whose breaker admits a dispatch at `now`:
-  /// half-open first (the probe unblocks the backend for everyone),
-  /// then closed, from the rotating cursor.  Returns the member index
-  /// within the pool, or -1.
+  /// Free member of `p` whose breaker admits a dispatch at `now`, from
+  /// the rotating cursor (pick_backend's order).  Returns the member
+  /// index within the pool, or -1.
   const auto free_member = [&](Pool& p, std::int64_t now) -> int {
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::size_t k = 0; k < p.members.size(); ++k) {
-        const std::size_t mi = (p.cursor + k) % p.members.size();
-        const auto b = static_cast<std::size_t>(p.members[mi]);
-        if (busy[b].has_value()) continue;
-        CircuitBreaker& breaker = backends_[b]->breaker();
-        const bool half_open_pass = breaker.state() != BreakerState::kClosed;
-        if ((pass == 0) != half_open_pass) continue;
-        if (!breaker.allows(now)) continue;
-        return static_cast<int>(mi);
-      }
-    }
-    return -1;
+    return pick_backend(
+        p.members.size(), p.cursor, now,
+        [&](std::size_t mi) -> CircuitBreaker* {
+          const auto b = static_cast<std::size_t>(p.members[mi]);
+          return busy[b] ? nullptr : &backends_[b]->breaker();
+        },
+        [](std::size_t) { return false; });
   };
 
   const auto all_breakers_open = [&]() {
@@ -348,7 +322,7 @@ RouterReport PoolRouter::run() {
     ++p.dispatched;
     ++jstate[static_cast<std::size_t>(job.id)].outstanding;
     busy[static_cast<std::size_t>(b)] = InFlight{job, result};
-    push({now + result.steps, Event::kCompletion, 0, job.id, b});
+    events.push(now + result.steps, kCompletion, job.id, b);
     p.cursor = (static_cast<std::size_t>(member) + 1) % p.members.size();
   };
 
@@ -410,8 +384,7 @@ RouterReport PoolRouter::run() {
         result.steps = std::max<std::int64_t>(1, stats.steps());
         ++jstate[static_cast<std::size_t>(job.id)].outstanding;
         fallback_busy = InFlight{job, result};
-        push({now + result.steps, Event::kCompletion, 0, job.id,
-              kFallbackBackend});
+        events.push(now + result.steps, kCompletion, job.id, kFallbackBackend);
         return;
       }
       // Nothing admits the job right now (outages, busy backends, or a
@@ -422,7 +395,7 @@ RouterReport PoolRouter::run() {
         shed(job, JobOutcome::kShedDeadline);
         return;
       }
-      push({now + config_.backoff_base, Event::kRequeue, 0, job.id, -1});
+      events.push(now + config_.backoff_base, kRequeue, job.id, -1);
       return;
     }
 
@@ -506,40 +479,39 @@ RouterReport PoolRouter::run() {
   };
 
   while (!events.empty()) {
-    const Event e = events.top();
-    events.pop();
+    const EventQueue::Event e = events.pop();
     report.horizon = std::max(report.horizon, e.time);
 
     switch (e.kind) {
-      case Event::kArrival:
-      case Event::kRequeue:
-        offer(record_of(e.job).spec, e.time);
+      case kArrival:
+      case kRequeue:
+        offer(record_of(e.id).spec, e.time);
         break;
 
-      case Event::kProbeTick:
+      case kProbeTick:
         dispatch_all(e.time);
         break;
 
-      case Event::kCompletion: {
+      case kCompletion: {
+        const int backend = e.aux;
         std::optional<InFlight>& slot =
-            e.backend == kFallbackBackend
+            backend == kFallbackBackend
                 ? fallback_busy
-                : busy[static_cast<std::size_t>(e.backend)];
+                : busy[static_cast<std::size_t>(backend)];
         const InFlight done = *slot;
         slot.reset();
         JobState& st = jstate[static_cast<std::size_t>(done.job.id)];
         Tenant& ten = tenants[static_cast<std::size_t>(done.job.tenant)];
         AttemptResult result = done.result;
 
-        if (e.backend != kFallbackBackend) {
+        if (backend != kFallbackBackend) {
           Pool& p = pools_[static_cast<std::size_t>(
-              pool_of_backend_[static_cast<std::size_t>(e.backend)])];
-          if (p.domain && p.domain->outage_active(e.time)) {
+              pool_of_backend_[static_cast<std::size_t>(backend)])];
+          if (pool_in_outage(p, e.time)) {
             // The domain went dark while this attempt was in flight:
             // its result is lost with the rack, success or not.
             result.success = false;
             ++p.outage_failures;
-            pool_in_outage(p, e.time);  // queue the outage-end wake-up
           }
           if (result.sdc_detected) {
             ++report.sdc_detected;
@@ -547,12 +519,12 @@ RouterReport PoolRouter::run() {
           }
           if (!result.success) ++p.failures;
           CircuitBreaker& breaker =
-              backends_[static_cast<std::size_t>(e.backend)]->breaker();
+              backends_[static_cast<std::size_t>(backend)]->breaker();
           const std::int64_t opened_before = breaker.times_opened();
           if (result.success) breaker.record_success();
           else breaker.record_failure(e.time);
           if (breaker.times_opened() > opened_before)
-            push({breaker.open_until(), Event::kProbeTick, 0, -1, -1});
+            events.push(breaker.open_until(), kProbeTick, -1, -1);
           const bool miss = !result.success || e.time > done.job.deadline;
           p.ewma = config_.ewma_alpha * (miss ? 1.0 : 0.0) +
                    (1.0 - config_.ewma_alpha) * p.ewma;
@@ -571,21 +543,19 @@ RouterReport PoolRouter::run() {
         if (result.success) {
           st.terminal = true;
           --ten.in_flight;
-          finish(done.job, e.time, e.backend, result,
-                 e.backend == kFallbackBackend);
+          finish(done.job, e.time, backend, result,
+                 backend == kFallbackBackend);
         } else if (st.outstanding > 0) {
           // A hedge partner is still flying; it decides the job.
         } else if (st.waves <= config_.retry_budget) {
           --ten.in_flight;
-          const std::int64_t delay = std::min(
-              config_.backoff_cap,
-              config_.backoff_base
-                  << std::min<std::int64_t>(st.waves - 1, 30));
-          push({e.time + delay, Event::kRequeue, 0, done.job.id, -1});
+          events.push(e.time + retry_backoff(config_.backoff_base,
+                                             config_.backoff_cap, st.waves),
+                      kRequeue, done.job.id, -1);
         } else {
           --ten.in_flight;
           record_of(done.job.id).outcome = JobOutcome::kFailed;
-          record_of(done.job.id).backend = e.backend;
+          record_of(done.job.id).backend = backend;
           ++report.failed;
         }
         dispatch_all(e.time);

@@ -117,7 +117,6 @@ class PoolRouter {
   [[nodiscard]] const SuspectLedger& ledger() const noexcept { return ledger_; }
 
  private:
-  struct Event;
   struct Pool {
     std::unique_ptr<FaultModel> domain;  ///< null = healthy domain
     std::vector<int> members;            ///< global backend indices

@@ -4,13 +4,11 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -22,6 +20,7 @@
 #include "durability/journal.hpp"
 #include "durability/spill_store.hpp"
 #include "service/backend.hpp"
+#include "service/event_queue.hpp"
 #include "service/service_types.hpp"
 #include "stream/memory_budget.hpp"
 #include "stream/recovery.hpp"
@@ -37,73 +36,7 @@ constexpr std::uint64_t kSampleSalt = 0x57ea3u;
 constexpr std::uint64_t kCrashSalt = 0xc7a54u;
 constexpr std::uint64_t kTearSalt = 0x7ea7u;
 
-std::int64_t parse_i64(std::string_view text, const std::string& token,
-                       const char* what) {
-  std::int64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || ptr != text.data() + text.size())
-    throw std::invalid_argument("malformed outage token '" + token +
-                                "': bad " + what);
-  return value;
-}
-
 }  // namespace
-
-std::vector<std::vector<OutageWindow>> parse_domain_outages(
-    const std::string& schedule, int domains) {
-  if (domains < 1)
-    throw std::invalid_argument("parse_domain_outages: domains < 1");
-  std::vector<std::vector<OutageWindow>> windows(
-      static_cast<std::size_t>(domains));
-  if (schedule.empty()) return windows;
-  std::size_t pos = 0;
-  while (pos <= schedule.size()) {
-    const std::size_t next = schedule.find('+', pos);
-    const std::string token = schedule.substr(
-        pos, next == std::string::npos ? std::string::npos : next - pos);
-    const std::size_t at = token.find('@');
-    const std::size_t tilde = token.find('~');
-    if (at == std::string::npos || tilde == std::string::npos || tilde < at)
-      throw std::invalid_argument("malformed outage token '" + token +
-                                  "': want D@FROM~UNTIL");
-    const std::int64_t domain =
-        parse_i64(std::string_view(token).substr(0, at), token, "domain");
-    const std::int64_t from = parse_i64(
-        std::string_view(token).substr(at + 1, tilde - at - 1), token, "from");
-    const std::int64_t until =
-        parse_i64(std::string_view(token).substr(tilde + 1), token, "until");
-    if (domain < 0 || domain >= domains)
-      throw std::invalid_argument("malformed outage token '" + token +
-                                  "': domain out of range");
-    if (from < 0)
-      throw std::invalid_argument("malformed outage token '" + token +
-                                  "': negative from");
-    if (until <= from)
-      throw std::invalid_argument("malformed outage token '" + token +
-                                  "': until <= from");
-    windows[static_cast<std::size_t>(domain)].push_back(
-        OutageWindow{from, until});
-    if (next == std::string::npos) break;
-    pos = next + 1;
-  }
-  return windows;
-}
-
-std::string format_domain_outages(
-    const std::vector<std::vector<OutageWindow>>& windows) {
-  std::string out;
-  for (std::size_t d = 0; d < windows.size(); ++d) {
-    for (const OutageWindow& w : windows[d]) {
-      if (!out.empty()) out += '+';
-      char buf[96];
-      std::snprintf(buf, sizeof buf, "%zu@%" PRId64 "~%" PRId64, d, w.from,
-                    w.until);
-      out += buf;
-    }
-  }
-  return out;
-}
 
 struct StreamingSorter::Impl {
   struct Run {
@@ -127,21 +60,10 @@ struct StreamingSorter::Impl {
   // must move the key vectors (keeping their buffers), never copy them.
   static_assert(std::is_nothrow_move_constructible_v<Run>);
 
+  // Event ids: batch (arrival), run (completion/requeue), range
+  // (merge-done); -1 = dispatch poke.  aux: completion: backend;
+  // merge-done: 1 = torn.
   enum Kind { kArrival = 0, kCompletion = 1, kMergeDone = 2, kRequeue = 3 };
-
-  struct Event {
-    std::int64_t time = 0;
-    int kind = 0;
-    std::int64_t seq = 0;
-    std::int64_t id = 0;  ///< batch (arrival), run (completion/requeue),
-                          ///< range (merge-done); -1 = dispatch poke
-    int aux = 0;          ///< completion: backend; merge-done: 1 = torn
-    [[nodiscard]] bool operator>(const Event& o) const {
-      if (time != o.time) return time > o.time;
-      if (kind != o.kind) return kind > o.kind;
-      return seq > o.seq;
-    }
-  };
 
   struct InFlight {
     std::int64_t run = 0;
@@ -172,8 +94,7 @@ struct StreamingSorter::Impl {
   std::int64_t spill_used = 0;
   std::int64_t spill_high = 0;
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::int64_t seq = 0;
+  EventQueue events;
   std::int64_t next_poke = -1;
 
   std::vector<Key> splitters;
@@ -238,9 +159,7 @@ struct StreamingSorter::Impl {
     if (cfg.domains < 1) throw std::invalid_argument("stream: domains < 1");
     if (cfg.retry_limit < 1)
       throw std::invalid_argument("stream: retry_limit < 1");
-    if (cfg.backoff_base < 1 || cfg.backoff_cap < cfg.backoff_base)
-      throw std::invalid_argument(
-          "stream: backoff must satisfy 1 <= base <= cap");
+    check_backoff(cfg.backoff_base, cfg.backoff_cap, "stream:");
     if (cfg.tear_rate < 0 || cfg.tear_rate >= 1)
       throw std::invalid_argument("stream: tear_rate outside [0, 1)");
     if (cfg.crash_rate < 0 || cfg.crash_rate >= 1)
@@ -300,11 +219,6 @@ struct StreamingSorter::Impl {
         init_from_recovery();
       }
     }
-  }
-
-  void push(Event e) {
-    e.seq = seq++;
-    events.push(e);
   }
 
   // --- spill accounting (the model's disk; never budget-gated) ----------
@@ -612,18 +526,10 @@ struct StreamingSorter::Impl {
     journal->rewrite(live_records());
   }
 
-  // --- outage windows ----------------------------------------------------
-  [[nodiscard]] bool domain_in_outage(int d, std::int64_t now) const {
-    for (const OutageWindow& w : outages[static_cast<std::size_t>(d)])
-      if (w.from <= now && now < w.until) return true;
-    return false;
-  }
-  [[nodiscard]] std::int64_t domain_outage_until(int d,
-                                                 std::int64_t now) const {
-    std::int64_t until = now;
-    for (const OutageWindow& w : outages[static_cast<std::size_t>(d)])
-      if (w.from <= now && now < w.until) until = std::max(until, w.until);
-    return until;
+  /// The end of the outage darkening backend i's domain at `now`, or
+  /// `now` when its domain is up.
+  [[nodiscard]] std::int64_t dark_until(std::size_t i, std::int64_t now) const {
+    return outage_until(outages[i % static_cast<std::size_t>(domains)], now);
   }
 
   // --- ingest ------------------------------------------------------------
@@ -803,24 +709,17 @@ struct StreamingSorter::Impl {
   // --- dispatch ----------------------------------------------------------
   void try_dispatch(std::int64_t now) {
     while (!ready.empty()) {
-      int target = -1;
       bool outage_blocked = false;
-      // Half-open probes first, then closed breakers (service order).
-      for (int pass = 0; pass < 2 && target < 0; ++pass) {
-        for (int i = 0; i < cfg.backends; ++i) {
-          if (busy[static_cast<std::size_t>(i)].has_value()) continue;
-          CircuitBreaker& breaker = backends[static_cast<std::size_t>(i)]->breaker();
-          const bool half_open_pass = breaker.state() != BreakerState::kClosed;
-          if ((pass == 0) != half_open_pass) continue;
-          if (domain_in_outage(i % domains, now)) {
-            outage_blocked = true;
-            continue;
-          }
-          if (!breaker.allows(now)) continue;
-          target = i;
-          break;
-        }
-      }
+      const int target = pick_backend(
+          busy.size(), 0, now,
+          [&](std::size_t i) -> CircuitBreaker* {
+            return busy[i] ? nullptr : &backends[i]->breaker();
+          },
+          [&](std::size_t i) {
+            const bool dark = dark_until(i, now) > now;
+            outage_blocked = outage_blocked || dark;
+            return dark;
+          });
       if (target < 0) {
         if (outage_blocked) ++report.outage_refusals;
         schedule_poke(now);
@@ -872,20 +771,20 @@ struct StreamingSorter::Impl {
     const std::int64_t completion = now + result.steps;
     busy[static_cast<std::size_t>(backend)] =
         InFlight{run.id, std::move(result), now};
-    push({completion, kCompletion, 0, run.id, backend});
+    events.push(completion, kCompletion, run.id, backend);
   }
 
-  void on_completion(const Event& e, std::int64_t now) {
-    InFlight fl = std::move(*busy[static_cast<std::size_t>(e.aux)]);
-    busy[static_cast<std::size_t>(e.aux)].reset();
-    SortBackend& be = *backends[static_cast<std::size_t>(e.aux)];
+  void on_completion(std::size_t b, std::int64_t now) {
+    InFlight fl = std::move(*busy[b]);
+    busy[b].reset();
+    SortBackend& be = *backends[b];
     Run& run = runs[static_cast<std::size_t>(fl.run)];
 
     bool success = fl.result.success;
     // PoolRouter semantics: a completion landing inside its domain's
     // outage window is lost — the work happened, the result did not
     // make it out of the dark rack.
-    if (success && domain_in_outage(e.aux % domains, now)) {
+    if (success && dark_until(b, now) > now) {
       success = false;
       ++report.outage_failures;
     }
@@ -941,10 +840,9 @@ struct StreamingSorter::Impl {
         ++report.runs_failed;
         failed = true;
       } else {
-        const std::int64_t backoff =
-            std::min(cfg.backoff_cap,
-                     cfg.backoff_base << std::min(run.attempts - 1, 30));
-        push({now + std::max<std::int64_t>(1, backoff), kRequeue, 0, run.id, 0});
+        events.push(now + retry_backoff(cfg.backoff_base, cfg.backoff_cap,
+                                        run.attempts),
+                    kRequeue, run.id, 0);
       }
     }
     try_dispatch(now);
@@ -952,20 +850,19 @@ struct StreamingSorter::Impl {
 
   void schedule_poke(std::int64_t now) {
     std::int64_t wake = std::numeric_limits<std::int64_t>::max();
-    for (int i = 0; i < cfg.backends; ++i) {
-      if (busy[static_cast<std::size_t>(i)].has_value()) continue;
-      if (domain_in_outage(i % domains, now))
-        wake = std::min(wake, domain_outage_until(i % domains, now));
-      else if (backends[static_cast<std::size_t>(i)]->breaker().state() ==
-               BreakerState::kOpen)
-        wake = std::min(
-            wake, backends[static_cast<std::size_t>(i)]->breaker().open_until());
+    for (std::size_t i = 0; i < busy.size(); ++i) {
+      if (busy[i].has_value()) continue;
+      const std::int64_t dark = dark_until(i, now);
+      if (dark > now)
+        wake = std::min(wake, dark);
+      else if (backends[i]->breaker().state() == BreakerState::kOpen)
+        wake = std::min(wake, backends[i]->breaker().open_until());
     }
     if (wake == std::numeric_limits<std::int64_t>::max()) return;
     wake = std::max(wake, now + 1);
     if (wake == next_poke) return;
     next_poke = wake;
-    push({wake, kRequeue, 0, -1, 0});
+    events.push(wake, kRequeue, -1, 0);
   }
 
   // --- egress ------------------------------------------------------------
@@ -1031,10 +928,10 @@ struct StreamingSorter::Impl {
         tear ? std::max<std::int64_t>(1, steps / 2)
              : std::max<std::int64_t>(1, steps);
     pending = std::move(pm);
-    push({now + duration, kMergeDone, 0, r, tear ? 1 : 0});
+    events.push(now + duration, kMergeDone, r, tear ? 1 : 0);
   }
 
-  void on_merge_done(const Event& e, std::int64_t now) {
+  void on_merge_done(bool torn, std::int64_t now) {
     merge_busy = false;
     // `pending` stays set until the range's keys on emitted's tail are
     // sealed or truncated away.
@@ -1042,7 +939,7 @@ struct StreamingSorter::Impl {
     ram.release(pm.cursor_bytes);
     report.merge_steps += now - pm.started;
 
-    if (e.aux == 1) {
+    if (torn) {
       // Torn merge: the partial output is discarded, the pipeline rolls
       // back to the last sealed range, and the range re-merges from the
       // retained sorted runs in spill.  Half the merge work was burned
@@ -1107,8 +1004,7 @@ struct StreamingSorter::Impl {
 
   void drain_events() {
     while (!events.empty()) {
-      const Event e = events.top();
-      events.pop();
+      const EventQueue::Event e = events.pop();
       const std::int64_t now = e.time;
       if (e.kind == kRequeue && e.id == -1 && next_poke == e.time)
         next_poke = -1;
@@ -1118,16 +1014,14 @@ struct StreamingSorter::Impl {
           try_dispatch(now);
           break;
         case kCompletion:
-          on_completion(e, now);
+          on_completion(static_cast<std::size_t>(e.aux), now);
           break;
         case kRequeue:
           if (e.id >= 0) ready.push_back(e.id);
           try_dispatch(now);
           break;
         case kMergeDone:
-          on_merge_done(e, now);
-          break;
-        default:
+          on_merge_done(e.aux == 1, now);
           break;
       }
       if (flushed) try_start_merge(now);
@@ -1139,11 +1033,11 @@ struct StreamingSorter::Impl {
     if (flushed) {
       // Recovered post-flush: no batch ever re-arrives; one poke at
       // t=0 kicks dispatch of the reloaded runs and the egress chain.
-      push({0, kRequeue, 0, -1, 0});
+      events.push(0, kRequeue, -1, 0);
     } else {
       for (int b = 0; b < cfg.batches; ++b)
-        push({static_cast<std::int64_t>(b) * cfg.batch_interval, kArrival, 0,
-              b, 0});
+        events.push(static_cast<std::int64_t>(b) * cfg.batch_interval, kArrival,
+                    b, 0);
     }
 
     try {

@@ -56,7 +56,7 @@
 
 #include "core/multiway_merge.hpp"  // Key
 #include "durability/io_faults.hpp"
-#include "network/fault_model.hpp"  // OutageWindow
+#include "network/fault_model.hpp"  // parse_domain_outages
 #include "product/product_graph.hpp"
 #include "service/circuit_breaker.hpp"
 #include "stream/stream_report.hpp"
@@ -105,18 +105,6 @@ struct StreamConfig {
   IoFaultConfig io_faults;
   std::int64_t kill_after_records = 0;
 };
-
-/// Parses the per-domain outage schedule ("D@FROM~UNTIL" joined by
-/// '+') into one window list per domain.  Throws std::invalid_argument
-/// naming the malformed token on junk, a domain outside [0, domains),
-/// a negative from, or until <= from.
-[[nodiscard]] std::vector<std::vector<OutageWindow>> parse_domain_outages(
-    const std::string& schedule, int domains);
-
-/// Inverse of parse_domain_outages (empty string for no windows);
-/// parse(format(x)) == x, the round-trip the fuzz tests pin.
-[[nodiscard]] std::string format_domain_outages(
-    const std::vector<std::vector<OutageWindow>>& windows);
 
 class StreamingSorter {
  public:

@@ -226,6 +226,18 @@ TEST(ReportGolden, JournaledStreamReportIsPinned) {
                 {0x21e9745a5ec69056ULL, 0x35af56e2a4fbe15bULL});
 }
 
+// Both domains go dark in overlapping windows, so dispatch is refused
+// and in-flight runs are lost to an outage.
+TEST(ReportGolden, OutageStreamReportIsPinned) {
+  StreamConfig cfg = small_stream();
+  cfg.outage = "0@40~200+1@150~320";
+  const StreamReport report = run_stream(cfg);
+  EXPECT_TRUE(report.conserved());
+  EXPECT_GT(report.outage_refusals + report.outage_failures, 0);
+  expect_pinned(report.hash(), report.json(),
+                {0x1ee202bb802ed87eULL, 0x8e7f55dd913a3e08ULL});
+}
+
 // --- ServiceReport ---------------------------------------------------------
 
 // golden_config / golden_backends of SortServiceGoldenTest: EDF,

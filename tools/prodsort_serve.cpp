@@ -95,7 +95,7 @@ struct ServeArgs {
   std::string json_path;    ///< write the report JSON here
   int pools = 0;            ///< >0 switches to the federated PoolRouter
   int tenants = 1;          ///< equal-weight tenants (router path)
-  std::vector<std::string> outages;  ///< raw P@F~U tokens
+  std::string outage;       ///< P@F~U tokens joined by '+'
   bool failover = true;
   bool hedge = true;
 };
@@ -222,53 +222,35 @@ ServeRun run_service(const ServeArgs& args, std::int64_t* mean_out) {
   return run;
 }
 
-/// One "P@F~U" outage token: pool P dark over [F*mean, U*mean).
-struct OutageToken {
-  int pool = 0;
-  std::int64_t from = 0;   ///< in mean-service-step multiples
-  std::int64_t until = 0;  ///< exclusive, same unit
-};
-
-OutageToken parse_outage_token(const std::string& token, int pools) {
-  int pool = 0;
-  long long from = 0;
-  long long until = 0;
-  char trail = 0;
-  if (std::sscanf(token.c_str(), "%d@%lld~%lld%c", &pool, &from, &until,
-                  &trail) != 3 ||
-      pool < 0 || pool >= pools || from < 0 || until <= from)
-    throw std::invalid_argument("--outage: bad token '" + token +
-                                "' (want P@F~U with 0 <= P < pools, U > F)");
-  return OutageToken{pool, from, until};
-}
-
 /// The federated pool specs: every pool gets the derived member
 /// schedules of build_backends under a pool-mixed seed, plus a domain
-/// schedule carrying its --outage windows (scaled by the probed mean).
+/// schedule carrying its --outage windows.  A "P@F~U" token darkens
+/// pool P over [F*mean, U*mean), scaled by the probed mean.
 std::vector<PoolSpec> build_pools(const ServeArgs& args, std::int64_t mean,
                                   PNode nodes) {
+  const std::vector<std::vector<OutageWindow>> outages =
+      parse_domain_outages(args.outage, args.pools);
   std::vector<PoolSpec> pools(static_cast<std::size_t>(args.pools));
   for (int p = 0; p < args.pools; ++p) {
+    const auto pu = static_cast<std::uint64_t>(p);
+    PoolSpec& pool = pools[static_cast<std::size_t>(p)];
     ServeArgs member_args = args;
-    member_args.seed = mix64(args.seed, 0xF00D + static_cast<std::uint64_t>(p));
-    pools[static_cast<std::size_t>(p)].backends =
-        build_backends(member_args, mean, nodes);
-  }
-  for (const std::string& token : args.outages) {
-    const OutageToken o = parse_outage_token(token, args.pools);
-    std::string& schedule =
-        pools[static_cast<std::size_t>(o.pool)].domain_schedule;
-    char window[64];
-    std::snprintf(window, sizeof window, "%lld~%lld",
-                  static_cast<long long>(o.from * mean),
-                  static_cast<long long>(o.until * mean));
-    if (schedule.empty()) {
-      char head[64];
-      std::snprintf(head, sizeof head, "seed=%" PRIu64 ",outages=",
-                    mix64(args.seed, static_cast<std::uint64_t>(o.pool)));
-      schedule = std::string(head) + window;
-    } else {
-      schedule += std::string("+") + window;
+    member_args.seed = mix64(args.seed, 0xF00D + pu);
+    pool.backends = build_backends(member_args, mean, nodes);
+    for (const OutageWindow& w : outages[static_cast<std::size_t>(p)]) {
+      char window[96];
+      std::snprintf(window, sizeof window, "%lld~%lld",
+                    static_cast<long long>(w.from * mean),
+                    static_cast<long long>(w.until * mean));
+      if (pool.domain_schedule.empty()) {
+        char head[64];
+        std::snprintf(head, sizeof head, "seed=%" PRIu64 ",outages=",
+                      mix64(args.seed, pu));
+        pool.domain_schedule = head;
+      } else {
+        pool.domain_schedule += '+';
+      }
+      pool.domain_schedule += window;
     }
   }
   return pools;
@@ -336,24 +318,23 @@ RouterRun run_router(const ServeArgs& args, std::int64_t* mean_out) {
   return run;
 }
 
-void print_router_repro(const ServeArgs& args, const RouterRun& run) {
-  std::string outage;
-  for (const std::string& token : args.outages) {
-    if (!outage.empty()) outage += '+';
-    outage += token;
-  }
+/// The SERVICE-REPRO line; a federated run (pools > 0) adds its
+/// pools= tenants= failover= hedge= and outage= tokens.
+void print_repro(const ServeArgs& args, std::uint64_t ledger_hash,
+                 std::uint64_t hash) {
   std::printf("SERVICE-REPRO seed=%" PRIu64
               " jobs=%lld load=%g policy=%s backends=%d faulty=%d tmr=%d"
-              " queue=%zu retry=%d size=%d dims=%d threads=%d"
-              " pools=%d tenants=%d failover=%d hedge=%d",
+              " queue=%zu retry=%d size=%d dims=%d threads=%d",
               args.seed, static_cast<long long>(args.jobs), args.load,
               args.policy.c_str(), args.backends, args.faulty, args.tmr,
-              args.queue_cap, args.retry, args.size, args.dims, args.threads,
-              args.pools, args.tenants, args.failover ? 1 : 0,
-              args.hedge ? 1 : 0);
-  if (!outage.empty()) std::printf(" outage=%s", outage.c_str());
+              args.queue_cap, args.retry, args.size, args.dims, args.threads);
+  if (args.pools > 0) {
+    std::printf(" pools=%d tenants=%d failover=%d hedge=%d", args.pools,
+                args.tenants, args.failover ? 1 : 0, args.hedge ? 1 : 0);
+    if (!args.outage.empty()) std::printf(" outage=%s", args.outage.c_str());
+  }
   std::printf(" sdc-budget=%g ledger=%" PRIu64 " hash=%" PRIu64 "\n",
-              args.sdc_budget, run.ledger_hash, run.report.hash());
+              args.sdc_budget, ledger_hash, hash);
 }
 
 /// Federated soak gate: conservation across pools and tenants, the
@@ -386,17 +367,6 @@ int check_router_invariants(const ServeArgs& args,
     ++violations;
   }
   return violations;
-}
-
-void print_repro(const ServeArgs& args, const ServeRun& run) {
-  std::printf("SERVICE-REPRO seed=%" PRIu64
-              " jobs=%lld load=%g policy=%s backends=%d faulty=%d tmr=%d"
-              " queue=%zu retry=%d size=%d dims=%d threads=%d"
-              " sdc-budget=%g ledger=%" PRIu64 " hash=%" PRIu64 "\n",
-              args.seed, static_cast<long long>(args.jobs), args.load,
-              args.policy.c_str(), args.backends, args.faulty, args.tmr,
-              args.queue_cap, args.retry, args.size, args.dims, args.threads,
-              args.sdc_budget, run.ledger_hash, run.report.hash());
 }
 
 /// Soak gate: the invariants CI asserts under sanitizers at overload.
@@ -461,17 +431,7 @@ int run_repro(const std::string& line, const std::string& ledger_path) {
     args.failover =
         !repro.has("failover") || std::stoi(repro.get("failover")) != 0;
     args.hedge = !repro.has("hedge") || std::stoi(repro.get("hedge")) != 0;
-    if (repro.has("outage")) {
-      // P@F~U tokens joined by '+'.
-      const std::string joined = repro.get("outage");
-      std::size_t start = 0;
-      for (std::size_t i = 0; i <= joined.size(); ++i) {
-        if (i == joined.size() || joined[i] == '+') {
-          if (i > start) args.outages.push_back(joined.substr(start, i - start));
-          start = i + 1;
-        }
-      }
-    }
+    if (repro.has("outage")) args.outage = repro.get("outage");
     const RouterRun run = run_router(args, nullptr);
     if (run.report.hash() == expected && run.ledger_hash == expected_ledger) {
       std::printf("repro: federated schedule replayed bit-identically"
@@ -526,7 +486,10 @@ int main(int argc, char** argv) {
     else if (has_value("--json")) args.json_path = argv[++i];
     else if (has_value("--pools")) args.pools = std::atoi(argv[++i]);
     else if (has_value("--tenants")) args.tenants = std::atoi(argv[++i]);
-    else if (has_value("--outage")) args.outages.emplace_back(argv[++i]);
+    else if (has_value("--outage")) {
+      if (!args.outage.empty()) args.outage += '+';
+      args.outage += argv[++i];
+    }
     else if (std::strcmp(argv[i], "--no-failover") == 0) args.failover = false;
     else if (std::strcmp(argv[i], "--no-hedge") == 0) args.hedge = false;
     else if (std::strcmp(argv[i], "--soak") == 0) {
@@ -584,7 +547,7 @@ int main(int argc, char** argv) {
                     static_cast<long long>(report.cert_escalations),
                     run.ledger_hash);
       }
-      print_router_repro(args, run);
+      print_repro(args, run.ledger_hash, report.hash());
       if (!args.json_path.empty() &&
           !write_file(args.json_path, report.json()))
         std::fprintf(stderr, "warning: could not write %s\n",
@@ -622,7 +585,7 @@ int main(int argc, char** argv) {
                   static_cast<long long>(report.cert_escalations),
                   run.ledger_hash);
     }
-    print_repro(args, run);
+    print_repro(args, run.ledger_hash, report.hash());
     if (!args.json_path.empty() && !write_file(args.json_path, report.json()))
       std::fprintf(stderr, "warning: could not write %s\n",
                    args.json_path.c_str());
