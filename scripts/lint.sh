@@ -25,6 +25,10 @@
 #      - no heap (`std::priority_queue`, `push_heap`, `pop_heap`) in
 #        src/ outside src/service/event_queue.hpp: every discrete-event
 #        loop takes its (time, kind, seq) order from the one EventQueue;
+#      - no printf format in tools/ that holds both `-REPRO ` and `=%`
+#        outside tools/repro_line.hpp: every replay line is printed by
+#        the one writer from its struct's declared token list, so a
+#        printed line always replays;
 #   2. clang-format --dry-run -Werror over the C++ sources;
 #   3. clang-tidy with the repo .clang-tidy over compile_commands.json;
 #   4. cppcheck with the documented suppression baseline.
@@ -105,6 +109,16 @@ if grep -rn 'std::priority_queue\|push_heap\|pop_heap' "$repo/src" \
      grep -v "^$repo/src/service/event_queue.hpp:"; then
   note "lint: an event loop in src/ must order its events with EventQueue"
   note "lint: (src/service/event_queue.hpp), not with a heap of its own"
+  status=1
+fi
+
+note "lint: checking that REPRO lines come from the one writer"
+# shellcheck disable=SC2046
+if grep -n -e '-REPRO .*=%' $(find "$repo/tools" -name '*.cpp' -o \
+                                -name '*.hpp' | grep -v '/repro_line\.hpp$' |
+                                sort); then
+  note "lint: print a REPRO line with format_repro() over the struct's"
+  note "lint: declared tokens (tools/repro_line.hpp), not with a format"
   status=1
 fi
 

@@ -7,25 +7,12 @@
 namespace prodsort {
 
 bool RouterReport::conserved() const {
-  const std::int64_t terminal = completed_on_time + completed_late +
-                                shed_queue_full + shed_deadline + failed;
-  if (terminal != offered) return false;
-  if (static_cast<std::int64_t>(jobs.size()) != offered) return false;
-
   std::int64_t submitted = 0;
   for (const TenantStats& t : tenants) {
     if (!t.conserved()) return false;
     submitted += t.submitted;
   }
-  if (submitted != offered) return false;
-
-  for (const JobRecord& job : jobs) {
-    if (job.outcome == JobOutcome::kPending) return false;
-    const bool completed = job.outcome == JobOutcome::kOnTime ||
-                           job.outcome == JobOutcome::kLate;
-    if (completed && !job.verified) return false;
-  }
-  return true;
+  return submitted == offered && ServiceCounters::conserved();
 }
 
 std::uint64_t RouterReport::hash() const { return HashFold::of(*this); }

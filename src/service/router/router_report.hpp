@@ -96,32 +96,11 @@ struct PoolHealth {
   }
 };
 
-struct RouterReport {
-  std::uint64_t seed = 0;
-  std::int64_t offered = 0;
-  std::int64_t completed_on_time = 0;
-  std::int64_t completed_late = 0;
-  std::int64_t shed_queue_full = 0;
-  std::int64_t shed_deadline = 0;
-  std::int64_t failed = 0;
-  std::int64_t retries = 0;       ///< re-dispatch waves beyond the first
+struct RouterReport : ServiceCounters {
   std::int64_t hedged_jobs = 0;   ///< waves that dispatched a second pool
   std::int64_t failovers = 0;     ///< placements off the ring-primary pool
-  std::int64_t fallback_jobs = 0;
-  std::int64_t degraded_jobs = 0;
-  std::int64_t verified_jobs = 0;
-  std::int64_t sdc_detected = 0;
-  std::int64_t sdc_failures = 0;
-  std::int64_t cert_escalations = 0;
-  double sdc_budget = 0;
-  std::uint64_t ledger_hash = 0;
-  std::int64_t breaker_transitions = 0;
-  std::int64_t horizon = 0;
-  LatencyStats latency;  ///< all completed jobs, tenants pooled
-  double goodput = 0;
   std::vector<TenantStats> tenants;
   std::vector<PoolHealth> pools;
-  std::vector<JobRecord> jobs;  ///< per-job audit trail, by job id
 
   static void fields(auto& v, auto& self) {
     v("seed", self.seed);
@@ -155,7 +134,8 @@ struct RouterReport {
     v.hash_only("jobs", self.jobs, /*with_tenant=*/true);
   }
 
-  /// The federated conservation invariant (header comment).
+  /// The federated conservation invariant (header comment): the
+  /// shared check plus every tenant's sum.
   [[nodiscard]] bool conserved() const;
 
   /// Order-sensitive fold of every declared field except goodput and

@@ -33,7 +33,7 @@ LatencyStats latency_stats(std::vector<std::int64_t> latencies) {
   return stats;
 }
 
-bool ServiceReport::conserved() const {
+bool ServiceCounters::conserved() const {
   const std::int64_t terminal = completed_on_time + completed_late +
                                 shed_queue_full + shed_deadline + failed;
   if (terminal != offered) return false;

@@ -45,29 +45,9 @@ SortService::~SortService() = default;
 ServiceReport SortService::run() {
   RouterReport routed = router_->run();
   ServiceReport report;
-  report.seed = routed.seed;
-  report.offered = routed.offered;
-  report.completed_on_time = routed.completed_on_time;
-  report.completed_late = routed.completed_late;
-  report.shed_queue_full = routed.shed_queue_full;
-  report.shed_deadline = routed.shed_deadline;
-  report.failed = routed.failed;
-  report.retries = routed.retries;
-  report.fallback_jobs = routed.fallback_jobs;
-  report.degraded_jobs = routed.degraded_jobs;
-  report.verified_jobs = routed.verified_jobs;
-  report.sdc_detected = routed.sdc_detected;
-  report.sdc_failures = routed.sdc_failures;
-  report.cert_escalations = routed.cert_escalations;
-  report.sdc_budget = routed.sdc_budget;
-  report.ledger_hash = routed.ledger_hash;
-  report.breaker_transitions = routed.breaker_transitions;
   report.queue_high_water = routed.tenants[0].queue_high_water;
-  report.horizon = routed.horizon;
-  report.latency = routed.latency;
-  report.goodput = routed.goodput;
   report.backends = std::move(routed.pools[0].backends);
-  report.jobs = std::move(routed.jobs);
+  static_cast<ServiceCounters&>(report) = std::move(routed);
   return report;
 }
 

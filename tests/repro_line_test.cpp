@@ -1,13 +1,17 @@
-// Unit coverage for the shared REPRO-line parser (tools/repro_line.hpp)
-// that prodsort_stress, prodsort_serve, and prodsort_stream all replay
-// through, plus the typed STREAM-REPRO round trip (tools/stream_repro.hpp).
+// Unit coverage for the one REPRO grammar (tools/repro_line.hpp) that
+// every tool prints and replays through: the tokenizer, the writer and
+// reader over a struct's declared tokens, and the typed STREAM-REPRO
+// round trip (tools/stream_repro.hpp).
 
 #include "repro_line.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "stream_repro.hpp"
 
@@ -140,7 +144,7 @@ StreamRepro sample_stream_repro() {
 
 TEST(StreamRepro, FormatParseRoundTripsEveryField) {
   const StreamRepro r = sample_stream_repro();
-  const StreamRepro p = parse_stream_repro(format_stream_repro(r));
+  const StreamRepro p = parse_repro<StreamRepro>(format_repro(r));
   EXPECT_EQ(p.config.seed, r.config.seed);
   EXPECT_EQ(p.config.batches, r.config.batches);
   EXPECT_EQ(p.config.batch_keys, r.config.batch_keys);
@@ -173,14 +177,14 @@ TEST(StreamRepro, FormatParseRoundTripsEveryField) {
 TEST(StreamRepro, EmptyOutageIsOmittedAndParsesBack) {
   StreamRepro r = sample_stream_repro();
   r.config.outage.clear();
-  const std::string line = format_stream_repro(r);
+  const std::string line = format_repro(r);
   EXPECT_EQ(line.find("outage="), std::string::npos);
-  EXPECT_TRUE(parse_stream_repro(line).config.outage.empty());
+  EXPECT_TRUE(parse_repro<StreamRepro>(line).config.outage.empty());
 }
 
 TEST(StreamRepro, MissingRequiredTokenNamesTheKey) {
   try {
-    (void)parse_stream_repro("STREAM-REPRO seed=7 batches=3");
+    (void)parse_repro<StreamRepro>("STREAM-REPRO seed=7 batches=3");
     FAIL() << "accepted a line with most tokens missing";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("batch="), std::string::npos)
@@ -189,7 +193,7 @@ TEST(StreamRepro, MissingRequiredTokenNamesTheKey) {
 }
 
 TEST(StreamRepro, MalformedTokensAreRejectedByName) {
-  const std::string good = format_stream_repro(sample_stream_repro());
+  const std::string good = format_repro(sample_stream_repro());
   const struct {
     const char* from;
     const char* to;
@@ -208,7 +212,7 @@ TEST(StreamRepro, MalformedTokensAreRejectedByName) {
     ASSERT_NE(pos, std::string::npos) << m.from;
     line.replace(pos, std::string(m.from).size(), m.to);
     try {
-      (void)parse_stream_repro(line);
+      (void)parse_repro<StreamRepro>(line);
       FAIL() << "accepted malformed token: " << m.to;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(m.named), std::string::npos)
@@ -220,8 +224,208 @@ TEST(StreamRepro, MalformedTokensAreRejectedByName) {
 
 TEST(StreamRepro, UnknownTokensAreIgnoredForForwardCompatibility) {
   const std::string line =
-      format_stream_repro(sample_stream_repro()) + " future-flag=1 note=x";
-  EXPECT_EQ(parse_stream_repro(line).config.batches, 23);
+      format_repro(sample_stream_repro()) + " future-flag=1 note=x";
+  EXPECT_EQ(parse_repro<StreamRepro>(line).config.batches, 23);
+}
+
+// --- the one writer and reader ------------------------------------------
+
+/// Every value kind and presence rule the grammar has.
+struct AllKinds {
+  std::int64_t low = 0;
+  std::int64_t high = 0;
+  std::uint64_t wide = 0;
+  std::uint64_t id = 0;  ///< printed as hex
+  int count = 0;
+  bool on = false;
+  double rate = 0;
+  double tiny = 0;
+  std::string name = "x";
+  std::string note = "default";
+  std::vector<int> list;
+  int extra = 0;
+  bool flagged = false;
+  std::string flagged_value = "none";
+
+  bool operator==(const AllKinds&) const = default;
+
+  static std::string_view tag(const AllKinds&) { return "TEST-REPRO"; }
+  static void tokens(auto& v, auto& self) {
+    v("low", self.low);
+    v("high", self.high);
+    v("wide", self.wide);
+    v.text("id", self.id, kHexCodec);
+    v("count", self.count);
+    v("on", self.on);
+    v("rate", self.rate);
+    v("tiny", self.tiny);
+    v("name", self.name);
+    v("note", self.note, kOptional);
+    v.text("list", self.list,
+           Codec{[](const std::vector<int>& list) {
+                   std::string out;
+                   for (const int x : list) {
+                     if (!out.empty()) out += '+';
+                     out += std::to_string(x);
+                   }
+                   return out.empty() ? std::string("none") : out;
+                 },
+                 [](const std::string& text) {
+                   std::vector<int> list;
+                   if (text == "none") return list;
+                   for (std::size_t pos = 0; pos <= text.size();) {
+                     const std::size_t end =
+                         std::min(text.find('+', pos), text.size());
+                     const std::string item = text.substr(pos, end - pos);
+                     list.push_back(parse_number<int>("list", item));
+                     pos = end + 1;
+                   }
+                   return list;
+                 }});
+    v("extra", self.extra, when(self.extra > 0));
+    v("flagged", self.flagged_value, flag(self.flagged));
+  }
+};
+
+AllKinds sample_kinds() {
+  AllKinds k;
+  k.low = std::numeric_limits<std::int64_t>::min();
+  k.high = std::numeric_limits<std::int64_t>::max();
+  k.wide = (std::uint64_t{1} << 63) + 12345;
+  k.id = 0x00ab'cdef'0123'4567ull;
+  k.count = -42;
+  k.on = true;
+  k.rate = 0.1 + 0.2;  // needs 17 significant digits
+  k.tiny = 1e-300;
+  k.name = "path-3";
+  k.note = "";
+  k.list = {3, 1, 4};
+  k.extra = 5;
+  k.flagged = true;
+  k.flagged_value = "ioseed@9";
+  return k;
+}
+
+TEST(ReproGrammar, ParseOfFormatIsTheIdentity) {
+  std::vector<AllKinds> samples(4, sample_kinds());
+  samples[1] = AllKinds{};                      // every default
+  samples[2].rate = 0.0001;                     // %g is exact here
+  samples[2].tiny = 1.0 / 3.0;                  // and not here
+  samples[2].list.clear();
+  samples[3].extra = 0;                         // when() false: not printed
+  samples[3].flagged = false;                   // flag() unset: not printed
+  samples[3].flagged_value = "none";
+  samples[3].wide = std::numeric_limits<std::uint64_t>::max();
+  samples[3].id = std::numeric_limits<std::uint64_t>::max();
+  for (const AllKinds& k : samples) {
+    const std::string line = format_repro(k);
+    EXPECT_EQ(parse_repro<AllKinds>(line), k) << line;
+    EXPECT_EQ(format_repro(parse_repro<AllKinds>(line)), line);
+  }
+  const std::string line = format_repro(samples[0]);
+  EXPECT_EQ(line,
+            "TEST-REPRO low=-9223372036854775808 high=9223372036854775807"
+            " wide=9223372036854788153 id=00abcdef01234567 count=-42 on=1"
+            " rate=0.30000000000000004 tiny=1e-300 name=path-3 note="
+            " list=3+1+4 extra=5 flagged=ioseed@9");
+  EXPECT_EQ(format_repro(samples[3]).find("extra="), std::string::npos);
+  EXPECT_EQ(format_repro(samples[3]).find("flagged="), std::string::npos);
+}
+
+TEST(ReproGrammar, DoublesPrintTheShortestExactForm) {
+  EXPECT_EQ(format_double(0.05), "0.05");
+  EXPECT_EQ(format_double(0.0001), "0.0001");
+  EXPECT_EQ(format_double(1e-300), "1e-300");
+  EXPECT_EQ(format_double(2.0), "2");
+  EXPECT_EQ(format_double(1.2345678), "1.2345678");
+  EXPECT_EQ(format_double(0.1234569), "0.1234569");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.3333333333333333");
+  // Wherever %g is exact, the writer prints %g's bytes.
+  for (const double x : {0.0, 1.0, 2.5, 0.01, 0.125, 1e-3, 123456.0, -7.5}) {
+    char g[32];
+    std::snprintf(g, sizeof g, "%g", x);
+    EXPECT_EQ(format_double(x), g);
+  }
+}
+
+TEST(ReproGrammar, AbsentTokensFollowTheirPresenceRule) {
+  // An older line without the optional, conditional and flagged tokens
+  // keeps their defaults and clears the flag.
+  std::string line = format_repro(sample_kinds());
+  for (const char* token : {" note=", " extra=5", " flagged=ioseed@9"})
+    line.erase(line.find(token), std::string(token).size());
+  const AllKinds k = parse_repro<AllKinds>(line);
+  EXPECT_EQ(k.note, "default");
+  EXPECT_EQ(k.extra, 0);
+  EXPECT_FALSE(k.flagged);
+  EXPECT_EQ(k.flagged_value, "none");
+  // First occurrence wins; unknown tokens are ignored.
+  const AllKinds twice =
+      parse_repro<AllKinds>(format_repro(sample_kinds()) + " count=7 why=x");
+  EXPECT_EQ(twice.count, -42);
+}
+
+TEST(ReproGrammar, EveryMutatedTokenIsRefusedByName) {
+  const AllKinds k = sample_kinds();
+  const std::string good = format_repro(k);
+  const char* const numeric[] = {"low",  "high", "wide", "id",   "count",
+                                 "on",   "rate", "tiny", "list", "extra"};
+  for (const char* name : numeric) {
+    const std::string key = std::string(" ") + name + "=";
+    const std::size_t at = good.find(key) + key.size();
+    const std::size_t end = std::min(good.find(' ', at), good.size());
+    const std::string value = good.substr(at, end - at);
+    const std::string mutations[] = {value + "x", value + "zz", "", "0x12",
+                                     " " + value};
+    for (const std::string& mutated : mutations) {
+      std::string line = good;
+      line.replace(at, end - at, mutated);
+      try {
+        (void)parse_repro<AllKinds>(line);
+        FAIL() << "accepted " << name << "=" << mutated;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(std::string("'") + name + "="),
+                  std::string::npos)
+            << name << "=" << mutated << ": " << e.what();
+      }
+    }
+  }
+  // Out of range for the field's type, and a missing required token.
+  std::string line = good;
+  line.replace(line.find("count=-42"), 9, "count=4294967296");
+  EXPECT_THROW((void)parse_repro<AllKinds>(line), std::invalid_argument);
+  for (const char* name : {"low", "id", "on", "rate", "name", "list"}) {
+    line = good;
+    const std::size_t at = line.find(std::string(" ") + name + "=");
+    line.erase(at, line.find(' ', at + 1) - at);
+    try {
+      (void)parse_repro<AllKinds>(line);
+      FAIL() << "accepted a line without " << name << "=";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("missing required "
+                                                       "token '") +
+                                           name + "='"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ReproGrammar, FlagsShareTheNumberParser) {
+  EXPECT_EQ(parse_number<int>("--jobs", "30"), 30);
+  EXPECT_EQ(parse_number<double>("--load", "1.2345678"), 1.2345678);
+  for (const char* bad : {"abc", "3x", "", " 3", "+3", "0x10", "1e3"}) {
+    try {
+      (void)parse_number<int>("--jobs", bad);
+      FAIL() << "accepted --jobs " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--jobs: malformed number"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_number<unsigned>("--seed", "-1"),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -357,9 +357,9 @@ TEST(ScheduleFuzz, StreamReproRoundTripsRandomValidLines) {
   std::mt19937_64 rng(51);
   for (int iter = 0; iter < 500; ++iter) {
     const StreamRepro r = random_stream_repro(rng);
-    const std::string line = format_stream_repro(r);
-    const StreamRepro p = parse_stream_repro(line);
-    EXPECT_EQ(format_stream_repro(p), line)
+    const std::string line = format_repro(r);
+    const StreamRepro p = parse_repro<StreamRepro>(line);
+    EXPECT_EQ(format_repro(p), line)
         << "format(parse(format(x))) must be a fixed point";
     EXPECT_EQ(p.config.budget_bytes, r.config.budget_bytes);
     EXPECT_EQ(p.config.outage, r.config.outage);
@@ -377,11 +377,29 @@ TEST(ScheduleFuzz, StreamReproRoundTripsRandomValidLines) {
   }
 }
 
+/// The token names a struct declares, in order (repro_line.hpp).
+struct DeclaredTokens {
+  std::vector<std::string> names;
+  template <class T>
+  void operator()(std::string_view name, const T&, Presence = kRequired) {
+    names.emplace_back(name);
+  }
+  template <class T, class F, class P>
+  void text(std::string_view name, const T&, const Codec<F, P>&,
+            Presence = kRequired) {
+    names.emplace_back(name);
+  }
+};
+
 TEST(ScheduleFuzz, MutatedStreamReproLinesNeverCrash) {
+  DeclaredTokens declared;
+  const StreamRepro blank;
+  StreamRepro::tokens(declared, blank);
   std::mt19937_64 rng(52);
   int rejected = 0;
+  int accepted = 0;
   for (int iter = 0; iter < 1000; ++iter) {
-    std::string line = format_stream_repro(random_stream_repro(rng));
+    std::string line = format_repro(random_stream_repro(rng));
     const std::size_t pos = rng() % line.size();
     switch (rng() % 3) {
       case 0: line[pos] = static_cast<char>('!' + rng() % 90); break;
@@ -389,7 +407,12 @@ TEST(ScheduleFuzz, MutatedStreamReproLinesNeverCrash) {
       default: line = line.substr(0, pos); break;
     }
     try {
-      (void)parse_stream_repro(line);
+      // The generic reader: a mutated line it accepts re-prints to a
+      // line that reads back to the same struct.
+      const std::string reprinted =
+          format_repro(parse_repro<StreamRepro>(line));
+      EXPECT_EQ(format_repro(parse_repro<StreamRepro>(reprinted)), reprinted);
+      ++accepted;
     } catch (const std::invalid_argument& e) {
       ++rejected;
       const std::string what = e.what();
@@ -398,9 +421,17 @@ TEST(ScheduleFuzz, MutatedStreamReproLinesNeverCrash) {
                   what.find("outage token") != std::string::npos ||
                   what.find("journal token") != std::string::npos)
           << "rejection must carry a named error, got: " << what;
+      // ... and names one declared token, as 'name=.
+      EXPECT_TRUE(std::any_of(declared.names.begin(), declared.names.end(),
+                              [&](const std::string& name) {
+                                return what.find("'" + name + "=") !=
+                                       std::string::npos;
+                              }))
+          << "rejection must name a declared token, got: " << what;
     }
   }
   EXPECT_GT(rejected, 0) << "mutations should break at least some lines";
+  EXPECT_GT(accepted, 0) << "some mutations (a digit for a digit) still parse";
 }
 
 // --- durability: journal= token and record grammar ----------------------

@@ -60,6 +60,7 @@
 #include "product/gray_code.hpp"
 #include "product/snake_order.hpp"
 #include "product/subgraph_view.hpp"
+#include "repro_line.hpp"
 #include "sortnet/batcher.hpp"
 #include "sortnet/multiway_network.hpp"
 #include "sortnet/zero_one.hpp"
@@ -511,26 +512,23 @@ void certify_zero_one_sweep(const Options& opt, Tally& tally) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) opt.quick = true;
-    else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-      opt.seed = static_cast<unsigned>(std::atol(argv[++i]));
-    else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
-      opt.threads = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc)
-      opt.budget = std::atol(argv[++i]);
-    else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--seed S] [--threads T]"
-                   " [--budget B]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
-
   Tally tally;
   StaticCross cross;
   try {
+    for (int i = 1; i < argc; ++i) {
+      FlagCursor flag{argc, argv, i};
+      if (std::strcmp(argv[i], "--quick") == 0) opt.quick = true;
+      else if (flag.has_value("--seed")) flag.number(opt.seed);
+      else if (flag.has_value("--threads")) flag.number(opt.threads);
+      else if (flag.has_value("--budget")) flag.number(opt.budget);
+      else {
+        std::fprintf(stderr,
+                     "usage: %s [--quick] [--seed S] [--threads T]"
+                     " [--budget B]\n",
+                     argv[0]);
+        return 2;
+      }
+    }
     audit_machine(opt, tally, cross);
     audit_block(opt, tally, cross);
     audit_packet(opt, tally);

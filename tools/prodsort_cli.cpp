@@ -25,6 +25,7 @@
 #include "core/s2/shearsort_s2.hpp"
 #include "core/s2/snake_oet_s2.hpp"
 #include "product/snake_order.hpp"
+#include "repro_line.hpp"
 
 using namespace prodsort;
 
@@ -59,17 +60,15 @@ Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--factor") opt.factor = next();
-    else if (arg == "--size") opt.size = std::atoi(next());
-    else if (arg == "--dims") opt.dims = std::atoi(next());
-    else if (arg == "--sorter") opt.sorter = next();
-    else if (arg == "--threads") opt.threads = std::atoi(next());
-    else if (arg == "--seed") opt.seed = static_cast<unsigned>(std::atol(next()));
-    else if (arg == "--block") opt.block = std::atoi(next());
+    if (arg != "--csv" && arg != "--validate" && i + 1 >= argc) usage(argv[0]);
+    FlagCursor flag{argc, argv, i};
+    if (arg == "--factor") opt.factor = argv[++i];
+    else if (arg == "--size") flag.number(opt.size);
+    else if (arg == "--dims") flag.number(opt.dims);
+    else if (arg == "--sorter") opt.sorter = argv[++i];
+    else if (arg == "--threads") flag.number(opt.threads);
+    else if (arg == "--seed") flag.number(opt.seed);
+    else if (arg == "--block") flag.number(opt.block);
     else if (arg == "--csv") opt.csv = true;
     else if (arg == "--validate") opt.validate = true;
     else usage(argv[0]);
@@ -106,9 +105,8 @@ int run(const Options& opt, const char* argv0);
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
   try {
-    return run(opt, argv[0]);
+    return run(parse(argc, argv), argv[0]);
   } catch (const std::exception& e) {
     // Library validation errors (bad sizes, r < 2, ...) surface here.
     std::fprintf(stderr, "error: %s\n", e.what());

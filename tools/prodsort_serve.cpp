@@ -14,8 +14,8 @@
 // (docs/SERVICE.md): each backend's certificates are priced by its
 // measured risk in the suspect ledger, suspects are hardened with the
 // quarantine-before-TMR ladder instead of the pool-wide --tmr hammer,
-// and the repro line gains `sdc-budget=`/`ledger=` tokens so a replay
-// checks the final ledger state too.  `--ledger FILE` preloads the
+// and a replay checks the final ledger state (the repro line's
+// `ledger=`) too.  `--ledger FILE` preloads the
 // ledger from a previous run and persists the updated state back; a
 // missing, truncated, or corrupt ledger file is a *loud* error (exit
 // 2, error naming the path) — a ledger the operator pointed at must
@@ -59,10 +59,10 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/hashing.hpp"
@@ -98,6 +98,38 @@ struct ServeArgs {
   std::string outage;       ///< P@F~U tokens joined by '+'
   bool failover = true;
   bool hedge = true;
+  std::uint64_t ledger = 0;  ///< the run's final ledger state hash
+  std::uint64_t hash = 0;    ///< the run's report hash
+
+  /// The SERVICE-REPRO line.  tmr=, sdc-budget= and ledger= are absent
+  /// on lines older than those features, which replay with them off.  A
+  /// run that preloaded a ledger needs the same --ledger file passed
+  /// alongside --repro: the line carries only the final state hash.
+  static std::string_view tag(const ServeArgs&) { return "SERVICE-REPRO"; }
+  static void tokens(auto& v, auto& self) {
+    v("seed", self.seed);
+    v("jobs", self.jobs);
+    v("load", self.load);
+    v("policy", self.policy);
+    v("backends", self.backends);
+    v("faulty", self.faulty);
+    v("tmr", self.tmr, kOptional);
+    v("queue", self.queue_cap);
+    v("retry", self.retry);
+    v("size", self.size);
+    v("dims", self.dims);
+    v("threads", self.threads);
+    // A federated run: pools= switches the replay to the PoolRouter.
+    const Presence federated = when(self.pools > 0);
+    v("pools", self.pools, federated);
+    v("tenants", self.tenants, federated);
+    v("failover", self.failover, federated);
+    v("hedge", self.hedge, federated);
+    v("outage", self.outage, when(self.pools > 0 && !self.outage.empty()));
+    v("sdc-budget", self.sdc_budget, kOptional);
+    v("ledger", self.ledger, kOptional);
+    v("hash", self.hash);
+  }
 };
 
 bool write_file(const std::string& path, const std::string& content) {
@@ -167,15 +199,46 @@ std::vector<BackendConfig> build_backends(const ServeArgs& args,
   return configs;
 }
 
+/// The adaptive certification dial both paths take from the flags.
+AdaptiveCertServiceConfig adaptive_config(const ServeArgs& args) {
+  AdaptiveCertServiceConfig adaptive;
+  if (args.sdc_budget > 0) {
+    adaptive.enabled = true;
+    adaptive.sdc_budget = args.sdc_budget;
+  }
+  // Loud by design, and unconditional: a --ledger pointing at a
+  // missing or corrupt file throws (exit 2 in main) instead of loading
+  // as silently empty and re-trusting every known-suspect backend —
+  // even when adaptive mode is off and the history would merely ride
+  // along unused.
+  if (!args.ledger_path.empty())
+    adaptive.ledger_json = load_ledger_file(args.ledger_path).to_json();
+  return adaptive;
+}
+
 /// A run plus the final suspect-ledger state (hash for the repro line,
 /// JSON for --ledger persistence; both empty when adaptive mode is off).
-struct ServeRun {
-  ServiceReport report;
+template <class Report>
+struct Run {
+  Report report;
   std::uint64_t ledger_hash = 0;
   std::string ledger_json;
 };
 
-ServeRun run_service(const ServeArgs& args, std::int64_t* mean_out) {
+/// Runs a SortService or PoolRouter and takes its report and, when
+/// adaptive certification ran, its final ledger.
+template <class Engine>
+auto take_run(Engine& engine, bool adaptive) {
+  Run<decltype(engine.run())> run;
+  run.report = engine.run();
+  if (adaptive) {
+    run.ledger_hash = engine.ledger().state_hash();
+    run.ledger_json = engine.ledger().to_json();
+  }
+  return run;
+}
+
+Run<ServiceReport> run_service(const ServeArgs& args, std::int64_t* mean_out) {
   const LabeledFactor factor = labeled_cycle(args.size);
   const ProductGraph pg(factor, args.dims);
   const SnakeOETS2 oet;
@@ -186,18 +249,7 @@ ServeRun run_service(const ServeArgs& args, std::int64_t* mean_out) {
   config.load = args.load;
   config.retry_budget = args.retry;
   config.queue = {parse_shed_policy(args.policy), args.queue_cap};
-  if (args.sdc_budget > 0) {
-    config.adaptive.enabled = true;
-    config.adaptive.sdc_budget = args.sdc_budget;
-  }
-  // Loud by design, and unconditional: a --ledger pointing at a
-  // missing or corrupt file throws (exit 2 in main) instead of loading
-  // as silently empty and re-trusting every known-suspect backend —
-  // even when adaptive mode is off and the history would merely ride
-  // along unused.
-  if (!args.ledger_path.empty())
-    config.adaptive.ledger_json =
-        load_ledger_file(args.ledger_path).to_json();
+  config.adaptive = adaptive_config(args);
 
   // Fault-free probe for the mean service time (scales the fault-heal
   // instant and the breaker cooldown).
@@ -213,13 +265,7 @@ ServeRun run_service(const ServeArgs& args, std::int64_t* mean_out) {
   SortService service(pg, config,
                       build_backends(args, mean, pg.num_nodes()), &oet,
                       &executor);
-  ServeRun run;
-  run.report = service.run();
-  if (config.adaptive.enabled) {
-    run.ledger_hash = service.ledger().state_hash();
-    run.ledger_json = service.ledger().to_json();
-  }
-  return run;
+  return take_run(service, config.adaptive.enabled);
 }
 
 /// The federated pool specs: every pool gets the derived member
@@ -256,13 +302,7 @@ std::vector<PoolSpec> build_pools(const ServeArgs& args, std::int64_t mean,
   return pools;
 }
 
-struct RouterRun {
-  RouterReport report;
-  std::uint64_t ledger_hash = 0;
-  std::string ledger_json;
-};
-
-RouterRun run_router(const ServeArgs& args, std::int64_t* mean_out) {
+Run<RouterReport> run_router(const ServeArgs& args, std::int64_t* mean_out) {
   const LabeledFactor factor = labeled_cycle(args.size);
   const ProductGraph pg(factor, args.dims);
   const SnakeOETS2 oet;
@@ -275,15 +315,7 @@ RouterRun run_router(const ServeArgs& args, std::int64_t* mean_out) {
   config.policy = parse_shed_policy(args.policy);
   config.failover = args.failover;
   config.hedging = args.hedge;
-  if (args.sdc_budget > 0) {
-    config.adaptive.enabled = true;
-    config.adaptive.sdc_budget = args.sdc_budget;
-  }
-  // Same loud-failure rule as the single-service path: a named --ledger
-  // must parse, whether or not adaptive certification consumes it.
-  if (!args.ledger_path.empty())
-    config.adaptive.ledger_json =
-        load_ledger_file(args.ledger_path).to_json();
+  config.adaptive = adaptive_config(args);
 
   // Fault-free probe (single healthy pool) for the mean service time.
   RouterConfig probe = config;
@@ -309,80 +341,37 @@ RouterRun run_router(const ServeArgs& args, std::int64_t* mean_out) {
   ParallelExecutor executor(args.threads);
   PoolRouter router(pg, config, build_pools(args, mean, pg.num_nodes()),
                     &oet, &executor);
-  RouterRun run;
-  run.report = router.run();
-  if (config.adaptive.enabled) {
-    run.ledger_hash = router.ledger().state_hash();
-    run.ledger_json = router.ledger().to_json();
-  }
-  return run;
+  return take_run(router, config.adaptive.enabled);
 }
 
-/// The SERVICE-REPRO line; a federated run (pools > 0) adds its
-/// pools= tenants= failover= hedge= and outage= tokens.
-void print_repro(const ServeArgs& args, std::uint64_t ledger_hash,
-                 std::uint64_t hash) {
-  std::printf("SERVICE-REPRO seed=%" PRIu64
-              " jobs=%lld load=%g policy=%s backends=%d faulty=%d tmr=%d"
-              " queue=%zu retry=%d size=%d dims=%d threads=%d",
-              args.seed, static_cast<long long>(args.jobs), args.load,
-              args.policy.c_str(), args.backends, args.faulty, args.tmr,
-              args.queue_cap, args.retry, args.size, args.dims, args.threads);
-  if (args.pools > 0) {
-    std::printf(" pools=%d tenants=%d failover=%d hedge=%d", args.pools,
-                args.tenants, args.failover ? 1 : 0, args.hedge ? 1 : 0);
-    if (!args.outage.empty()) std::printf(" outage=%s", args.outage.c_str());
-  }
-  std::printf(" sdc-budget=%g ledger=%" PRIu64 " hash=%" PRIu64 "\n",
-              args.sdc_budget, ledger_hash, hash);
-}
-
-/// Federated soak gate: conservation across pools and tenants, the
-/// per-tenant queue bound, and verification of every completion.
-int check_router_invariants(const ServeArgs& args,
-                            const RouterReport& report) {
+/// Soak gate: the invariants CI asserts under sanitizers at overload —
+/// conservation (across pools and tenants when federated), the bound of
+/// every queue, and verification of every completion.
+template <class Report>
+int check_invariants(const ServeArgs& args, const Report& report) {
+  const bool federated = args.pools > 0;
   int violations = 0;
   if (!report.conserved()) {
-    std::printf("VIOLATION: federated conservation — offered=%lld but"
-                " tenant terminal outcomes do not add up (silent loss)\n",
-                static_cast<long long>(report.offered));
-    ++violations;
-  }
-  for (const TenantStats& t : report.tenants) {
-    if (t.queue_high_water > static_cast<std::int64_t>(args.queue_cap)) {
-      std::printf("VIOLATION: tenant %s queue bound — high water %lld >"
-                  " capacity %zu\n",
-                  t.name.c_str(),
-                  static_cast<long long>(t.queue_high_water), args.queue_cap);
-      ++violations;
-    }
-  }
-  if (report.verified_jobs !=
-      report.completed_on_time + report.completed_late) {
-    std::printf("VIOLATION: verification — %lld completions but %lld"
-                " verified\n",
-                static_cast<long long>(report.completed_on_time +
-                                       report.completed_late),
-                static_cast<long long>(report.verified_jobs));
-    ++violations;
-  }
-  return violations;
-}
-
-/// Soak gate: the invariants CI asserts under sanitizers at overload.
-int check_invariants(const ServeArgs& args, const ServiceReport& report) {
-  int violations = 0;
-  if (!report.conserved()) {
-    std::printf("VIOLATION: conservation — offered=%lld but terminal"
+    std::printf("VIOLATION: %sconservation — offered=%lld but %sterminal"
                 " outcomes do not add up (silent loss)\n",
-                static_cast<long long>(report.offered));
+                federated ? "federated " : "",
+                static_cast<long long>(report.offered),
+                federated ? "tenant " : "");
     ++violations;
   }
-  if (report.queue_high_water > static_cast<std::int64_t>(args.queue_cap)) {
-    std::printf("VIOLATION: queue bound — high water %lld > capacity %zu\n",
-                static_cast<long long>(report.queue_high_water),
+  const auto check_queue = [&](const std::string& queue,
+                               std::int64_t high_water) {
+    if (high_water <= static_cast<std::int64_t>(args.queue_cap)) return;
+    std::printf("VIOLATION: %squeue bound — high water %lld > capacity %zu\n",
+                queue.c_str(), static_cast<long long>(high_water),
                 args.queue_cap);
     ++violations;
+  };
+  if constexpr (std::is_same_v<Report, RouterReport>) {
+    for (const TenantStats& t : report.tenants)
+      check_queue("tenant " + t.name + " ", t.queue_high_water);
+  } else {
+    check_queue("", report.queue_high_water);
   }
   if (report.verified_jobs !=
       report.completed_on_time + report.completed_late) {
@@ -394,68 +383,57 @@ int check_invariants(const ServeArgs& args, const ServiceReport& report) {
     ++violations;
   }
   return violations;
+}
+
+/// Prints a finished run's adaptive and SERVICE-REPRO lines, writes
+/// its JSON and ledger, and runs the soak gate.
+template <class Report>
+int finish_run(ServeArgs args, const Run<Report>& run) {
+  const Report& report = run.report;
+  if (args.sdc_budget > 0) {
+    std::printf("adaptive: budget=%g escalations=%lld ledger=%" PRIu64 "\n\n",
+                args.sdc_budget,
+                static_cast<long long>(report.cert_escalations),
+                run.ledger_hash);
+  }
+  args.ledger = run.ledger_hash;
+  args.hash = report.hash();
+  std::printf("%s\n", format_repro(args).c_str());
+  if (!args.json_path.empty() && !write_file(args.json_path, report.json()))
+    std::fprintf(stderr, "warning: could not write %s\n",
+                 args.json_path.c_str());
+  if (args.sdc_budget > 0 && !args.ledger_path.empty())
+    (void)persist_ledger(args.ledger_path, run.ledger_json);
+  if (args.soak) {
+    const int violations = check_invariants(args, report);
+    if (violations != 0) {
+      std::printf("soak: %d invariant violation(s)\n", violations);
+      return 1;
+    }
+    std::printf("soak: all %sinvariants held at %.2fx load\n",
+                args.pools > 0 ? "federated " : "", args.load);
+  }
+  return 0;
 }
 
 int run_repro(const std::string& line, const std::string& ledger_path) {
-  const ReproLine repro(line);
-  ServeArgs args;
-  args.seed = std::stoull(repro.require("seed"));
-  args.jobs = std::stoll(repro.require("jobs"));
-  args.load = std::stod(repro.require("load"));
-  args.policy = repro.require("policy");
-  args.backends = std::stoi(repro.require("backends"));
-  args.faulty = std::stoi(repro.require("faulty"));
-  // Absent on pre-TMR repro lines; default off.
-  args.tmr = repro.has("tmr") ? std::stoi(repro.get("tmr")) : 0;
-  args.queue_cap = static_cast<std::size_t>(std::stoul(repro.require("queue")));
-  args.retry = std::stoi(repro.require("retry"));
-  args.size = std::stoi(repro.require("size"));
-  args.dims = std::stoi(repro.require("dims"));
-  args.threads = std::stoi(repro.require("threads"));
-  // Absent on pre-adaptive repro lines; default off.  A run that
-  // preloaded a ledger needs the same --ledger file passed alongside
-  // --repro — the line carries only the final state hash.
-  args.sdc_budget =
-      repro.has("sdc-budget") ? std::stod(repro.get("sdc-budget")) : 0;
+  ServeArgs args = parse_repro<ServeArgs>(line);
   args.ledger_path = ledger_path;
-  const std::uint64_t expected_ledger =
-      repro.has("ledger") ? std::stoull(repro.get("ledger")) : 0;
-  const std::uint64_t expected = std::stoull(repro.require("hash"));
-
-  // Federated repro: the `pools` token switches the replay to the
-  // PoolRouter with the line's tenants / failover / hedge / outage
-  // configuration.
-  if (repro.has("pools") && std::stoi(repro.get("pools")) > 0) {
-    args.pools = std::stoi(repro.get("pools"));
-    args.tenants = repro.has("tenants") ? std::stoi(repro.get("tenants")) : 1;
-    args.failover =
-        !repro.has("failover") || std::stoi(repro.get("failover")) != 0;
-    args.hedge = !repro.has("hedge") || std::stoi(repro.get("hedge")) != 0;
-    if (repro.has("outage")) args.outage = repro.get("outage");
-    const RouterRun run = run_router(args, nullptr);
-    if (run.report.hash() == expected && run.ledger_hash == expected_ledger) {
-      std::printf("repro: federated schedule replayed bit-identically"
-                  " (hash=%" PRIu64 " ledger=%" PRIu64 ")\n",
-                  expected, expected_ledger);
+  const auto replay = [&](const auto& run) {
+    const std::uint64_t hash = run.report.hash();
+    if (hash == args.hash && run.ledger_hash == args.ledger) {
+      std::printf("repro: %sschedule replayed bit-identically (hash=%" PRIu64
+                  " ledger=%" PRIu64 ")\n",
+                  args.pools > 0 ? "federated " : "", args.hash, args.ledger);
       return 0;
     }
     std::printf("repro: MISMATCH — expected hash=%" PRIu64 " ledger=%" PRIu64
                 " got hash=%" PRIu64 " ledger=%" PRIu64 "\n",
-                expected, expected_ledger, run.report.hash(), run.ledger_hash);
+                args.hash, args.ledger, hash, run.ledger_hash);
     return 1;
-  }
-
-  const ServeRun run = run_service(args, nullptr);
-  if (run.report.hash() == expected && run.ledger_hash == expected_ledger) {
-    std::printf("repro: schedule replayed bit-identically (hash=%" PRIu64
-                " ledger=%" PRIu64 ")\n",
-                expected, expected_ledger);
-    return 0;
-  }
-  std::printf("repro: MISMATCH — expected hash=%" PRIu64 " ledger=%" PRIu64
-              " got hash=%" PRIu64 " ledger=%" PRIu64 "\n",
-              expected, expected_ledger, run.report.hash(), run.ledger_hash);
-  return 1;
+  };
+  return args.pools > 0 ? replay(run_router(args, nullptr))
+                        : replay(run_service(args, nullptr));
 }
 
 }  // namespace
@@ -463,145 +441,83 @@ int run_repro(const std::string& line, const std::string& ledger_path) {
 int main(int argc, char** argv) {
   ServeArgs args;
   std::string repro_line;
-  for (int i = 1; i < argc; ++i) {
-    const auto has_value = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
-    };
-    if (has_value("--jobs")) args.jobs = std::atoll(argv[++i]);
-    else if (has_value("--seed"))
-      args.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (has_value("--load")) args.load = std::atof(argv[++i]);
-    else if (has_value("--policy")) args.policy = argv[++i];
-    else if (has_value("--backends")) args.backends = std::atoi(argv[++i]);
-    else if (has_value("--faulty")) args.faulty = std::atoi(argv[++i]);
-    else if (has_value("--tmr")) args.tmr = std::atoi(argv[++i]);
-    else if (has_value("--queue-cap"))
-      args.queue_cap = static_cast<std::size_t>(std::atol(argv[++i]));
-    else if (has_value("--retry")) args.retry = std::atoi(argv[++i]);
-    else if (has_value("--size")) args.size = std::atoi(argv[++i]);
-    else if (has_value("--dims")) args.dims = std::atoi(argv[++i]);
-    else if (has_value("--threads")) args.threads = std::atoi(argv[++i]);
-    else if (has_value("--sdc-budget")) args.sdc_budget = std::atof(argv[++i]);
-    else if (has_value("--ledger")) args.ledger_path = argv[++i];
-    else if (has_value("--json")) args.json_path = argv[++i];
-    else if (has_value("--pools")) args.pools = std::atoi(argv[++i]);
-    else if (has_value("--tenants")) args.tenants = std::atoi(argv[++i]);
-    else if (has_value("--outage")) {
-      if (!args.outage.empty()) args.outage += '+';
-      args.outage += argv[++i];
-    }
-    else if (std::strcmp(argv[i], "--no-failover") == 0) args.failover = false;
-    else if (std::strcmp(argv[i], "--no-hedge") == 0) args.hedge = false;
-    else if (std::strcmp(argv[i], "--soak") == 0) {
-      // Overload defaults: 2x capacity, half the pool faulted.
-      args.soak = true;
-      args.load = 2.0;
-      if (args.faulty == 0) args.faulty = std::max(1, args.backends / 2);
-    } else if (std::strcmp(argv[i], "--repro") == 0) {
-      repro_line = ReproLine::rejoin_args(argc, argv, i + 1);
-      i = argc;
-      if (repro_line.empty()) {
-        std::fprintf(stderr, "--repro needs a SERVICE-REPRO line\n");
+  try {
+    for (int i = 1; i < argc; ++i) {
+      FlagCursor flag{argc, argv, i};
+      if (flag.has_value("--jobs")) flag.number(args.jobs);
+      else if (flag.has_value("--seed")) flag.number(args.seed);
+      else if (flag.has_value("--load")) flag.number(args.load);
+      else if (flag.has_value("--policy")) args.policy = argv[++i];
+      else if (flag.has_value("--backends")) flag.number(args.backends);
+      else if (flag.has_value("--faulty")) flag.number(args.faulty);
+      else if (flag.has_value("--tmr")) flag.number(args.tmr);
+      else if (flag.has_value("--queue-cap")) flag.number(args.queue_cap);
+      else if (flag.has_value("--retry")) flag.number(args.retry);
+      else if (flag.has_value("--size")) flag.number(args.size);
+      else if (flag.has_value("--dims")) flag.number(args.dims);
+      else if (flag.has_value("--threads")) flag.number(args.threads);
+      else if (flag.has_value("--sdc-budget")) flag.number(args.sdc_budget);
+      else if (flag.has_value("--ledger")) args.ledger_path = argv[++i];
+      else if (flag.has_value("--json")) args.json_path = argv[++i];
+      else if (flag.has_value("--pools")) flag.number(args.pools);
+      else if (flag.has_value("--tenants")) flag.number(args.tenants);
+      else if (flag.has_value("--outage")) {
+        if (!args.outage.empty()) args.outage += '+';
+        args.outage += argv[++i];
+      }
+      else if (std::strcmp(argv[i], "--no-failover") == 0)
+        args.failover = false;
+      else if (std::strcmp(argv[i], "--no-hedge") == 0) args.hedge = false;
+      else if (std::strcmp(argv[i], "--soak") == 0) {
+        // Overload defaults: 2x capacity, half the pool faulted.
+        args.soak = true;
+        args.load = 2.0;
+        if (args.faulty == 0) args.faulty = std::max(1, args.backends / 2);
+      } else if (std::strcmp(argv[i], "--repro") == 0) {
+        repro_line = ReproLine::rejoin_args(argc, argv, i + 1);
+        i = argc;
+        if (repro_line.empty()) {
+          std::fprintf(stderr, "--repro needs a SERVICE-REPRO line\n");
+          return 2;
+        }
+      } else {
+        std::fprintf(stderr,
+                     "usage: %s [--jobs J] [--seed S] [--load L]"
+                     " [--policy drop-tail|edf|priority] [--backends B]"
+                     " [--faulty F] [--tmr K] [--queue-cap C] [--retry R]"
+                     " [--size N] [--dims r] [--threads T]"
+                     " [--sdc-budget P] [--ledger FILE] [--json FILE]"
+                     " [--pools P] [--tenants T] [--outage P@F~U]"
+                     " [--no-failover] [--no-hedge]"
+                     " [--soak] [--repro SERVICE-REPRO-line]\n",
+                     argv[0]);
         return 2;
       }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--jobs J] [--seed S] [--load L]"
-                   " [--policy drop-tail|edf|priority] [--backends B]"
-                   " [--faulty F] [--tmr K] [--queue-cap C] [--retry R]"
-                   " [--size N] [--dims r] [--threads T]"
-                   " [--sdc-budget P] [--ledger FILE] [--json FILE]"
-                   " [--pools P] [--tenants T] [--outage P@F~U]"
-                   " [--no-failover] [--no-hedge]"
-                   " [--soak] [--repro SERVICE-REPRO-line]\n",
-                   argv[0]);
-      return 2;
     }
-  }
-
-  if (!repro_line.empty()) {
-    try {
-      return run_repro(repro_line, args.ledger_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--repro: malformed line: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  if (args.pools > 0) {
-    try {
-      std::int64_t mean = 0;
-      const RouterRun run = run_router(args, &mean);
-      const RouterReport& report = run.report;
+    if (!repro_line.empty()) return run_repro(repro_line, args.ledger_path);
+    std::int64_t mean = 0;
+    if (args.pools > 0) {
+      const auto run = run_router(args, &mean);
       std::printf("pool router: %d pools x %d backends, %d tenant(s), mean"
                   " service %lld steps, load %.2fx, policy %s, failover %s,"
                   " hedging %s\n\n%s\n\n",
                   args.pools, args.backends, args.tenants,
                   static_cast<long long>(mean), args.load,
                   args.policy.c_str(), args.failover ? "on" : "off",
-                  args.hedge ? "on" : "off", report.summary().c_str());
-      if (args.sdc_budget > 0) {
-        std::printf("adaptive: budget=%g escalations=%lld ledger=%" PRIu64
-                    "\n\n",
-                    args.sdc_budget,
-                    static_cast<long long>(report.cert_escalations),
-                    run.ledger_hash);
-      }
-      print_repro(args, run.ledger_hash, report.hash());
-      if (!args.json_path.empty() &&
-          !write_file(args.json_path, report.json()))
-        std::fprintf(stderr, "warning: could not write %s\n",
-                     args.json_path.c_str());
-      if (args.sdc_budget > 0 && !args.ledger_path.empty())
-        (void)persist_ledger(args.ledger_path, run.ledger_json);
-      if (args.soak) {
-        const int violations = check_router_invariants(args, report);
-        if (violations != 0) {
-          std::printf("soak: %d invariant violation(s)\n", violations);
-          return 1;
-        }
-        std::printf("soak: all federated invariants held at %.2fx load\n",
-                    args.load);
-      }
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "prodsort_serve: %s\n", e.what());
-      return 2;
+                  args.hedge ? "on" : "off", run.report.summary().c_str());
+      return finish_run(args, run);
     }
-  }
-
-  try {
-    std::int64_t mean = 0;
-    const ServeRun run = run_service(args, &mean);
-    const ServiceReport& report = run.report;
+    const auto run = run_service(args, &mean);
     std::printf("sort service: %d backends (%d faulted), mean service"
                 " %lld steps, load %.2fx, policy %s\n\n%s\n\n",
                 args.backends, args.faulty, static_cast<long long>(mean),
-                args.load, args.policy.c_str(), report.summary().c_str());
-    if (args.sdc_budget > 0) {
-      std::printf("adaptive: budget=%g escalations=%lld ledger=%" PRIu64
-                  "\n\n",
-                  args.sdc_budget,
-                  static_cast<long long>(report.cert_escalations),
-                  run.ledger_hash);
-    }
-    print_repro(args, run.ledger_hash, report.hash());
-    if (!args.json_path.empty() && !write_file(args.json_path, report.json()))
-      std::fprintf(stderr, "warning: could not write %s\n",
-                   args.json_path.c_str());
-    if (args.sdc_budget > 0 && !args.ledger_path.empty())
-      (void)persist_ledger(args.ledger_path, run.ledger_json);
-    if (args.soak) {
-      const int violations = check_invariants(args, report);
-      if (violations != 0) {
-        std::printf("soak: %d invariant violation(s)\n", violations);
-        return 1;
-      }
-      std::printf("soak: all invariants held at %.2fx load\n", args.load);
-    }
-    return 0;
+                args.load, args.policy.c_str(), run.report.summary().c_str());
+    return finish_run(args, run);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "prodsort_serve: %s\n", e.what());
+    std::fprintf(stderr, "%s%s\n",
+                 repro_line.empty() ? "prodsort_serve: "
+                                    : "--repro: malformed line: ",
+                 e.what());
     return 2;
   }
 }

@@ -75,6 +75,45 @@ struct Options {
   const char* json_path = nullptr;
 };
 
+// The sorters a STATIC-REPRO line may name: the unit-key ones, then
+// the block ones, then the baseline; replay() indexes its sorter tables
+// in this order.
+const char* const kReproSorters[] = {"shearsort",       "snake-oet",
+                                     "network-s2",      "block-shearsort",
+                                     "block-snake-oet", "bitonic-baseline"};
+const auto kReproSorterCodec = names_codec(kReproSorters);
+
+/// The STATIC-REPRO line: the bit-identical replay recipe of a sampled
+/// 0-1 verdict — same (schedule, seed, budget), same sampled stream.
+struct StaticRepro {
+  std::uint64_t hash = 0;  ///< the schedule's canonical hash
+  const LabeledFactor* factor = nullptr;
+  int r = 2;
+  std::size_t sorter = 0;  ///< index into kReproSorters
+  int block = 1;
+  std::uint64_t seed = 1;
+  std::int64_t budget = 4096;
+
+  static std::string_view tag(const StaticRepro&) { return "STATIC-REPRO"; }
+  static void tokens(auto& v, auto& self) {
+    v.text("hash", self.hash, kHexCodec);
+    v.text("factor", self.factor, kFactorCodec);
+    v("r", self.r);
+    v.text("sorter", self.sorter, kReproSorterCodec);
+    v("block", self.block);
+    v("seed", self.seed);
+    // A budget below one samples no input, so its verdict proves nothing.
+    v.text("budget", self.budget,
+           Codec{[](std::int64_t budget) { return std::to_string(budget); },
+                 [](const std::string& text) {
+                   std::int64_t budget = 0;
+                   if (!read_number(text, budget) || budget < 1)
+                     throw std::invalid_argument("expected an integer >= 1");
+                   return budget;
+                 }});
+  }
+};
+
 // Analysis of one unique schedule, cached by canonical hash.
 struct Analysis {
   StaticProof proof;
@@ -200,15 +239,14 @@ void report(Sweep& sweep, const ProductGraph& pg, const ScheduleIR& ir,
       static_cast<long long>(a.dataflow.saved_steps_fusion), cached ? 1 : 0);
 
   if (!cached && a.zero_one == "sampled-clean") {
-    // Bit-identical replay recipe: same (schedule, seed, budget) -> same
-    // sampled stream, same verdict (tools/repro_line.hpp grammar).
-    std::printf(
-        "STATIC-REPRO hash=%016llx factor=%s r=%d sorter=%s block=%d"
-        " seed=%llu budget=%lld\n",
-        static_cast<unsigned long long>(a.proof.schedule_hash),
-        pg.factor().name.c_str(), pg.dims(), ir.sorter.c_str(), ir.block_size,
-        static_cast<unsigned long long>(sweep.opt.seed),
-        static_cast<long long>(sweep.opt.budget));
+    const StaticRepro line{a.proof.schedule_hash,
+                           &pg.factor(),
+                           pg.dims(),
+                           kReproSorterCodec.parse(ir.sorter),
+                           ir.block_size,
+                           sweep.opt.seed,
+                           sweep.opt.budget};
+    std::printf("%s\n", format_repro(line).c_str());
   }
 }
 
@@ -410,74 +448,38 @@ void write_json(const Sweep& sweep, bool clean) {
 }
 
 int replay(const std::string& line) {
-  const ReproLine repro(line);
-  const std::uint64_t hash =
-      std::strtoull(repro.require("hash").c_str(), nullptr, 16);
-  const std::string factor_name = repro.require("factor");
-  const int r = std::atoi(repro.require("r").c_str());
-  const std::string sorter = repro.require("sorter");
-  const int block = std::atoi(repro.require("block").c_str());
-  const std::uint64_t seed =
-      std::strtoull(repro.require("seed").c_str(), nullptr, 10);
-  const std::int64_t budget = std::atol(repro.require("budget").c_str());
+  const StaticRepro repro = parse_repro<StaticRepro>(line);
+  const ProductGraph pg(*repro.factor, repro.r);
+  const std::string sorter = kReproSorters[repro.sorter];
+  const bool bitonic = sorter == "bitonic-baseline";
+  const bool block_sorter = sorter.starts_with("block-");
+  if (!bitonic && block_sorter != (repro.block > 1))
+    throw std::invalid_argument("STATIC-REPRO: sorter=" + sorter +
+                                " does not run at block=" +
+                                std::to_string(repro.block));
 
-  const auto factors = standard_factors();
-  const LabeledFactor* factor = nullptr;
-  for (const LabeledFactor& f : factors)
-    if (f.name == factor_name) factor = &f;
-  if (factor == nullptr) {
-    std::fprintf(stderr, "error: unknown factor '%s'\n", factor_name.c_str());
-    return 2;
-  }
-  const ProductGraph pg(*factor, r);
+  const ShearsortS2 shearsort;
+  const SnakeOETS2 snake_oet;
+  const NetworkS2 net_s2(any_width_network(
+      static_cast<int>(repro.factor->size()) *
+      static_cast<int>(repro.factor->size())));
+  const BlockShearsortS2 block_shearsort;
+  const BlockSnakeOETS2 block_oet;
+  const S2Sorter* const unit[] = {&shearsort, &snake_oet, &net_s2};
+  const BlockS2Sorter* const block[] = {&block_shearsort, &block_oet};
+  const ScheduleIR ir =
+      bitonic        ? record_bitonic_schedule(pg)
+      : block_sorter ? record_block_schedule(pg, *block[repro.sorter - 3],
+                                             repro.block)
+                     : record_product_schedule(pg, *unit[repro.sorter]);
+  const bool snake_wires = !bitonic;
 
-  ScheduleIR ir;
-  bool snake_wires = true;
-  if (sorter == "bitonic-baseline") {
-    ir = record_bitonic_schedule(pg);
-    snake_wires = false;
-  } else if (block > 1) {
-    const BlockShearsortS2 block_shearsort;
-    const BlockSnakeOETS2 block_oet;
-    const BlockS2Sorter* s2 = sorter == "block-shearsort"
-                                  ? static_cast<const BlockS2Sorter*>(
-                                        &block_shearsort)
-                                  : sorter == "block-snake-oet"
-                                        ? static_cast<const BlockS2Sorter*>(
-                                              &block_oet)
-                                        : nullptr;
-    if (s2 == nullptr) {
-      std::fprintf(stderr, "error: unknown block sorter '%s'\n",
-                   sorter.c_str());
-      return 2;
-    }
-    ir = record_block_schedule(pg, *s2, block);
-  } else {
-    const ShearsortS2 shearsort;
-    const SnakeOETS2 snake_oet;
-    const NetworkS2 net_s2(any_width_network(
-        static_cast<int>(factor->size()) * static_cast<int>(factor->size())));
-    const S2Sorter* s2 =
-        sorter == "shearsort"
-            ? static_cast<const S2Sorter*>(&shearsort)
-            : sorter == "snake-oet"
-                  ? static_cast<const S2Sorter*>(&snake_oet)
-                  : sorter == "network-s2"
-                        ? static_cast<const S2Sorter*>(&net_s2)
-                        : nullptr;
-    if (s2 == nullptr) {
-      std::fprintf(stderr, "error: unknown sorter '%s'\n", sorter.c_str());
-      return 2;
-    }
-    ir = record_product_schedule(pg, *s2);
-  }
-
-  const bool hash_match = ir.canonical_hash() == hash;
+  const bool hash_match = ir.canonical_hash() == repro.hash;
   const LoweredSchedule lowered = lower_to_comparators(pg, ir, snake_wires);
   ZeroOneCheckOptions zo;
   zo.max_exhaustive_width = 0;  // repro lines come from sampled runs
-  zo.sample_budget = budget;
-  zo.seed = seed;
+  zo.sample_budget = repro.budget;
+  zo.seed = repro.seed;
   const ZeroOneCheckResult result = check_zero_one(lowered, zo);
   std::printf(
       "STATIC-REPRO-REPLAY hash=%016llx hash_match=%d certified=%d"
@@ -493,35 +495,27 @@ int replay(const std::string& line) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) opt.quick = true;
-    else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-      opt.seed = std::strtoull(argv[++i], nullptr, 10);
-    else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc)
-      opt.budget = std::atol(argv[++i]);
-    else if (std::strcmp(argv[i], "--max-exhaustive") == 0 && i + 1 < argc)
-      opt.max_exhaustive = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      opt.json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--repro") == 0) {
-      try {
+  Sweep sweep(opt);  // reads the options only once the sweep runs
+  try {
+    for (int i = 1; i < argc; ++i) {
+      FlagCursor flag{argc, argv, i};
+      if (std::strcmp(argv[i], "--quick") == 0) opt.quick = true;
+      else if (flag.has_value("--seed")) flag.number(opt.seed);
+      else if (flag.has_value("--budget")) flag.number(opt.budget);
+      else if (flag.has_value("--max-exhaustive"))
+        flag.number(opt.max_exhaustive);
+      else if (flag.has_value("--json")) opt.json_path = argv[++i];
+      else if (std::strcmp(argv[i], "--repro") == 0)
         return replay(ReproLine::rejoin_args(argc, argv, i + 1));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+      else {
+        std::fprintf(stderr,
+                     "usage: %s [--quick] [--seed S] [--budget B]"
+                     " [--max-exhaustive W] [--json FILE]"
+                     " [--repro <STATIC-REPRO line>]\n",
+                     argv[0]);
         return 2;
       }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--seed S] [--budget B]"
-                   " [--max-exhaustive W] [--json FILE]"
-                   " [--repro <STATIC-REPRO line>]\n",
-                   argv[0]);
-      return 2;
     }
-  }
-
-  Sweep sweep(opt);
-  try {
     sweep_schedules(sweep);
     std::mt19937_64 rng(opt.seed + 7);
     print_timing(sweep, rng);

@@ -56,7 +56,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -176,7 +175,7 @@ int check_invariants(const StreamRepro& args, const StreamRun& run) {
 }
 
 int run_repro(const std::string& line, const std::string& journal_dir) {
-  StreamRepro args = parse_stream_repro(line);
+  StreamRepro args = parse_repro<StreamRepro>(line);
   if (args.journal && journal_dir.empty()) {
     std::fprintf(stderr,
                  "--repro: this line carries a journal= token (a durable"
@@ -186,19 +185,16 @@ int run_repro(const std::string& line, const std::string& journal_dir) {
     return 2;
   }
   if (args.journal) args.config.journal_dir = journal_dir;
-  const std::uint64_t expect_chain = args.chain;
-  const std::uint64_t expect_hash = args.hash;
   const StreamRun run = run_stream(args);
-  if (run.report.chain_hash == expect_chain &&
-      run.report.hash() == expect_hash) {
+  if (run.report.chain_hash == args.chain && run.report.hash() == args.hash) {
     std::printf("repro: stream replayed bit-identically (chain=%" PRIu64
                 " hash=%" PRIu64 ")\n",
-                expect_chain, expect_hash);
+                args.chain, args.hash);
     return 0;
   }
   std::printf("repro: MISMATCH — expected chain=%" PRIu64 " hash=%" PRIu64
               " got chain=%" PRIu64 " hash=%" PRIu64 "\n",
-              expect_chain, expect_hash, run.report.chain_hash,
+              args.chain, args.hash, run.report.chain_hash,
               run.report.hash());
   return 1;
 }
@@ -224,101 +220,81 @@ int main(int argc, char** argv) {
   std::string repro_line;
   std::string recover_dir;
   std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    const auto has_value = [&](const char* flag) {
-      return std::strcmp(argv[i], flag) == 0 && i + 1 < argc;
-    };
-    if (has_value("--seed"))
-      cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (has_value("--batches")) cfg.batches = std::atoi(argv[++i]);
-    else if (has_value("--batch-keys")) cfg.batch_keys = std::atoll(argv[++i]);
-    else if (has_value("--pattern")) cfg.pattern = std::atoi(argv[++i]);
-    else if (has_value("--interval"))
-      cfg.batch_interval = std::atoll(argv[++i]);
-    else if (has_value("--ranges")) cfg.ranges = std::atoi(argv[++i]);
-    else if (has_value("--sample")) cfg.sample_keys = std::atoll(argv[++i]);
-    else if (has_value("--block")) cfg.block = std::atoi(argv[++i]);
-    else if (has_value("--budget")) cfg.budget_bytes = std::atoll(argv[++i]);
-    else if (has_value("--backends")) cfg.backends = std::atoi(argv[++i]);
-    else if (has_value("--domains")) cfg.domains = std::atoi(argv[++i]);
-    else if (has_value("--faulty")) cfg.faulty = std::atoi(argv[++i]);
-    else if (has_value("--outage")) {
-      if (!cfg.outage.empty()) cfg.outage += '+';
-      cfg.outage += argv[++i];
-      outage_set = true;
-    } else if (has_value("--tear")) cfg.tear_rate = std::atof(argv[++i]);
-    else if (has_value("--crash")) cfg.crash_rate = std::atof(argv[++i]);
-    else if (has_value("--retry")) cfg.retry_limit = std::atoi(argv[++i]);
-    else if (has_value("--size")) args.size = std::atoi(argv[++i]);
-    else if (has_value("--dims")) args.dims = std::atoi(argv[++i]);
-    else if (has_value("--threads")) args.threads = std::atoi(argv[++i]);
-    else if (has_value("--json")) json_path = argv[++i];
-    else if (has_value("--journal")) {
-      cfg.journal_dir = argv[++i];
-      args.journal = true;
-    } else if (has_value("--io-faults")) {
-      try {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      FlagCursor flag{argc, argv, i};
+      if (flag.has_value("--seed")) flag.number(cfg.seed);
+      else if (flag.has_value("--batches")) flag.number(cfg.batches);
+      else if (flag.has_value("--batch-keys")) flag.number(cfg.batch_keys);
+      else if (flag.has_value("--pattern")) flag.number(cfg.pattern);
+      else if (flag.has_value("--interval")) flag.number(cfg.batch_interval);
+      else if (flag.has_value("--ranges")) flag.number(cfg.ranges);
+      else if (flag.has_value("--sample")) flag.number(cfg.sample_keys);
+      else if (flag.has_value("--block")) flag.number(cfg.block);
+      else if (flag.has_value("--budget")) flag.number(cfg.budget_bytes);
+      else if (flag.has_value("--backends")) flag.number(cfg.backends);
+      else if (flag.has_value("--domains")) flag.number(cfg.domains);
+      else if (flag.has_value("--faulty")) flag.number(cfg.faulty);
+      else if (flag.has_value("--outage")) {
+        if (!cfg.outage.empty()) cfg.outage += '+';
+        cfg.outage += argv[++i];
+        outage_set = true;
+      } else if (flag.has_value("--tear")) flag.number(cfg.tear_rate);
+      else if (flag.has_value("--crash")) flag.number(cfg.crash_rate);
+      else if (flag.has_value("--retry")) flag.number(cfg.retry_limit);
+      else if (flag.has_value("--size")) flag.number(args.size);
+      else if (flag.has_value("--dims")) flag.number(args.dims);
+      else if (flag.has_value("--threads")) flag.number(args.threads);
+      else if (flag.has_value("--json")) json_path = argv[++i];
+      else if (flag.has_value("--journal")) {
+        cfg.journal_dir = argv[++i];
+        args.journal = true;
+      } else if (flag.has_value("--io-faults")) {
         cfg.io_faults = parse_io_faults(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--io-faults: %s\n", e.what());
+      } else if (flag.has_value("--kill-after-records"))
+        flag.number(cfg.kill_after_records);
+      else if (flag.has_value("--recover")) recover_dir = argv[++i];
+      else if (flag.has_value("--out")) out_path = argv[++i];
+      else if (std::strcmp(argv[i], "--soak") == 0) soak = true;
+      else if (std::strcmp(argv[i], "--repro") == 0) {
+        repro_line = ReproLine::rejoin_args(argc, argv, i + 1);
+        i = argc;
+        if (repro_line.empty()) {
+          std::fprintf(stderr, "--repro needs a STREAM-REPRO line\n");
+          return 2;
+        }
+      } else {
+        std::fprintf(stderr,
+                     "usage: %s [--seed S] [--batches B] [--batch-keys K]"
+                     " [--pattern P] [--interval I] [--ranges R] [--sample N]"
+                     " [--block B] [--budget BYTES] [--backends N]"
+                     " [--domains D] [--faulty F] [--outage D@F~U]"
+                     " [--tear RATE] [--crash RATE] [--retry R] [--size N]"
+                     " [--dims r] [--threads T] [--json FILE]"
+                     " [--journal DIR] [--io-faults TOKEN]"
+                     " [--kill-after-records N] [--out FILE]"
+                     " [--recover DIR]"
+                     " [--soak] [--repro STREAM-REPRO-line]\n",
+                     argv[0]);
         return 2;
       }
-    } else if (has_value("--kill-after-records"))
-      cfg.kill_after_records = std::atoll(argv[++i]);
-    else if (has_value("--recover")) recover_dir = argv[++i];
-    else if (has_value("--out")) out_path = argv[++i];
-    else if (std::strcmp(argv[i], "--soak") == 0) soak = true;
-    else if (std::strcmp(argv[i], "--repro") == 0) {
-      repro_line = ReproLine::rejoin_args(argc, argv, i + 1);
-      i = argc;
-      if (repro_line.empty()) {
-        std::fprintf(stderr, "--repro needs a STREAM-REPRO line\n");
-        return 2;
-      }
-    } else {
+    }
+
+    if (cfg.io_faults.any() && cfg.journal_dir.empty() && recover_dir.empty()) {
       std::fprintf(stderr,
-                   "usage: %s [--seed S] [--batches B] [--batch-keys K]"
-                   " [--pattern P] [--interval I] [--ranges R] [--sample N]"
-                   " [--block B] [--budget BYTES] [--backends N]"
-                   " [--domains D] [--faulty F] [--outage D@F~U]"
-                   " [--tear RATE] [--crash RATE] [--retry R] [--size N]"
-                   " [--dims r] [--threads T] [--json FILE]"
-                   " [--journal DIR] [--io-faults TOKEN]"
-                   " [--kill-after-records N] [--out FILE]"
-                   " [--recover DIR]"
-                   " [--soak] [--repro STREAM-REPRO-line]\n",
-                   argv[0]);
+                   "--io-faults injects into the durability layer; it needs"
+                   " --journal DIR (or --recover DIR)\n");
       return 2;
     }
-  }
-
-  if (cfg.io_faults.any() && cfg.journal_dir.empty() && recover_dir.empty()) {
-    std::fprintf(stderr,
-                 "--io-faults injects into the durability layer; it needs"
-                 " --journal DIR (or --recover DIR)\n");
-    return 2;
-  }
-  if (cfg.kill_after_records != 0 && cfg.journal_dir.empty() &&
-      recover_dir.empty()) {
-    std::fprintf(stderr,
-                 "--kill-after-records counts journal records; it needs"
-                 " --journal DIR (or --recover DIR)\n");
-    return 2;
-  }
-
-  if (!repro_line.empty()) {
-    try {
-      return run_repro(repro_line, cfg.journal_dir);
-    } catch (const DurabilityKill& kill) {
-      return report_kill(kill);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--repro: malformed line: %s\n", e.what());
+    if (cfg.kill_after_records != 0 && cfg.journal_dir.empty() &&
+        recover_dir.empty()) {
+      std::fprintf(stderr,
+                   "--kill-after-records counts journal records; it needs"
+                   " --journal DIR (or --recover DIR)\n");
       return 2;
     }
-  }
-
-  if (!recover_dir.empty()) {
-    try {
+    if (!repro_line.empty()) return run_repro(repro_line, cfg.journal_dir);
+    if (!recover_dir.empty()) {
       ParallelExecutor executor(args.threads);
       const StreamRecoveryResult result =
           recover_stream(recover_dir, &executor, cfg.kill_after_records);
@@ -360,32 +336,24 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "warning: could not write %s\n",
                      json_path.c_str());
       return 0;
-    } catch (const DurabilityKill& kill) {
-      return report_kill(kill);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "prodsort_stream --recover: %s\n", e.what());
-      return 2;
     }
-  }
-
-  if (soak) {
-    // Default fault pressure: whole-run crashes, torn merges, one
-    // comparator-faulted backend, and one mid-stream outage window —
-    // every rung of the recovery ladder fires.
-    if (cfg.crash_rate == 0) cfg.crash_rate = 0.05;
-    if (cfg.tear_rate == 0) cfg.tear_rate = 0.25;
-    if (cfg.faulty == 0) cfg.faulty = 1;
-    if (!outage_set) {
-      const std::int64_t from = cfg.batch_interval * cfg.batches / 4;
-      char window[64];
-      std::snprintf(window, sizeof window, "0@%lld~%lld",
-                    static_cast<long long>(from),
-                    static_cast<long long>(2 * from));
-      cfg.outage = window;
+    if (soak) {
+      // Default fault pressure: whole-run crashes, torn merges, one
+      // comparator-faulted backend, and one mid-stream outage window —
+      // every rung of the recovery ladder fires.
+      if (cfg.crash_rate == 0) cfg.crash_rate = 0.05;
+      if (cfg.tear_rate == 0) cfg.tear_rate = 0.25;
+      if (cfg.faulty == 0) cfg.faulty = 1;
+      if (!outage_set) {
+        const std::int64_t from = cfg.batch_interval * cfg.batches / 4;
+        char window[64];
+        std::snprintf(window, sizeof window, "0@%lld~%lld",
+                      static_cast<long long>(from),
+                      static_cast<long long>(2 * from));
+        cfg.outage = window;
+      }
     }
-  }
 
-  try {
     StreamRun run = run_stream(args);
     const StreamReport& report = run.report;
     args.chain = report.chain_hash;
@@ -398,7 +366,7 @@ int main(int argc, char** argv) {
                 cfg.faulty, std::min(cfg.domains, cfg.backends),
                 static_cast<long long>(cfg.budget_bytes),
                 report.summary().c_str());
-    std::printf("%s\n", format_stream_repro(args).c_str());
+    std::printf("%s\n", format_repro(args).c_str());
     print_stream_fp(report);
     if (!out_path.empty() && !write_file(out_path, pack_emitted(run.emitted))) {
       std::fprintf(stderr, "error: could not write %s\n", out_path.c_str());
@@ -425,7 +393,11 @@ int main(int argc, char** argv) {
   } catch (const DurabilityKill& kill) {
     return report_kill(kill);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "prodsort_stream: %s\n", e.what());
+    std::fprintf(stderr, "%s%s\n",
+                 !repro_line.empty()    ? "--repro: malformed line: "
+                 : !recover_dir.empty() ? "prodsort_stream --recover: "
+                                        : "prodsort_stream: ",
+                 e.what());
     return 2;
   }
 }

@@ -58,7 +58,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <random>
@@ -101,15 +100,58 @@ std::vector<Key> make_input(PNode total, int pattern, std::mt19937_64& rng) {
   return keys;
 }
 
+// The executable sorters a soak trial draws from, and their sorter=
+// names, in one order.
+const ShearsortS2 kShearsort{};
+const SnakeOETS2 kSnakeOet{};
+const S2Sorter* const kSorters[] = {&kShearsort, &kSnakeOet};
+const char* const kSorterNames[] = {"shearsort", "snake-oet"};
+
+const auto kSorterCodec = names_codec(kSorterNames);
+const Codec kScheduleCodec{
+    [](const FaultConfig& config) {
+      return FaultModel(config).schedule_string();
+    },
+    FaultModel::parse_schedule_string};
+
+/// The fault soak's failure line (FAULT-REPRO without mode=): printed
+/// for a person, not replayed; --repro takes the chaos and SDC forms.
+struct FaultSoakRepro {
+  unsigned seed = 0;
+  unsigned fault_seed = 0;
+  const LabeledFactor* factor = nullptr;
+  int r = 0;
+  int pattern = 0;
+  int threads = 0;
+  std::size_t sorter = 0;
+  double faults = 0;
+  FaultConfig schedule;
+  long trial = 0;
+  std::string outcome;
+  std::string packet;  ///< ok | FAILED
+
+  static std::string_view tag(const FaultSoakRepro&) { return "FAULT-REPRO"; }
+  static void tokens(auto& v, auto& self) {
+    v("seed", self.seed);
+    v("fault-seed", self.fault_seed);
+    v.text("family", self.factor, kFactorCodec);
+    v("r", self.r);
+    v("pattern", self.pattern);
+    v("threads", self.threads);
+    v.text("sorter", self.sorter, kSorterCodec);
+    v("faults", self.faults);
+    v.text("schedule", self.schedule, kScheduleCodec);
+    v("trial", self.trial);
+    v("outcome", self.outcome);
+    v("packet", self.packet);
+  }
+};
+
 // The fault-tolerance soak: sort under injected faults, self-verify,
 // recover, and cross-check the packet layer.  Returns 0 on success.
 int run_fault_soak(long trials, unsigned seed, unsigned fault_seed,
                    double rate, PNode max_nodes) {
   const auto factors = standard_factors();
-  const ShearsortS2 shear;
-  const SnakeOETS2 oet;
-  const S2Sorter* sorters[] = {&shear, &oet};
-  const char* sorter_names[] = {"shearsort", "snake-oet"};
   std::mt19937_64 rng(seed);
 
   const PNode cap = std::min<PNode>(max_nodes, 2000);  // executable sorters
@@ -146,7 +188,7 @@ int run_fault_soak(long trials, unsigned seed, unsigned fault_seed,
     Machine m(pg, keys, &exec);
     m.set_fault_model(&fm);
     SortOptions options;
-    options.s2 = sorters[sorter];
+    options.s2 = kSorters[sorter];
     (void)sort_product_network(m, options);
 
     // The RecoveryController's budget rule: nodes + 4 repair passes.
@@ -176,13 +218,11 @@ int run_fault_soak(long trials, unsigned seed, unsigned fault_seed,
     total_retries += packet_retries;
 
     if (got != expected || !packet_ok) {
-      std::printf(
-          "FAULT-REPRO seed=%u fault-seed=%u family=%s r=%d pattern=%d"
-          " threads=%d sorter=%s faults=%g schedule=%s trial=%ld"
-          " outcome=%s packet=%s\n",
-          seed, fault_seed, factor.name.c_str(), r, pattern, threads,
-          sorter_names[sorter], rate, fm.schedule_string().c_str(), trial,
-          to_string(report.outcome).c_str(), packet_ok ? "ok" : "FAILED");
+      const FaultSoakRepro line{seed,    fault_seed, &factor, r, pattern,
+                                threads, sorter,     rate,    config, trial,
+                                to_string(report.outcome),
+                                packet_ok ? "ok" : "FAILED"};
+      std::printf("%s\n", format_repro(line).c_str());
       return 1;
     }
   }
@@ -199,15 +239,18 @@ int run_fault_soak(long trials, unsigned seed, unsigned fault_seed,
 
 // ----------------------------------------------------------- chaos soak
 
-const char* const kChaosSorterNames[] = {"shearsort", "snake-oet"};
+const char* const kTrialModes[] = {"chaos", "sdc"};
 
+/// One chaos or SDC trial, and its replay line: FAULT-REPRO mode=chaos
+/// or SDC-REPRO mode=sdc.
 struct ChaosTrialSpec {
+  bool sdc = false;  ///< an SDC soak trial, else a chaos soak trial
   const LabeledFactor* factor = nullptr;
   int r = 2;
   int pattern = 0;
   int threads = 1;
   int interval = 8;        ///< checkpoint interval (phases)
-  std::size_t sorter = 0;  ///< index into kChaosSorterNames
+  std::size_t sorter = 0;  ///< index into kSorterNames
   FaultConfig config;
   unsigned seed = 0;  ///< with `trial`, derives the input keys
   long trial = 0;
@@ -216,6 +259,36 @@ struct ChaosTrialSpec {
   /// escape (counted, gated by --max-escape-rate), not a soak failure.
   CertLevel cert_level = CertLevel::kFull;
   std::uint64_t cert_seed = 0;  ///< 0 = derive from (seed, trial)
+  /// Diagnostics a failing trial prints and replay ignores: the
+  /// recovery path (chaos) or ladder rung (SDC), and what went wrong.
+  std::string outcome;
+  std::string reason;
+
+  static std::string_view tag(const ChaosTrialSpec& self) {
+    return self.sdc ? "SDC-REPRO" : "FAULT-REPRO";
+  }
+  /// cert-level= and cert-seed= are absent on SDC lines older than
+  /// adaptive certification, which replay at the full level.
+  static void tokens(auto& v, auto& self) {
+    v.text("mode", self.sdc, names_codec(kTrialModes));
+    v("seed", self.seed);
+    v("trial", self.trial);
+    v.text("family", self.factor, kFactorCodec);
+    v("r", self.r);
+    v("pattern", self.pattern);
+    v("threads", self.threads);
+    v.text("sorter", self.sorter, kSorterCodec);
+    v("interval", self.interval, when(!self.sdc));
+    v.text("schedule", self.config, kScheduleCodec);
+    v.text("cert-level", self.cert_level,
+           Codec{[](CertLevel level) { return to_string(level); },
+                 parse_cert_level},
+           when(self.sdc));
+    v("cert-seed", self.cert_seed, when(self.sdc));
+    v("path", self.outcome, when(!self.sdc));
+    v("rung", self.outcome, when(self.sdc));
+    v("reason", self.reason, kOptional);
+  }
 };
 
 /// Trial-local sample seed for the sampled certificate — pure hash of
@@ -250,6 +323,21 @@ std::vector<Key> chaos_input(const ChaosTrialSpec& spec, PNode total) {
   return make_input(total, spec.pattern, rng);
 }
 
+/// The trial-local draws both soaks make from the trial hash `h`: the
+/// factor, the largest r >= 2 that fits `cap`, the input pattern, the
+/// thread count and the sorter.  False when even r = 2 does not fit.
+bool draw_trial(ChaosTrialSpec& spec, const std::vector<LabeledFactor>& factors,
+                std::uint64_t h, PNode cap) {
+  spec.factor = &factors[h % factors.size()];
+  spec.r = 2;
+  while (spec.r < 5 && pow_int(spec.factor->size(), spec.r + 1) <= cap)
+    ++spec.r;
+  spec.pattern = static_cast<int>(mix64(h, 1) % 5);
+  spec.threads = 1 + static_cast<int>(mix64(h, 2) % 4);
+  spec.sorter = static_cast<std::size_t>(mix64(h, 3) % 2);
+  return pow_int(spec.factor->size(), spec.r) <= cap;
+}
+
 struct ChaosTotals {
   long rollbacks = 0;
   long remaps = 0;
@@ -278,10 +366,6 @@ std::int64_t chaos_probe_phases(const ProductGraph& pg,
 // Runs one chaos trial end to end.  Returns 0 on a coherent outcome;
 // otherwise prints the replayable FAULT-REPRO line and returns 1.
 int run_chaos_trial(const ChaosTrialSpec& spec, ChaosTotals* totals) {
-  const ShearsortS2 shear;
-  const SnakeOETS2 oet;
-  const S2Sorter* sorters[] = {&shear, &oet};
-
   const ProductGraph pg(*spec.factor, spec.r);
   const std::vector<Key> keys = chaos_input(spec, pg.num_nodes());
   std::vector<Key> expected = keys;
@@ -294,7 +378,7 @@ int run_chaos_trial(const ChaosTrialSpec& spec, ChaosTotals* totals) {
   machine.set_fault_model(&fm);
 
   SortOptions options;
-  options.s2 = sorters[spec.sorter];
+  options.s2 = kSorters[spec.sorter];
   RecoveryController controller(machine,
                                 {.checkpoint_interval = spec.interval});
   const CrashRecoveryReport report = controller.run(options);
@@ -327,20 +411,15 @@ int run_chaos_trial(const ChaosTrialSpec& spec, ChaosTotals* totals) {
   }
   if (reason == nullptr) return 0;
 
-  std::printf(
-      "FAULT-REPRO mode=chaos seed=%u trial=%ld family=%s r=%d pattern=%d"
-      " threads=%d sorter=%s interval=%d schedule=%s path=%s reason=%s\n",
-      spec.seed, spec.trial, spec.factor->name.c_str(), spec.r, spec.pattern,
-      spec.threads, kChaosSorterNames[spec.sorter], spec.interval,
-      fm.schedule_string().c_str(), to_string(report.path).c_str(), reason);
+  ChaosTrialSpec line = spec;
+  line.outcome = to_string(report.path);
+  line.reason = reason;
+  std::printf("%s\n", format_repro(line).c_str());
   return 1;
 }
 
 int run_chaos_soak(long trials, unsigned seed, double rate, PNode max_nodes) {
   const auto factors = standard_factors();
-  const ShearsortS2 shear;
-  const SnakeOETS2 oet;
-  const S2Sorter* sorters[] = {&shear, &oet};
   const PNode cap = std::min<PNode>(max_nodes, 1200);
 
   long executed = 0;
@@ -351,19 +430,12 @@ int run_chaos_soak(long trials, unsigned seed, double rate, PNode max_nodes) {
     ChaosTrialSpec spec;
     spec.seed = seed;
     spec.trial = trial;
-    spec.factor = &factors[h % factors.size()];
-    int r = 2;
-    while (r < 5 && pow_int(spec.factor->size(), r + 1) <= cap) ++r;
-    if (pow_int(spec.factor->size(), r) > cap) continue;
-    spec.r = r;
-    spec.pattern = static_cast<int>(mix64(h, 1) % 5);
-    spec.threads = 1 + static_cast<int>(mix64(h, 2) % 4);
-    spec.sorter = static_cast<std::size_t>(mix64(h, 3) % 2);
+    if (!draw_trial(spec, factors, h, cap)) continue;
     spec.interval = 2 + static_cast<int>(mix64(h, 4) % 12);
 
     const ProductGraph pg(*spec.factor, spec.r);
     const std::int64_t phases =
-        chaos_probe_phases(pg, spec, *sorters[spec.sorter]);
+        chaos_probe_phases(pg, spec, *kSorters[spec.sorter]);
 
     FaultConfig config;
     config.seed = mix64(h, 5);
@@ -420,10 +492,6 @@ struct SdcTotals {
 // escape or fingerprint collision) fails the trial.  Returns 0 on a
 // coherent outcome; otherwise prints the replayable SDC-REPRO line.
 int run_sdc_trial(const ChaosTrialSpec& spec, SdcTotals* totals) {
-  const ShearsortS2 shear;
-  const SnakeOETS2 oet;
-  const S2Sorter* sorters[] = {&shear, &oet};
-
   const ProductGraph pg(*spec.factor, spec.r);
   const std::vector<Key> keys = chaos_input(spec, pg.num_nodes());
   std::vector<Key> expected = keys;
@@ -437,7 +505,7 @@ int run_sdc_trial(const ChaosTrialSpec& spec, SdcTotals* totals) {
   Machine machine(pg, keys, &exec);
   machine.set_fault_model(&fm);
   SortOptions options;
-  options.s2 = sorters[spec.sorter];
+  options.s2 = kSorters[spec.sorter];
   (void)sort_product_network(machine, options);
 
   std::vector<Key> got = machine.read_snake(view);
@@ -524,14 +592,11 @@ int run_sdc_trial(const ChaosTrialSpec& spec, SdcTotals* totals) {
   }
   if (reason == nullptr) return 0;
 
-  std::printf(
-      "SDC-REPRO mode=sdc seed=%u trial=%ld family=%s r=%d pattern=%d"
-      " threads=%d sorter=%s schedule=%s cert-level=%s cert-seed=%llu"
-      " rung=%s reason=%s\n",
-      spec.seed, spec.trial, spec.factor->name.c_str(), spec.r, spec.pattern,
-      spec.threads, kChaosSorterNames[spec.sorter],
-      fm.schedule_string().c_str(), to_string(spec.cert_level).c_str(),
-      static_cast<unsigned long long>(sdc_cert_seed(spec)), rung, reason);
+  ChaosTrialSpec line = spec;
+  line.cert_seed = sdc_cert_seed(spec);
+  line.outcome = rung;
+  line.reason = reason;
+  std::printf("%s\n", format_repro(line).c_str());
   return 1;
 }
 
@@ -539,9 +604,6 @@ int run_sdc_soak(long trials, unsigned seed, PNode max_nodes,
                  double min_repair_rate, CertLevel cert_level,
                  double max_escape_rate) {
   const auto factors = standard_factors();
-  const ShearsortS2 shear;
-  const SnakeOETS2 oet;
-  const S2Sorter* sorters[] = {&shear, &oet};
   const PNode cap = std::min<PNode>(max_nodes, 1000);
 
   SdcTotals totals;
@@ -549,21 +611,15 @@ int run_sdc_soak(long trials, unsigned seed, PNode max_nodes,
     const std::uint64_t h =
         mix64(mix64(seed) ^ 0x736463ULL, static_cast<std::uint64_t>(trial));
     ChaosTrialSpec spec;
+    spec.sdc = true;
     spec.seed = seed;
     spec.trial = trial;
-    spec.factor = &factors[h % factors.size()];
-    int r = 2;
-    while (r < 5 && pow_int(spec.factor->size(), r + 1) <= cap) ++r;
-    if (pow_int(spec.factor->size(), r) > cap) continue;
-    spec.r = r;
-    spec.pattern = static_cast<int>(mix64(h, 1) % 5);
-    spec.threads = 1 + static_cast<int>(mix64(h, 2) % 4);
-    spec.sorter = static_cast<std::size_t>(mix64(h, 3) % 2);
+    if (!draw_trial(spec, factors, h, cap)) continue;
     spec.cert_level = cert_level;
 
     const ProductGraph pg(*spec.factor, spec.r);
     const std::int64_t phases =
-        chaos_probe_phases(pg, spec, *sorters[spec.sorter]);
+        chaos_probe_phases(pg, spec, *kSorters[spec.sorter]);
 
     // 1-4 silently faulty comparators: nodes, windows, and kinds all
     // seed-hashed.  The baseline mix is transient stuck/inverted faults
@@ -661,46 +717,9 @@ int run_sdc_soak(long trials, unsigned seed, PNode max_nodes,
 // line.  Diagnostic tokens (path, rung, reason) are ignored; replay
 // consumes only the trial-derivation fields.
 int run_repro(const std::string& line) {
-  const ReproLine repro(line);
-  const std::string mode = repro.get("mode");
-  if (mode != "chaos" && mode != "sdc") {
-    std::fprintf(stderr,
-                 "--repro replays mode=chaos FAULT-REPRO and mode=sdc"
-                 " SDC-REPRO lines only\n");
-    return 2;
-  }
-
-  const auto factors = standard_factors();
-  ChaosTrialSpec spec;
-  spec.seed = static_cast<unsigned>(std::stoul(repro.require("seed")));
-  spec.trial = std::stol(repro.require("trial"));
-  const std::string family = repro.require("family");
-  for (const LabeledFactor& factor : factors)
-    if (factor.name == family) spec.factor = &factor;
-  if (spec.factor == nullptr) {
-    std::fprintf(stderr, "--repro: unknown factor family '%s'\n",
-                 family.c_str());
-    return 2;
-  }
-  spec.r = std::stoi(repro.require("r"));
-  spec.pattern = std::stoi(repro.require("pattern"));
-  spec.threads = std::stoi(repro.require("threads"));
-  spec.sorter = repro.require("sorter") == kChaosSorterNames[1] ? 1 : 0;
-  spec.config = FaultModel::parse_schedule_string(repro.require("schedule"));
-
-  int status;
-  if (mode == "chaos") {
-    spec.interval = std::stoi(repro.require("interval"));
-    status = run_chaos_trial(spec, nullptr);
-  } else {
-    // Absent on pre-adaptive SDC-REPRO lines; defaults replay the
-    // original full-certificate behavior.
-    if (repro.has("cert-level"))
-      spec.cert_level = parse_cert_level(repro.get("cert-level"));
-    if (repro.has("cert-seed"))
-      spec.cert_seed = std::stoull(repro.get("cert-seed"));
-    status = run_sdc_trial(spec, nullptr);
-  }
+  const ChaosTrialSpec spec = parse_repro<ChaosTrialSpec>(line);
+  const int status =
+      spec.sdc ? run_sdc_trial(spec, nullptr) : run_chaos_trial(spec, nullptr);
   std::printf("repro: %s\n", status == 0
                                  ? "trial passed (failure did not reproduce)"
                                  : "failure reproduced");
@@ -721,60 +740,49 @@ int main(int argc, char** argv) {
   CertLevel cert_level = CertLevel::kFull;
   double max_escape_rate = 0;
   std::string repro_line;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc)
-      trials = std::atol(argv[++i]);
-    else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-      seed = static_cast<unsigned>(std::atol(argv[++i]));
-    else if (std::strcmp(argv[i], "--max-nodes") == 0 && i + 1 < argc)
-      max_nodes = std::atol(argv[++i]);
-    else if (std::strcmp(argv[i], "--faults") == 0 && i + 1 < argc)
-      fault_rate = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc)
-      fault_seed = static_cast<unsigned>(std::atol(argv[++i]));
-    else if (std::strcmp(argv[i], "--chaos") == 0)
-      chaos = true;
-    else if (std::strcmp(argv[i], "--sdc") == 0)
-      sdc = true;
-    else if (std::strcmp(argv[i], "--min-repair-rate") == 0 && i + 1 < argc)
-      min_repair_rate = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--cert-level") == 0 && i + 1 < argc) {
-      try {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      FlagCursor flag{argc, argv, i};
+      if (flag.has_value("--trials")) flag.number(trials);
+      else if (flag.has_value("--seed")) flag.number(seed);
+      else if (flag.has_value("--max-nodes")) flag.number(max_nodes);
+      else if (flag.has_value("--faults")) flag.number(fault_rate);
+      else if (flag.has_value("--fault-seed")) flag.number(fault_seed);
+      else if (std::strcmp(argv[i], "--chaos") == 0) chaos = true;
+      else if (std::strcmp(argv[i], "--sdc") == 0) sdc = true;
+      else if (flag.has_value("--min-repair-rate"))
+        flag.number(min_repair_rate);
+      else if (flag.has_value("--cert-level"))
         cert_level = parse_cert_level(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--cert-level: %s\n", e.what());
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--max-escape-rate") == 0 && i + 1 < argc)
-      max_escape_rate = std::atof(argv[++i]);
-    else if (std::strcmp(argv[i], "--repro") == 0) {
-      // Everything after --repro is the repro line, quoted or
-      // shell-split: rejoin it either way.
-      repro_line = ReproLine::rejoin_args(argc, argv, i + 1);
-      i = argc;
-      if (repro_line.empty()) {
+      else if (flag.has_value("--max-escape-rate"))
+        flag.number(max_escape_rate);
+      else if (std::strcmp(argv[i], "--repro") == 0) {
+        // Everything after --repro is the repro line, quoted or
+        // shell-split: rejoin it either way.
+        repro_line = ReproLine::rejoin_args(argc, argv, i + 1);
+        i = argc;
+        if (repro_line.empty()) {
+          std::fprintf(stderr,
+                       "--repro needs a FAULT-REPRO or SDC-REPRO line\n");
+          return 2;
+        }
+      } else {
         std::fprintf(stderr,
-                     "--repro needs a FAULT-REPRO or SDC-REPRO line\n");
+                     "usage: %s [--trials T] [--seed S] [--max-nodes M]"
+                     " [--faults RATE] [--fault-seed F] [--chaos] [--sdc]"
+                     " [--min-repair-rate R] [--cert-level spot|sampled|full]"
+                     " [--max-escape-rate R] [--repro REPRO-line]\n",
+                     argv[0]);
         return 2;
       }
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trials T] [--seed S] [--max-nodes M]"
-                   " [--faults RATE] [--fault-seed F] [--chaos] [--sdc]"
-                   " [--min-repair-rate R] [--cert-level spot|sampled|full]"
-                   " [--max-escape-rate R] [--repro REPRO-line]\n",
-                   argv[0]);
-      return 2;
     }
-  }
-
-  if (!repro_line.empty()) {
-    try {
-      return run_repro(repro_line);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--repro: malformed line: %s\n", e.what());
-      return 2;
-    }
+    if (!repro_line.empty()) return run_repro(repro_line);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s%s\n",
+                 repro_line.empty() ? "prodsort_stress: "
+                                    : "--repro: malformed line: ",
+                 e.what());
+    return 2;
   }
   if (sdc)
     return run_sdc_soak(trials, seed, max_nodes, min_repair_rate, cert_level,
@@ -787,9 +795,7 @@ int main(int argc, char** argv) {
 
   const auto factors = standard_factors();
   const OracleS2 oracle;
-  const ShearsortS2 shear;
-  const SnakeOETS2 oet;
-  const S2Sorter* sorters[] = {&oracle, &shear, &oet};
+  const S2Sorter* sorters[] = {&oracle, &kShearsort, &kSnakeOet};
   std::mt19937_64 rng(seed);
 
   long executed = 0;

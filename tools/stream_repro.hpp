@@ -12,14 +12,12 @@
 // proves every counter (retries, crashes, rollbacks, high-water, ...)
 // evolved identically.
 //
-// Shared by prodsort_stream and the repro/fuzz tests; parsing rejects
-// malformed tokens with std::invalid_argument naming the token, in the
-// same spirit as FaultModel::parse_schedule_string.
+// Shared by prodsort_stream and the repro/fuzz tests; printed and read
+// by the one REPRO grammar (repro_line.hpp): format_repro(r) and
+// parse_repro<StreamRepro>(line).
 
-#include <charconv>
-#include <cinttypes>
-#include <cstdio>
-#include <stdexcept>
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -43,130 +41,47 @@ struct StreamRepro {
   /// machine-local and never rides on the line — a replay must supply
   /// its own via --journal.
   bool journal = false;
+
+  static std::string_view tag(const StreamRepro&) { return "STREAM-REPRO"; }
+  static void tokens(auto& v, auto& self) {
+    auto& c = self.config;
+    v("seed", c.seed);
+    v("batches", c.batches);
+    v("batch", c.batch_keys);
+    v("pattern", c.pattern);
+    v("interval", c.batch_interval);
+    v("ranges", c.ranges);
+    v("sample", c.sample_keys);
+    v("block", c.block);
+    v("budget", c.budget_bytes);
+    v("backends", c.backends);
+    v("domains", c.domains);
+    v("faulty", c.faulty);
+    v("tear", c.tear_rate);
+    v("crash", c.crash_rate);
+    v("retry", c.retry_limit);
+    v("backoff", c.backoff_base);
+    v("cap", c.backoff_cap);
+    v("breaker-k", c.breaker.failure_threshold);
+    v("cooldown", c.breaker.cooldown);
+    v("size", self.size);
+    v("dims", self.dims);
+    v("threads", self.threads);
+    v("chain", self.chain);
+    v("hash", self.hash);
+    // Validated against the line's own domain count, read above, so a
+    // torn line fails at parse time rather than mid-replay.
+    v.text("outage", c.outage,
+           Codec{[](const std::string& s) { return s; },
+                 [&c](const std::string& s) {
+                   (void)parse_domain_outages(
+                       s, std::min(c.domains, c.backends));
+                   return s;
+                 }},
+           when(!c.outage.empty()));
+    v.text("journal", c.io_faults, Codec{format_io_faults, parse_io_faults},
+           flag(self.journal));
+  }
 };
-
-namespace stream_repro_detail {
-
-inline std::int64_t parse_int(const ReproLine& line, std::string_view key) {
-  const std::string value = line.require(key);
-  std::int64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size())
-    throw std::invalid_argument("STREAM-REPRO: bad token '" +
-                                std::string(key) + "=" + value + "'");
-  return out;
-}
-
-inline std::uint64_t parse_u64(const ReproLine& line, std::string_view key) {
-  const std::string value = line.require(key);
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size())
-    throw std::invalid_argument("STREAM-REPRO: bad token '" +
-                                std::string(key) + "=" + value + "'");
-  return out;
-}
-
-inline double parse_rate(const ReproLine& line, std::string_view key) {
-  const std::string value = line.require(key);
-  try {
-    std::size_t consumed = 0;
-    const double out = std::stod(value, &consumed);
-    if (consumed != value.size()) throw std::invalid_argument(value);
-    return out;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("STREAM-REPRO: bad token '" +
-                                std::string(key) + "=" + value + "'");
-  }
-}
-
-}  // namespace stream_repro_detail
-
-/// The one-line replay form, without a trailing newline.
-inline std::string format_stream_repro(const StreamRepro& r) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof buf,
-      "STREAM-REPRO seed=%" PRIu64
-      " batches=%d batch=%lld pattern=%d interval=%lld ranges=%d"
-      " sample=%lld block=%d budget=%lld backends=%d domains=%d faulty=%d"
-      " tear=%.17g crash=%.17g retry=%d backoff=%lld cap=%lld"
-      " breaker-k=%d cooldown=%lld size=%d dims=%d threads=%d"
-      " chain=%" PRIu64 " hash=%" PRIu64,
-      r.config.seed, r.config.batches,
-      static_cast<long long>(r.config.batch_keys), r.config.pattern,
-      static_cast<long long>(r.config.batch_interval), r.config.ranges,
-      static_cast<long long>(r.config.sample_keys), r.config.block,
-      static_cast<long long>(r.config.budget_bytes), r.config.backends,
-      r.config.domains, r.config.faulty, r.config.tear_rate,
-      r.config.crash_rate, r.config.retry_limit,
-      static_cast<long long>(r.config.backoff_base),
-      static_cast<long long>(r.config.backoff_cap),
-      r.config.breaker.failure_threshold,
-      static_cast<long long>(r.config.breaker.cooldown), r.size, r.dims,
-      r.threads, r.chain, r.hash);
-  std::string line(buf);
-  // The outage schedule can be arbitrarily long; append it outside the
-  // fixed buffer.  Omitted entirely when there are no windows, and
-  // guaranteed space-free by format_domain_outages.
-  if (!r.config.outage.empty()) line += " outage=" + r.config.outage;
-  // journal= marks a durable run and round-trips the io-fault schedule
-  // (`none` when journaling ran fault-free); absent entirely when the
-  // run was not journaled.
-  if (r.journal || !r.config.journal_dir.empty())
-    line += " journal=" + format_io_faults(r.config.io_faults);
-  return line;
-}
-
-/// Parses a STREAM-REPRO line (the inverse of format_stream_repro;
-/// unknown tokens are ignored, first occurrence wins).  Throws
-/// std::invalid_argument naming the missing or malformed token; the
-/// outage schedule is validated against the line's own domain count.
-inline StreamRepro parse_stream_repro(const std::string& line) {
-  using namespace stream_repro_detail;
-  const ReproLine repro(line);
-  StreamRepro r;
-  r.config.seed = parse_u64(repro, "seed");
-  r.config.batches = static_cast<int>(parse_int(repro, "batches"));
-  r.config.batch_keys = parse_int(repro, "batch");
-  r.config.pattern = static_cast<int>(parse_int(repro, "pattern"));
-  r.config.batch_interval = parse_int(repro, "interval");
-  r.config.ranges = static_cast<int>(parse_int(repro, "ranges"));
-  r.config.sample_keys = parse_int(repro, "sample");
-  r.config.block = static_cast<int>(parse_int(repro, "block"));
-  r.config.budget_bytes = parse_int(repro, "budget");
-  r.config.backends = static_cast<int>(parse_int(repro, "backends"));
-  r.config.domains = static_cast<int>(parse_int(repro, "domains"));
-  r.config.faulty = static_cast<int>(parse_int(repro, "faulty"));
-  r.config.tear_rate = parse_rate(repro, "tear");
-  r.config.crash_rate = parse_rate(repro, "crash");
-  r.config.retry_limit = static_cast<int>(parse_int(repro, "retry"));
-  r.config.backoff_base = parse_int(repro, "backoff");
-  r.config.backoff_cap = parse_int(repro, "cap");
-  r.config.breaker.failure_threshold =
-      static_cast<int>(parse_int(repro, "breaker-k"));
-  r.config.breaker.cooldown = parse_int(repro, "cooldown");
-  r.size = static_cast<int>(parse_int(repro, "size"));
-  r.dims = static_cast<int>(parse_int(repro, "dims"));
-  r.threads = static_cast<int>(parse_int(repro, "threads"));
-  r.chain = parse_u64(repro, "chain");
-  r.hash = parse_u64(repro, "hash");
-  if (repro.has("outage")) {
-    r.config.outage = repro.get("outage");
-    // Validate eagerly so a torn line fails at parse time, not
-    // mid-replay; parse_domain_outages names the bad token.
-    (void)parse_domain_outages(r.config.outage,
-                               std::min(r.config.domains, r.config.backends));
-  }
-  if (repro.has("journal")) {
-    r.journal = true;
-    // parse_io_faults throws std::invalid_argument naming the malformed
-    // subtoken — same eager-failure discipline as the outage schedule.
-    r.config.io_faults = parse_io_faults(repro.get("journal"));
-  }
-  return r;
-}
 
 }  // namespace prodsort
